@@ -154,18 +154,20 @@ def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
     first_color = [-1] * len(sets)
     mixed = [False] * len(sets)
     colors = [-1] * h
+    limit = [1] * h  # colors open at each position: those used before it and one more
+    undo: list = [None] * h  # (copy, was mixed) for each copy the color at a position touched
     nodes = 0
-
-    def rec(pos: int, used: int):
-        nonlocal nodes
-        if pos == h:
-            return tuple(colors)
-        for color in range(min(used + 1, k)):
+    found = None
+    # depth-first over positions with an explicit stack, so hom(A, C) may
+    # hold more positions than Python's recursion limit
+    pos = color = 0
+    while True:
+        if color < limit[pos]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded("nodes", budget)
             colors[pos] = color
-            touched: list[tuple[int, bool]] = []
+            touched = undo[pos] = []
             dead = False
             for ci in copies_at[pos]:
                 was_mixed = mixed[ci]
@@ -178,18 +180,25 @@ def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
                 if n_assigned[ci] == size[ci] and not mixed[ci]:
                     dead = True  # this copy is monochromatic for good
             if not dead:
-                result = rec(pos + 1, max(used, color + 1))
-                if result is not None:
-                    return result
-            for ci, was_mixed in touched:
-                n_assigned[ci] -= 1
-                mixed[ci] = was_mixed
-                if n_assigned[ci] == 0:
-                    first_color[ci] = -1
-            colors[pos] = -1
-        return None
-
-    found = rec(0, 0)
+                if pos + 1 == h:
+                    found = tuple(colors)
+                    break
+                lim = limit[pos]
+                pos += 1
+                limit[pos] = lim + 1 if color + 1 == lim < k else lim
+                color = 0
+                continue
+        else:
+            pos -= 1
+            if pos < 0:
+                break
+        # retract the color at pos, then try the next one there
+        for ci, was_mixed in undo[pos]:
+            n_assigned[ci] -= 1
+            mixed[ci] = was_mixed
+            if n_assigned[ci] == 0:
+                first_color[ci] = -1
+        color = colors[pos] + 1
     if stats_out is not None:
         stats_out["nodes"] = nodes
     if found is None:

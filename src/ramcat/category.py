@@ -50,7 +50,7 @@ class CategoryFragment:
         self._hom = {pair: tuple(ms) for pair, ms in hom.items()}
         self._identity = dict(identity)
         self._compose_fn = compose_fn
-        self._hom_sets = {pair: frozenset(ms) for pair, ms in self._hom.items()}
+        self._hom_sets: dict = {}  # filled per pair by the first membership test
 
     def __repr__(self):
         return f"<fragment {self.name}: {len(self.objects)} objects, {self.total_morphisms()} morphisms>"
@@ -72,7 +72,17 @@ class CategoryFragment:
         return self._compose_fn(g, f)
 
     def contains_morphism(self, m: Morphism) -> bool:
-        return m in self._hom_sets.get((m.dom, m.cod), frozenset())
+        pair = (m.dom, m.cod)
+        members = self._hom_sets.get(pair)
+        if members is None:
+            if pair not in self._hom:
+                return False
+            members = self._hom_sets[pair] = frozenset(self._hom[pair])
+        return m in members
+
+    def in_hom(self, m, a, b) -> bool:
+        """Whether ``m`` is a morphism of hom(a, b) in this fragment."""
+        return isinstance(m, Morphism) and m.dom == a and m.cod == b and self.contains_morphism(m)
 
     def morphisms(self) -> Iterator[Morphism]:
         for pair in sorted(self._hom, key=lambda p: (self.objects.index(p[0]), self.objects.index(p[1]))):

@@ -578,6 +578,10 @@ def preadj_verify(instance, group_path, context_path, alphabet, bounds, card_che
                 {k: str(v) for k, v in f.items()} for f in report.failures[:20]
             ],
             "failure_count": len(report.failures),
+            "phi_landing_failures": [
+                {k: str(v) for k, v in f.items()} for f in report.phi_landing_failures[:20]
+            ],
+            "phi_landing_failure_count": len(report.phi_landing_failures),
             "suggested_tried": report.suggested_tried,
             "suggested_hits": report.suggested_hits,
         }

@@ -48,6 +48,10 @@ from .words import (
 
 @dataclass
 class PreAdjunction:
+    """Object maps ``F`` and ``H`` with the morphism family ``phi``.  ``phi``
+    must be a function of its arguments alone: the verifier evaluates it
+    once per distinct ``(X, Y, u)`` and reuses the value."""
+
     name: str
     source: CategoryFragment
     target: CategoryFragment
@@ -94,9 +98,21 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
     bounds.  Every recorded failure really has no witness (the whole
     candidate hom-set was scanned); every recorded witness is the first one
     in canonical order, with any construction-suggested candidate tried
-    first and its success tracked."""
+    first and its success tracked.  ``pa.phi`` is evaluated once per
+    distinct ``(X, Y, u)`` within a call, so it must be a function of its
+    arguments; ``recheck_failures`` evaluates it afresh."""
     report = PAReport(pa.name, list(source_objects), list(target_objects))
     src, tgt = pa.source, pa.target
+    pa_phi, phi_of = pa.phi, {}
+
+    def phi(x, y, u):
+        key = (x, y, u)
+        try:
+            return phi_of[key]
+        except KeyError:
+            value = phi_of[key] = pa_phi(x, y, u)
+            return value
+
     for b_obj in source_objects:
         fb = pa.F(b_obj)
         for a_obj in source_objects:
@@ -105,8 +121,8 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
             for c_obj in target_objects:
                 hc = pa.H(c_obj)
                 for u in tgt.hom(fb, c_obj):
-                    phi_u = pa.phi(b_obj, c_obj, u)
-                    if phi_u not in src.hom(b_obj, hc):
+                    phi_u = phi(b_obj, c_obj, u)
+                    if not src.in_hom(phi_u, b_obj, hc):
                         report.phi_landing_failures.append(
                             {"X": b_obj, "Y": c_obj, "u": u, "phi": phi_u})
                         continue
@@ -120,14 +136,14 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
                         if pa.suggested_v is not None:
                             report.suggested_tried += 1
                             v = pa.suggested_v(a_obj, b_obj, f)
-                            if v is not None and v in candidates:
-                                if pa.phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
+                            if tgt.in_hom(v, fa, fb):
+                                if phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
                                     witness = v
                                     used_suggested = True
                                     report.suggested_hits += 1
                         if witness is None:
                             for v in candidates:
-                                if pa.phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
+                                if phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
                                     witness = v
                                     break
                         if witness is None:
@@ -225,7 +241,7 @@ def pa_from_functor(source: CategoryFragment, target: CategoryFragment,
         for y in target.objects:
             for u in target.hom(x, y):
                 img = h_mor(u)
-                if img not in source.hom(h_ob[x], h_ob[y]):
+                if not source.in_hom(img, h_ob[x], h_ob[y]):
                     raise ValidationError("not_functor", "morphism image lands outside its hom-set", u=u)
             for z in target.objects:
                 for u in target.hom(x, y):

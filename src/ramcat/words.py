@@ -27,7 +27,7 @@ exponent's position in the group's element order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import ValidationError
@@ -51,6 +51,15 @@ class WordContext:
 
     action: RightAction
     variable_limit: int | None = None
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
+
+    def __post_init__(self):
+        # every word embeds its context, so hashing a word must not walk the
+        # group and action tables again
+        object.__setattr__(self, "_hash", hash((self.action, self.variable_limit)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def group(self):

@@ -6,13 +6,16 @@ import pytest
 from ramcat import (
     BudgetExceeded,
     ValidationError,
+    WordContext,
     certify_bad_coloring,
     check_arrow_exhaustive,
+    cyclic_group,
     dram_op_fragment,
     find_bad_coloring,
     gr_fragment,
     min_ramsey_witness,
     ram_fragment,
+    trivial_action,
 )
 
 
@@ -134,6 +137,31 @@ def test_node_budget_exceeded_distinct_from_none_found():
     f = ram_fragment(6)
     with pytest.raises(BudgetExceeded):
         find_bad_coloring(f, 2, 3, 6, 2, node_budget=10)
+
+
+@pytest.mark.parametrize("a, b, c, holds, nodes", [
+    (2, 3, 6, True, 987),
+    (2, 4, 9, False, 12_474),
+    (3, 4, 7, False, 22_647),
+])
+def test_search_node_counts_pinned(a, b, c, holds, nodes):
+    # the search order is part of the contract: same colors first, same nodes
+    f = ram_fragment(c)
+    stats = {}
+    bad = find_bad_coloring(f, a, b, c, 2, stats_out=stats)
+    assert (bad is None) == holds
+    assert stats["nodes"] == nodes
+    if bad is not None:
+        assert certify_bad_coloring(f, a, b, c, bad)
+
+
+def test_search_deeper_than_recursion_limit():
+    # gr over plain Z3: hom(2, 6) has 2,511 positions, more than Python's
+    # default recursion limit, so the search must not recurse per position
+    f = gr_fragment(WordContext(trivial_action(cyclic_group(3))), 6)
+    assert len(f.hom(2, 6)) == 2511
+    with pytest.raises(BudgetExceeded):
+        find_bad_coloring(f, 2, 3, 6, 2, node_budget=50_000)
 
 
 def test_node_budget_env_override(monkeypatch):

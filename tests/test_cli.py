@@ -136,7 +136,7 @@ def test_preadj_verify_gr_to_dramop(runner, tmp_path):
                                   "--group", group, "--bounds", "src<=2,chains<=6"])
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
-    assert report["failure_count"] == 0
+    assert report["failure_count"] == 0 and report["phi_landing_failure_count"] == 0
     assert report["cardinality_ok"]
 
 
@@ -202,6 +202,26 @@ def test_preadj_verify_identity_instance(runner):
     result = runner.invoke(main, ["preadj", "verify", "--instance", "identity",
                                   "--bounds", "objects<=3"])
     assert result.exit_code == 0, result.output
+
+
+def test_preadj_verify_reports_phi_landing_failures(runner, monkeypatch):
+    import ramcat.cli
+    from ramcat import Morphism, PreAdjunction, ram_fragment
+
+    f3 = ram_fragment(3)
+    # right payload, wrong codomain: phi(X, Y, u) must land in hom(X, H(Y))
+    pa = PreAdjunction("off-by-one-cod", f3, f3, lambda x: x, lambda y: y,
+                       lambda x, y, u: Morphism(x, y + 1, u.payload))
+    monkeypatch.setattr(ramcat.cli, "_build_instance",
+                        lambda name, context, bounds: (pa, [1, 2, 3], [1, 2, 3]))
+    result = runner.invoke(main, ["preadj", "verify", "--instance", "identity", "--no-card-check"])
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.output)
+    assert not report["ok"] and report["failure_count"] == 0
+    assert report["phi_landing_failure_count"] == 33
+    assert len(report["phi_landing_failures"]) == 20
+    assert report["phi_landing_failures"][0] == {"X": "1", "Y": "1", "u": "1->1:(1,)",
+                                                 "phi": "1->2:(1,)"}
 
 
 def test_preadj_unknown_instance_is_usage_error(runner):

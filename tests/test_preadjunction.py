@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ramcat import (
@@ -82,6 +84,56 @@ def test_object_not_in_fragment_raises():
     with pytest.raises(ValidationError) as err:
         verify_pa(pa, [1, 2, 3], [1, 2, 3, 4, 9])
     assert err.value.code == "object_not_in_fragment"
+
+
+def test_phi_off_its_hom_set_is_a_landing_failure():
+    f3 = ram_fragment(3)
+    # the right payload under the wrong codomain is not in hom(X, H(Y))
+    pa = PreAdjunction("off-by-one-cod", f3, f3, lambda x: x, lambda y: y,
+                       lambda x, y, u: Morphism(x, y + 1, u.payload))
+    report = verify_pa(pa, [1, 2, 3], [1, 2, 3])
+    assert not report.ok and not report.failures and report.instances == 0
+    assert len(report.phi_landing_failures) == 33
+    first = report.phi_landing_failures[0]
+    assert first["phi"] == Morphism(1, 2, first["u"].payload)
+
+
+@pytest.mark.parametrize("wrong_v", [
+    lambda a, b, f: Morphism(0, b, None),  # a member of hom(0, B), not of hom(A, B)
+    lambda a, b, f: Morphism(a, b, "foreign"),  # right ends, not a member
+])
+def test_suggested_witness_off_its_hom_set_is_not_accepted(wrong_v):
+    # thin composition ignores payloads and this phi ignores u, so either
+    # suggestion would satisfy the transport equation if it were accepted
+    thin = thin_from_preorder(chain_preorder(4))
+    pa = PreAdjunction("thin-identity", thin, thin, lambda x: x, lambda y: y,
+                       lambda x, y, u: Morphism(x, y, None), suggested_v=wrong_v)
+    report = verify_pa(pa, range(1, 4), range(4))
+    assert report.ok and report.instances > 0
+    assert report.suggested_tried == report.instances and report.suggested_hits == 0
+    for w in report.witnesses:
+        assert not w["suggested"] and w["v"] == Morphism(w["A"], w["B"], None)
+
+
+@pytest.mark.parametrize("make_pa", [
+    lambda ctx: pa_gr_plain_to_decorated(ctx, 3),
+    lambda ctx: broken_phi_pa(),  # no suggested witness: every instance scans
+])
+def test_phi_evaluated_once_per_argument(make_pa, swap_context):
+    pa = make_pa(swap_context)
+    plain = verify_pa(pa, [1, 2, 3], [1, 2, 3])
+    calls = Counter()
+    phi = pa.phi
+
+    def counting_phi(x, y, u):
+        calls[(x, y, u)] += 1
+        return phi(x, y, u)
+
+    pa.phi = counting_phi
+    report = verify_pa(pa, [1, 2, 3], [1, 2, 3])
+    assert calls and max(calls.values()) == 1
+    assert (report.instances, report.failures, report.witnesses) == (
+        plain.instances, plain.failures, plain.witnesses)
 
 
 # --- word-category reductions ----------------------------------------------------
