@@ -7,7 +7,9 @@ monochromatic.  Two engines are provided:
 * an exhaustive engine iterating the colorings directly, and
 * a backtracking engine searching for a counterexample coloring with
   forward pruning: a partial coloring is abandoned exactly when some copy is
-  already completely colored in one color.
+  already completely colored in one color.  Positions are colored in index
+  order, so each copy is checked once, when its last position is colored,
+  against a bitmask of the positions holding the color just tried.
 
 Both engines canonicalize colors by first use, which quotients out the k!
 color permutations without affecting the verdict.  Copies are hoisted into
@@ -132,9 +134,14 @@ def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
                       node_budget: int | None = None,
                       stats_out: dict | None = None) -> Coloring | None:
     """Depth-first search for a coloring defeating every copy; returns None
-    when the complete search finds none (which certifies the arrow).  A
-    budget overrun raises, and is never reported as none-found.  Pass a dict
-    as ``stats_out`` to receive the number of nodes expanded."""
+    when the complete search finds none (which certifies the arrow).
+    Positions are colored in index order, so each copy is checked once, when
+    its last position is colored: that color is dead there iff the copy's
+    other positions all hold it already, a test against one bitmask per
+    color.  A budget overrun raises, and is never reported as none-found.
+    Pass a dict as ``stats_out`` to receive the number of nodes expanded; on
+    an overrun it also receives ``prefix``, the number of positions colored
+    when the budget ran out, and the exception carries both as ``stats``."""
     if k < 1:
         raise ValidationError("bad_colors", f"need at least one color, got {k}")
     budget = node_budget if node_budget is not None else node_budget_default()
@@ -144,18 +151,12 @@ def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
             stats_out["nodes"] = 0
         return None  # a single color makes every copy monochromatic
     h = len(copies.hom_ac)
-    sets = copies.sets
-    copies_at: list[list[int]] = [[] for _ in range(h)]
-    for ci, copy in enumerate(sets):
-        for i in copy:
-            copies_at[i].append(ci)
-    size = [len(copy) for copy in sets]
-    n_assigned = [0] * len(sets)
-    first_color = [-1] * len(sets)
-    mixed = [False] * len(sets)
+    closing: list[list[int]] = [[] for _ in range(h)]  # other positions of each copy ending here
+    for copy in copies.sets:
+        closing[copy[-1]].append(sum(1 << i for i in copy[:-1]))
+    masks = [0] * k  # the positions holding each color
     colors = [-1] * h
     limit = [1] * h  # colors open at each position: those used before it and one more
-    undo: list = [None] * h  # (copy, was mixed) for each copy the color at a position touched
     nodes = 0
     found = None
     # depth-first over positions with an explicit stack, so hom(A, C) may
@@ -163,23 +164,19 @@ def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
     pos = color = 0
     while True:
         if color < limit[pos]:
+            if nodes >= budget:
+                progress = {"nodes": nodes, "prefix": pos}
+                if stats_out is not None:
+                    stats_out.update(progress)
+                raise BudgetExceeded("nodes", budget, stats=progress)
             nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded("nodes", budget)
-            colors[pos] = color
-            touched = undo[pos] = []
-            dead = False
-            for ci in copies_at[pos]:
-                was_mixed = mixed[ci]
-                if n_assigned[ci] == 0:
-                    first_color[ci] = color
-                elif not was_mixed and color != first_color[ci]:
-                    mixed[ci] = True
-                n_assigned[ci] += 1
-                touched.append((ci, was_mixed))
-                if n_assigned[ci] == size[ci] and not mixed[ci]:
-                    dead = True  # this copy is monochromatic for good
-            if not dead:
+            mask = masks[color]
+            for rest in closing[pos]:
+                if rest & mask == rest:
+                    break  # this copy would be monochromatic for good
+            else:
+                colors[pos] = color
+                masks[color] = mask | 1 << pos
                 if pos + 1 == h:
                     found = tuple(colors)
                     break
@@ -188,17 +185,15 @@ def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
                 limit[pos] = lim + 1 if color + 1 == lim < k else lim
                 color = 0
                 continue
-        else:
-            pos -= 1
-            if pos < 0:
-                break
+            color += 1
+            continue
+        pos -= 1
+        if pos < 0:
+            break
         # retract the color at pos, then try the next one there
-        for ci, was_mixed in undo[pos]:
-            n_assigned[ci] -= 1
-            mixed[ci] = was_mixed
-            if n_assigned[ci] == 0:
-                first_color[ci] = -1
-        color = colors[pos] + 1
+        color = colors[pos]
+        masks[color] ^= 1 << pos
+        color += 1
     if stats_out is not None:
         stats_out["nodes"] = nodes
     if found is None:

@@ -91,6 +91,8 @@ def _fail(exc: RamcatError, output: str | None):
     if isinstance(exc, ValidationError):
         report["code"] = exc.code
         report["data"] = {k: str(v) for k, v in exc.data.items()}
+    if isinstance(exc, BudgetExceeded) and exc.stats:
+        report["stats"] = exc.stats
     _emit(report, output)
     sys.exit(code)
 

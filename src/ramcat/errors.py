@@ -26,10 +26,14 @@ class ValidationError(RamcatError):
 
 
 class BudgetExceeded(RamcatError):
-    def __init__(self, kind: str, limit: int, message: str | None = None):
+    """``stats`` holds the counters of how far the work got, when known."""
+
+    def __init__(self, kind: str, limit: int, message: str | None = None,
+                 stats: dict | None = None):
         super().__init__(message or f"{kind} budget of {limit} exceeded")
         self.kind = kind
         self.limit = limit
+        self.stats = stats if stats is not None else {}
 
 
 class ResourceBound(RamcatError):

@@ -115,7 +115,7 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
 
     for b_obj in source_objects:
         fb = pa.F(b_obj)
-        for a_obj in source_objects:
+        for ai, a_obj in enumerate(source_objects):
             fa = pa.F(a_obj)
             candidates = tgt.hom(fa, fb)
             for c_obj in target_objects:
@@ -123,8 +123,9 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
                 for u in tgt.hom(fb, c_obj):
                     phi_u = phi(b_obj, c_obj, u)
                     if not src.in_hom(phi_u, b_obj, hc):
-                        report.phi_landing_failures.append(
-                            {"X": b_obj, "Y": c_obj, "u": u, "phi": phi_u})
+                        if ai == 0:  # phi_u does not depend on A: record it on the first A only
+                            report.phi_landing_failures.append(
+                                {"X": b_obj, "Y": c_obj, "u": u, "phi": phi_u})
                         continue
                     for f in src.hom(a_obj, b_obj):
                         report.instances += 1

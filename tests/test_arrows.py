@@ -135,24 +135,37 @@ def test_coloring_budget_exceeded():
 
 def test_node_budget_exceeded_distinct_from_none_found():
     f = ram_fragment(6)
-    with pytest.raises(BudgetExceeded):
-        find_bad_coloring(f, 2, 3, 6, 2, node_budget=10)
-
-
-@pytest.mark.parametrize("a, b, c, holds, nodes", [
-    (2, 3, 6, True, 987),
-    (2, 4, 9, False, 12_474),
-    (3, 4, 7, False, 22_647),
-])
-def test_search_node_counts_pinned(a, b, c, holds, nodes):
-    # the search order is part of the contract: same colors first, same nodes
-    f = ram_fragment(c)
     stats = {}
-    bad = find_bad_coloring(f, a, b, c, 2, stats_out=stats)
+    with pytest.raises(BudgetExceeded) as err:
+        find_bad_coloring(f, 2, 3, 6, 2, node_budget=10, stats_out=stats)
+    # an overrun reports how far the search got, in stats_out and on the error
+    assert stats == err.value.stats == {"nodes": 10, "prefix": 7}
+
+
+@pytest.mark.parametrize("family, a, b, c, k, holds, nodes", [
+    ("ram", 2, 3, 6, 2, True, 987),
+    ("ram", 2, 4, 9, 2, False, 12_474),
+    ("ram", 3, 4, 7, 2, False, 22_647),
+    ("ram", 2, 3, 8, 3, False, 87_726),
+    ("gr-plain-z3", 1, 2, 5, 2, True, 10_119),
+])
+def test_search_node_counts_pinned(family, a, b, c, k, holds, nodes):
+    # the search order is part of the contract: same colors first, same nodes
+    if family == "ram":
+        f = ram_fragment(c)
+    else:  # copies of mixed sizes, deduplicated
+        f = gr_fragment(WordContext(trivial_action(cyclic_group(3))), c)
+    stats = {}
+    bad = find_bad_coloring(f, a, b, c, k, stats_out=stats)
     assert (bad is None) == holds
     assert stats["nodes"] == nodes
     if bad is not None:
         assert certify_bad_coloring(f, a, b, c, bad)
+
+
+def test_search_returns_first_bad_coloring_in_color_order():
+    bad = find_bad_coloring(ram_fragment(5), 2, 3, 5, 2)
+    assert bad.colors == (0, 0, 1, 1, 1, 0, 1, 1, 0, 0)
 
 
 def test_search_deeper_than_recursion_limit():

@@ -122,6 +122,8 @@ def test_ramsey_budget_exit_code(runner):
                                   "-A", "2", "-B", "3", "-C", "6", "-k", "2",
                                   "--budget-nodes", "5", "--engine", "search"])
     assert result.exit_code == 3
+    report = json.loads(result.output)
+    assert report["stats"]["nodes"] == 5
 
 
 def test_preadj_list(runner):
@@ -204,24 +206,36 @@ def test_preadj_verify_identity_instance(runner):
     assert result.exit_code == 0, result.output
 
 
-def test_preadj_verify_reports_phi_landing_failures(runner, monkeypatch):
+def _off_by_one_cod_report(runner, monkeypatch, n):
     import ramcat.cli
     from ramcat import Morphism, PreAdjunction, ram_fragment
 
-    f3 = ram_fragment(3)
+    f = ram_fragment(n)
+    objects = list(range(1, n + 1))
     # right payload, wrong codomain: phi(X, Y, u) must land in hom(X, H(Y))
-    pa = PreAdjunction("off-by-one-cod", f3, f3, lambda x: x, lambda y: y,
+    pa = PreAdjunction("off-by-one-cod", f, f, lambda x: x, lambda y: y,
                        lambda x, y, u: Morphism(x, y + 1, u.payload))
     monkeypatch.setattr(ramcat.cli, "_build_instance",
-                        lambda name, context, bounds: (pa, [1, 2, 3], [1, 2, 3]))
+                        lambda name, context, bounds: (pa, objects, objects))
     result = runner.invoke(main, ["preadj", "verify", "--instance", "identity", "--no-card-check"])
     assert result.exit_code == 1, result.output
     report = json.loads(result.output)
     assert not report["ok"] and report["failure_count"] == 0
-    assert report["phi_landing_failure_count"] == 33
-    assert len(report["phi_landing_failures"]) == 20
+    return report
+
+
+def test_preadj_verify_reports_phi_landing_failures(runner, monkeypatch):
+    report = _off_by_one_cod_report(runner, monkeypatch, 3)
+    assert report["phi_landing_failure_count"] == 11
+    assert len(report["phi_landing_failures"]) == 11
     assert report["phi_landing_failures"][0] == {"X": "1", "Y": "1", "u": "1->1:(1,)",
                                                  "phi": "1->2:(1,)"}
+
+
+def test_preadj_verify_lists_first_20_landing_failures(runner, monkeypatch):
+    report = _off_by_one_cod_report(runner, monkeypatch, 4)
+    assert report["phi_landing_failure_count"] == 26
+    assert len(report["phi_landing_failures"]) == 20
 
 
 def test_preadj_unknown_instance_is_usage_error(runner):

@@ -93,7 +93,9 @@ def test_phi_off_its_hom_set_is_a_landing_failure():
                        lambda x, y, u: Morphism(x, y + 1, u.payload))
     report = verify_pa(pa, [1, 2, 3], [1, 2, 3])
     assert not report.ok and not report.failures and report.instances == 0
-    assert len(report.phi_landing_failures) == 33
+    # one entry per distinct (X, Y, u), not one per source object A as well
+    assert len(report.phi_landing_failures) == 11
+    assert len({(e["X"], e["Y"], e["u"]) for e in report.phi_landing_failures}) == 11
     first = report.phi_landing_failures[0]
     assert first["phi"] == Morphism(1, 2, first["u"].payload)
 
