@@ -213,7 +213,16 @@ def _apply_matrix(field: OrderedField, rows: tuple[tuple[int, ...], ...], v: tup
 def vec_fragment(q: int | OrderedField, n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
     """Dimensions 1..n over an ordered finite field; morphisms are the
     injective linear maps that respect the anti-lexicographic vector order.
-    Matrices are row tuples (codomain dim) x (domain dim)."""
+    Matrices are row tuples (codomain dim) x (domain dim).
+
+    Hom-sets are grown one column at a time.  Since 0 is the least field
+    element, the vectors supported on the first j coordinates are the first
+    q^j vectors of the anti-lexicographic order, in the order of
+    ``domain_vectors(j)``; so the first j columns of a morphism m -> d are
+    themselves a morphism j -> d.  Extending only the prefixes whose images
+    are strictly increasing therefore loses no morphism, and at j = m the
+    test is the full order condition.  Each hom-set is sorted by payload,
+    which is the row-major order of the matrix entries."""
     field = q if isinstance(q, OrderedField) else gf(q)
     objects = range(1, n + 1)
 
@@ -222,19 +231,23 @@ def vec_fragment(q: int | OrderedField, n: int, hom_cap: int = DEFAULT_HOM_CAP) 
         vecs.sort(key=lambda v: tuple(reversed(v)))
         return vecs
 
+    def increasing(rows, vecs) -> bool:
+        images = [_apply_matrix(field, rows, v) for v in vecs]
+        return all(alex_less(images[i], images[i + 1]) for i in range(len(images) - 1))
+
     hom: dict = {}
     total = 0
     for m in objects:
-        dom_sorted = domain_vectors(m)
         for d in objects:
             if m > d:
                 continue
-            ms = []
-            for entries in product(range(field.size), repeat=d * m):
-                rows = tuple(tuple(entries[r * m:(r + 1) * m]) for r in range(d))
-                images = [_apply_matrix(field, rows, v) for v in dom_sorted]
-                if all(alex_less(images[i], images[i + 1]) for i in range(len(images) - 1)):
-                    ms.append(Morphism(m, d, rows))
+            columns = list(product(range(field.size), repeat=d))
+            prefixes = [()]
+            for j in range(1, m + 1):
+                vecs = domain_vectors(j)
+                extended = (cols + (col,) for cols in prefixes for col in columns)
+                prefixes = [cols for cols in extended if increasing(tuple(zip(*cols)), vecs)]
+            ms = sorted((Morphism(m, d, tuple(zip(*cols))) for cols in prefixes), key=lambda f: f.payload)
             if ms:
                 total += len(ms)
                 _check_cap(total, hom_cap, f"vec(F_{field.size})")
@@ -421,13 +434,15 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
 
 
 def is_mono(fragment: CategoryFragment, f: Morphism) -> bool:
-    """Left cancellable within the fragment: f.g = f.h forces g = h."""
+    """Left cancellable within the fragment: f.g = f.h forces g = h.
+
+    Equivalently, on every hom(a, f.dom) the composites f.g are pairwise
+    distinct, so one composition per morphism and a set of the composites
+    decide it."""
     for a in fragment.objects:
         ms = fragment.hom(a, f.dom)
-        for i, g in enumerate(ms):
-            for h in ms[i + 1:]:
-                if fragment.compose(f, g) == fragment.compose(f, h):
-                    return False
+        if len({fragment.compose(f, g) for g in ms}) < len(ms):
+            return False
     return True
 
 
@@ -439,10 +454,6 @@ def iso_pairs(fragment: CategoryFragment, a, b) -> list[tuple[Morphism, Morphism
                     and fragment.compose(f, g) == fragment.identity(b)):
                 out.append((f, g))
     return out
-
-
-def isos(fragment: CategoryFragment, a, b) -> list[Morphism]:
-    return [f for f, _ in iso_pairs(fragment, a, b)]
 
 
 @dataclass
@@ -490,9 +501,9 @@ def structural_checks(fragment: CategoryFragment) -> StructuralReport:
     iso_ok = True
     for a in objs:
         for b in objs:
-            if a != b and iso_pairs(fragment, a, b):
-                if set(fragment.hom(a, b)) != set(isos(fragment, a, b)):
-                    iso_ok = False
+            pairs = iso_pairs(fragment, a, b) if a != b else []
+            if pairs and set(fragment.hom(a, b)) != {f for f, _ in pairs}:
+                iso_ok = False
     fan_in = {b: sum(len(fragment.hom(a, b)) for a in objs) for b in objs}
     return StructuralReport(thin, directed, non_mono is None, self_ok, iso_ok, fan_in=fan_in,
                             non_mono_witness=non_mono, self_hom_witness=self_witness)

@@ -123,22 +123,92 @@ def test_vec_f2_hom_count_against_function_oracle():
     assert by_basis == valid
 
 
+def gf4():
+    """GF(4) as an explicit ordered field: addition is coefficient XOR and
+    multiplication follows x^2 = x + 1 on {0, 1, x, x+1}."""
+    from ramcat.category import OrderedField
+
+    return OrderedField(
+        4,
+        tuple(tuple(a ^ b for b in range(4)) for a in range(4)),
+        ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)),
+    )
+
+
+def gaussian_binomial(d, m, q):
+    """[d choose m]_q, the number of m-dimensional subspaces of F_q^d."""
+    num = den = 1
+    for i in range(m):
+        num *= q ** (d - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("q,n,total", [(2, 4, 86), (3, 3, 33), (5, 2, 8), ("gf4", 2, 7)])
+def test_vec_hom_counts_are_gaussian_binomials(q, n, total):
+    """A monotone injective linear map m -> d is the unique order-respecting
+    basis of its image, so hom(m, d) has one morphism per subspace."""
+    field = gf4() if q == "gf4" else q
+    size = 4 if q == "gf4" else q
+    v = vec_fragment(field, n)
+    for m in range(1, n + 1):
+        for d in range(m, n + 1):
+            assert len(v.hom(m, d)) == gaussian_binomial(d, m, size), (m, d)
+    assert v.total_morphisms() == total
+
+
+def brute_force_vec_hom(field, m, d):
+    """Every q^(d*m) matrix, kept when the images of the anti-lexicographically
+    sorted domain vectors are strictly increasing; row-major product order."""
+    from itertools import product as iproduct
+
+    from ramcat.category import Morphism
+
+    def alex_key(u):
+        return tuple(reversed(u))
+
+    def apply(rows, v):
+        out = []
+        for row in rows:
+            acc = 0
+            for c, x in zip(row, v):
+                acc = field.add[acc][field.mul[c][x]]
+            out.append(acc)
+        return tuple(out)
+
+    dom_sorted = sorted(iproduct(range(field.size), repeat=m), key=alex_key)
+    ms = []
+    for entries in iproduct(range(field.size), repeat=d * m):
+        rows = tuple(tuple(entries[r * m:(r + 1) * m]) for r in range(d))
+        keys = [alex_key(apply(rows, v)) for v in dom_sorted]
+        if all(keys[i] < keys[i + 1] for i in range(len(keys) - 1)):
+            ms.append(Morphism(m, d, rows))
+    return tuple(ms)
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (5, 2), ("gf4", 2)])
+def test_vec_builder_matches_brute_force_scan(q, n):
+    """Every hom-set whose scan has at most 4096 matrices, order included;
+    F2 hom(2, 4) is the first whose column-major generation order differs
+    from the row-major order."""
+    from ramcat.category import gf
+
+    field = gf4() if q == "gf4" else gf(q)
+    v = vec_fragment(field, n)
+    pairs = [(m, d) for m in range(1, n + 1) for d in range(m, n + 1) if field.size ** (d * m) <= 4096]
+    if q == 2:
+        assert (2, 4) in pairs
+    for m, d in pairs:
+        assert v.hom(m, d) == brute_force_vec_hom(field, m, d), (m, d)
+
+
 def test_vec_requires_prime_size():
     with pytest.raises(ValidationError):
         vec_fragment(4, 2)
 
 
 def test_vec_accepts_explicit_field_tables():
-    """GF(4) as an explicit ordered field: addition is coefficient XOR and
-    multiplication follows x^2 = x + 1 on {0, 1, x, x+1}."""
-    from ramcat.category import OrderedField
-
-    gf4 = OrderedField(
-        4,
-        tuple(tuple(a ^ b for b in range(4)) for a in range(4)),
-        ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)),
-    )
-    frag = vec_fragment(gf4, 2)
+    frag = vec_fragment(gf4(), 2)
     assert validate_fragment(frag).ok
     assert len(frag.hom(1, 1)) == 1  # only scaling by 1 preserves the order
     rep = structural_checks(frag)
@@ -257,6 +327,60 @@ def test_dram_morphisms_epi_in_dram_iff_mono_in_op():
     for m in d.morphisms():
         mirrored = next(x for x in op.hom(m.cod, m.dom) if x.payload == m.payload)
         assert is_epi(d, m) == is_mono(op, mirrored)
+
+
+def pairwise_mono(frag, f):
+    """Left cancellability by definition: no two distinct g, h in any
+    hom(a, f.dom) with f.g = f.h."""
+    for a in frag.objects:
+        ms = frag.hom(a, f.dom)
+        for i, g in enumerate(ms):
+            for h in ms[i + 1:]:
+                if frag.compose(f, g) == frag.compose(f, h):
+                    return False
+    return True
+
+
+def idempotent_twins():
+    """Two isomorphic objects over the monoid {1, e} with e.e = e: every
+    hom(x, y) is {(x, y, 1), (x, y, e)}, composing multiplies the labels.
+    The e-labelled morphisms are neither mono nor iso."""
+    morphs = {f"{x}{y}{t}": (x, y) for x in "ab" for y in "ab" for t in "1e"}
+    compose = {
+        (f"{y}{z}{s}", f"{x}{y}{t}"): f"{x}{z}{'1' if s == t == '1' else 'e'}"
+        for x in "ab" for y in "ab" for z in "ab" for s in "1e" for t in "1e"
+    }
+    return explicit_fragment(["a", "b"], morphs, {"a": "aa1", "b": "bb1"}, compose, name="twins")
+
+
+def test_is_mono_matches_pairwise_definition(swap_context):
+    from ramcat.category import is_mono
+
+    frags = [
+        dram_fragment(4),
+        opposite(dram_fragment(4)),
+        ram_fragment(4),
+        gr_fragment(swap_context, 2),
+        thin_from_preorder(chain_preorder(4)),
+        idempotent_twins(),
+    ]
+    for frag in frags:
+        monos = [is_mono(frag, m) for m in frag.morphisms()]
+        assert monos == [pairwise_mono(frag, m) for m in frag.morphisms()], frag.name
+    twins = idempotent_twins()
+    assert {m.payload for m in twins.morphisms() if not is_mono(twins, m)} == {"aae", "abe", "bae", "bbe"}
+
+
+def test_structural_checks_pins_non_mono_and_iso_witnesses():
+    rep = structural_checks(dram_fragment(4))
+    assert not rep.all_mono
+    assert str(rep.non_mono_witness) == "2->1:(1,1)"
+    assert validate_fragment(idempotent_twins()).ok
+    rep = structural_checks(idempotent_twins())
+    assert not rep.all_mono and not rep.is_thin
+    assert str(rep.non_mono_witness) == "a->a:aae"
+    assert not rep.iso_homs_match  # hom(a, b) holds the iso ab1 and the non-iso abe
+    assert structural_checks(twin_fragment()).iso_homs_match
 
 
 def test_words_surjections_fragment_isomorphism():
