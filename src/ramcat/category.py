@@ -221,8 +221,11 @@ def vec_fragment(q: int | OrderedField, n: int, hom_cap: int = DEFAULT_HOM_CAP) 
     ``domain_vectors(j)``; so the first j columns of a morphism m -> d are
     themselves a morphism j -> d.  Extending only the prefixes whose images
     are strictly increasing therefore loses no morphism, and at j = m the
-    test is the full order condition.  Each hom-set is sorted by payload,
-    which is the row-major order of the matrix entries."""
+    test is the full order condition.  The new basis vector e_j lies above
+    every vector on the first j - 1 coordinates, so a new column that does
+    not lie above the image of the largest of them is dropped before the
+    full test.  Each hom-set is sorted by payload, which is the row-major
+    order of the matrix entries."""
     field = q if isinstance(q, OrderedField) else gf(q)
     objects = range(1, n + 1)
 
@@ -245,8 +248,14 @@ def vec_fragment(q: int | OrderedField, n: int, hom_cap: int = DEFAULT_HOM_CAP) 
             prefixes = [()]
             for j in range(1, m + 1):
                 vecs = domain_vectors(j)
-                extended = (cols + (col,) for cols in prefixes for col in columns)
-                prefixes = [cols for cols in extended if increasing(tuple(zip(*cols)), vecs)]
+                survivors = []
+                for cols in prefixes:
+                    # image of the largest vector on the first j - 1 coordinates
+                    top = _apply_matrix(field, tuple(zip(*cols)), vecs[-1][:-1]) if cols else (0,) * d
+                    for col in columns:
+                        if alex_less(top, col) and increasing(tuple(zip(*cols, col)), vecs):
+                            survivors.append(cols + (col,))
+                prefixes = survivors
             ms = sorted((Morphism(m, d, tuple(zip(*cols))) for cols in prefixes), key=lambda f: f.payload)
             if ms:
                 total += len(ms)
@@ -394,6 +403,14 @@ class FragmentLawReport:
 
 
 def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> FragmentLawReport:
+    """Check the identity, closure and associativity laws exhaustively,
+    stopping once one kind has ``max_violations`` entries.
+
+    Each composable pair g, f is composed once, in the closure loop, and
+    the associativity loop reads h(gf) and (hg)f from that table whenever
+    the inner composite is a member; ``compose`` runs again only on a
+    composite outside the fragment.  So ``compose`` must be a function of
+    its arguments: equal morphisms in, equal composite out."""
     report = FragmentLawReport()
     objs = fragment.objects
     for a in objs:
@@ -409,24 +426,44 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
                     report.identity_violations.append({"morphism": f, "left": left, "right": right})
                     if len(report.identity_violations) >= max_violations:
                         return report
+    ids: dict = {}  # equal morphisms share an id
+    homs = {(a, b): [(m, ids.setdefault(m, len(ids))) for m in fragment.hom(a, b)]
+            for a, b in product(objs, repeat=2)}
+    members = {i: (m, i) for m, i in ids.items()}
+    # (id of g, id of f) -> (g∘f, its id): the member's own entry when g∘f is
+    # a member, else (g∘f, None)
+    composite: dict = {}
+
+    def composed(g, gi, f, fi):
+        known = composite.get((gi, fi))
+        if known is None:
+            gf = fragment.compose(g, f)
+            return gf, ids.get(gf)
+        return known
+
     for a, b in product(objs, repeat=2):
-        for f in fragment.hom(a, b):
+        for f, fi in homs[a, b]:
             for c in objs:
-                for g in fragment.hom(b, c):
+                for g, gi in homs[b, c]:
                     gf = fragment.compose(g, f)
+                    gfi = ids.get(gf)
+                    composite[gi, fi] = (gf, None) if gfi is None else members[gfi]
                     if not fragment.contains_morphism(gf):
                         report.closure_violations.append({"g": g, "f": f, "composite": gf})
                         if len(report.closure_violations) >= max_violations:
                             return report
     for a, b in product(objs, repeat=2):
-        for f in fragment.hom(a, b):
+        for f, fi in homs[a, b]:
             for c in objs:
-                for g in fragment.hom(b, c):
-                    gf = fragment.compose(g, f)
+                for g, gi in homs[b, c]:
+                    gf, gfi = composite[gi, fi]
                     for d in objs:
-                        for h in fragment.hom(c, d):
-                            hg = fragment.compose(h, g)
-                            if fragment.compose(h, gf) != fragment.compose(hg, f):
+                        for h, hi in homs[c, d]:
+                            hg, hgi = composite[hi, gi]
+                            left, li = composed(h, hi, gf, gfi)
+                            right, ri = composed(hg, hgi, f, fi)
+                            # equal ids are equal members; values decide only between non-members
+                            if li != ri or (li is None and left != right):
                                 report.associativity_violations.append({"h": h, "g": g, "f": f})
                                 if len(report.associativity_violations) >= max_violations:
                                     return report

@@ -9,7 +9,9 @@ fixed configuration.
 
 from __future__ import annotations
 
+import ast
 import json
+import operator
 import sys
 
 import click
@@ -643,14 +645,90 @@ def _generated(name: str) -> GeneratedPreorder:
     return GeneratedPreorder(name, enumerate_fn, finite.le, upper_bound, globally_bounded=bounded)
 
 
+MAP_INT_BITS = 64  # --map literals and arithmetic stay below 2**64 in absolute value
+_MAP_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod}
+_MAP_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_MAP_COMPARE = {ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+                ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge}
+_MAP_CALLS = {"min": min, "max": max, "abs": abs}
+
+
+def _map_int(x):
+    """An operand or result of --map arithmetic: an integer below the cap."""
+    if not isinstance(x, int):
+        raise click.UsageError(f"--map arithmetic takes integers, not {x!r}")
+    if x.bit_length() > MAP_INT_BITS:
+        raise click.UsageError(f"--map value {x} is not below 2**{MAP_INT_BITS} in absolute value")
+    return x
+
+
+def _map_compile(node):
+    """Turn a --map expression node into a function of ``v``, or reject it
+    with a usage error if it is not on the whitelist."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        value = _map_int(node.value)
+        return lambda v: value
+    if isinstance(node, ast.Name) and node.id == "v":
+        return lambda v: v
+    if isinstance(node, ast.Tuple):
+        elts = [_map_compile(e) for e in node.elts]
+        return lambda v: tuple(e(v) for e in elts)
+    if isinstance(node, ast.Subscript):
+        seq, index = _map_compile(node.value), _map_compile(node.slice)
+        return lambda v: seq(v)[index(v)]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _MAP_UNARY:
+        op, operand = _MAP_UNARY[type(node.op)], _map_compile(node.operand)
+        return lambda v: _map_int(op(_map_int(operand(v))))
+    if isinstance(node, ast.BinOp) and type(node.op) in _MAP_BINOPS:
+        op, left, right = _MAP_BINOPS[type(node.op)], _map_compile(node.left), _map_compile(node.right)
+        return lambda v: _map_int(op(_map_int(left(v)), _map_int(right(v))))
+    if isinstance(node, ast.Compare) and all(type(op) in _MAP_COMPARE for op in node.ops):
+        ops = [_MAP_COMPARE[type(op)] for op in node.ops]
+        terms = [_map_compile(t) for t in (node.left, *node.comparators)]
+
+        def compare(v):
+            left = terms[0](v)
+            for op, term in zip(ops, terms[1:]):
+                right = term(v)
+                if not op(left, right):
+                    return False
+                left = right
+            return True
+
+        return compare
+    if isinstance(node, ast.IfExp):
+        test, body, orelse = map(_map_compile, (node.test, node.body, node.orelse))
+        return lambda v: body(v) if test(v) else orelse(v)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _MAP_CALLS
+            and not node.keywords):
+        fn, args = _MAP_CALLS[node.func.id], [_map_compile(a) for a in node.args]
+        return lambda v: fn(*(a(v) for a in args))
+    raise click.UsageError("--map allows v, integers, tuples, indexing, + - * // %, comparisons, "
+                           f"'x if c else y' and min/max/abs, not {ast.unparse(node)!r}")
+
+
 def _map_expr(expr: str):
+    """Parse a --map expression in ``v``; return the map and its text.  The
+    expression is walked against a whitelist, never evaluated by Python, and
+    any other construct, or any failure while evaluating it, is a usage
+    error."""
     if expr.endswith(".txt") or expr.endswith(".expr"):
-        with open(expr, encoding="utf-8") as fh:
-            expr = fh.read().strip()
-    code = compile(expr, "<map>", "eval")
+        try:
+            with open(expr, encoding="utf-8") as fh:
+                expr = fh.read().strip()
+        except OSError as exc:
+            raise click.UsageError(f"cannot read --map file: {exc}")
+    try:
+        compiled = _map_compile(ast.parse(expr, "<map>", mode="eval").body)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise click.UsageError(f"bad --map expression {expr!r}: {exc}")
 
     def f(v):
-        return eval(code, {"__builtins__": {}}, {"v": v, "min": min, "max": max, "abs": abs})
+        try:
+            return compiled(v)
+        except (ArithmeticError, LookupError, TypeError, ValueError, RecursionError) as exc:
+            raise click.UsageError(f"--map {expr!r} fails on {v!r}: {exc}")
 
     return f, expr
 

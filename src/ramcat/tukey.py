@@ -12,8 +12,10 @@ an enumerated prefix only and say so ("prefix-certified").
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .errors import ValidationError
 
@@ -86,15 +88,31 @@ def _above_masks(p: FinitePreorder) -> list[int]:
     return [sum(1 << x for x in range(p.size) if p.le(a, x)) for a in range(p.size)]
 
 
-def subset_bounded(p: FinitePreorder, mask: int, below: list[int] | None = None) -> bool:
-    below = below if below is not None else _below_masks(p)
-    return any(mask & below[b] == mask for b in range(p.size))
+def _table(width: int, first: int):
+    """A table of ``width``-bit masks that starts with ``first``, in the
+    smallest array type that holds them; past 64 bits, a list."""
+    code = next((c for c in "BHIQ" if array(c).itemsize * 8 >= width), None)
+    return [first] if code is None else array(code, [first])
 
 
-def subset_cofinal(p: FinitePreorder, mask: int, above: list[int] | None = None) -> bool:
-    above = above if above is not None else _above_masks(p)
-    return all(above[a] & mask for a in range(p.size))
+def _elements(mask: int) -> tuple[int, ...]:
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
+
+def _check_map(f: Sequence[int], dom: FinitePreorder, cod: FinitePreorder):
+    if (not isinstance(f, Sequence) or len(f) != dom.size
+            or not all(isinstance(y, int) and 0 <= y < cod.size for y in f)):
+        raise ValidationError("bad_map", f"the map must list {dom.size} elements of 0..{cod.size - 1}",
+                              size=dom.size, cod_size=cod.size)
+
+
+# The subset scans below visit the masks in ascending order, appending each
+# mask's data to tables indexed by mask, and derive it from ``mask ^ low``,
+# the same subset without its lowest element x: its upper bounds are those of
+# ``mask ^ low`` that lie above x, and its down-closure is that of
+# ``mask ^ low`` joined with the elements below x.  A subset is bounded iff
+# it has an upper bound and cofinal iff its down-closure is everything, so
+# each test is one operation per mask.
 
 @dataclass
 class PreorderReport:
@@ -110,19 +128,21 @@ def preorder_predicates(p: FinitePreorder, subset_cap: int = SUBSET_CAP) -> Preo
     if p.size > subset_cap:
         raise ValidationError("size_cap_exceeded", f"subset predicates are capped at {subset_cap} elements",
                               cap=subset_cap, size=p.size)
-    below = _below_masks(p)
-    above = _above_masks(p)
+    n = p.size
+    full = (1 << n) - 1
+    above, below = _above_masks(p), _below_masks(p)
+    ub, dn = _table(n, full), _table(n, 0)
     bounded, cofinal = [], []
-    for mask in range(1, 1 << p.size):
-        subset = tuple(x for x in range(p.size) if mask >> x & 1)
-        if subset_bounded(p, mask, below):
-            bounded.append(subset)
-        if subset_cofinal(p, mask, above):
-            cofinal.append(subset)
-    directed = all(
-        subset_bounded(p, (1 << a) | (1 << b), below)
-        for a in range(p.size) for b in range(a, p.size)
-    )
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        x = low.bit_length() - 1
+        ub.append(ub[mask ^ low] & above[x])
+        dn.append(dn[mask ^ low] | below[x])
+        if ub[mask]:
+            bounded.append(_elements(mask))
+        if dn[mask] == full:
+            cofinal.append(_elements(mask))
+    directed = all(ub[(1 << a) | (1 << b)] for a in range(n) for b in range(a, n))
     class_of = [-1] * p.size
     classes: list[list[int]] = []
     for a in range(p.size):
@@ -151,17 +171,16 @@ def is_tukey_map(f: Sequence[int], a: FinitePreorder, b: FinitePreorder,
     if a.size > subset_cap:
         raise ValidationError("size_cap_exceeded", f"Tukey check capped at {subset_cap} elements",
                               cap=subset_cap, size=a.size)
-    below_a = _below_masks(a)
-    below_b = _below_masks(b)
+    _check_map(f, a, b)
+    above_a, above_b = _above_masks(a), _above_masks(b)
+    ub, image_ub = _table(a.size, (1 << a.size) - 1), _table(b.size, (1 << b.size) - 1)
     for mask in range(1, 1 << a.size):
-        if subset_bounded(a, mask, below_a):
-            continue
-        image = 0
-        for x in range(a.size):
-            if mask >> x & 1:
-                image |= 1 << f[x]
-        if subset_bounded(b, image, below_b):
-            return MapVerdict(False, tuple(x for x in range(a.size) if mask >> x & 1))
+        low = mask & -mask
+        x = low.bit_length() - 1
+        ub.append(ub[mask ^ low] & above_a[x])
+        image_ub.append(image_ub[mask ^ low] & above_b[f[x]])
+        if not ub[mask] and image_ub[mask]:
+            return MapVerdict(False, _elements(mask))
     return MapVerdict(True)
 
 
@@ -171,17 +190,17 @@ def is_cofinal_map(g: Sequence[int], dom: FinitePreorder, cod: FinitePreorder,
     if dom.size > subset_cap:
         raise ValidationError("size_cap_exceeded", f"cofinal check capped at {subset_cap} elements",
                               cap=subset_cap, size=dom.size)
-    above_dom = _above_masks(dom)
-    above_cod = _above_masks(cod)
+    _check_map(g, dom, cod)
+    below_dom, below_cod = _below_masks(dom), _below_masks(cod)
+    full_dom, full_cod = (1 << dom.size) - 1, (1 << cod.size) - 1
+    dn, image_dn = _table(dom.size, 0), _table(cod.size, 0)
     for mask in range(1, 1 << dom.size):
-        if not subset_cofinal(dom, mask, above_dom):
-            continue
-        image = 0
-        for x in range(dom.size):
-            if mask >> x & 1:
-                image |= 1 << g[x]
-        if not subset_cofinal(cod, image, above_cod):
-            return MapVerdict(False, tuple(x for x in range(dom.size) if mask >> x & 1))
+        low = mask & -mask
+        x = low.bit_length() - 1
+        dn.append(dn[mask ^ low] | below_dom[x])
+        image_dn.append(image_dn[mask ^ low] | below_cod[g[x]])
+        if dn[mask] == full_dom and image_dn[mask] != full_cod:
+            return MapVerdict(False, _elements(mask))
     return MapVerdict(True)
 
 

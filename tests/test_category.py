@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -25,6 +26,7 @@ from ramcat import (
     validate_fragment,
     vec_fragment,
 )
+from ramcat.category import CategoryFragment, FragmentLawReport, Morphism
 from conftest import stirling
 
 
@@ -237,10 +239,11 @@ def test_thin_from_preorder():
     assert structural_checks(frag).is_thin
 
 
-def test_mutated_compose_table_fails_laws():
+def mutated_ram4():
+    """ram(4) as explicit tables with two differing 1->3 composites swapped:
+    later composition with any 3->4 morphism (mono) then separates the two
+    association orders."""
     morphisms, identities, compose = tabulate(ram_fragment(4))
-    # swap two differing 1->3 composites: later composition with any 3->4
-    # morphism (mono) then separates the two association orders
     keys = [
         k for k, v in compose.items()
         if morphisms[k[1]] == (1, 2) and morphisms[k[0]] == (2, 3)
@@ -251,10 +254,163 @@ def test_mutated_compose_table_fails_laws():
         if compose[k1] != compose[k2]
     )
     compose[k1], compose[k2] = compose[k2], compose[k1]
-    frag = explicit_fragment([1, 2, 3, 4], morphisms, identities, compose, name="mutated")
-    report = validate_fragment(frag)
+    return explicit_fragment([1, 2, 3, 4], morphisms, identities, compose, name="mutated")
+
+
+def test_mutated_compose_table_fails_laws():
+    report = validate_fragment(mutated_ram4())
     assert not report.ok
     assert report.associativity_violations
+
+
+def triple_loop_validate(fragment, max_violations=5):
+    """The law check as three loops that compose afresh every time; the
+    oracle for ``validate_fragment``."""
+    report = FragmentLawReport()
+    objs = fragment.objects
+    for a in objs:
+        ida = fragment.identity(a)
+        if ida.dom != a or ida.cod != a or not fragment.contains_morphism(ida):
+            report.identity_violations.append({"object": a, "reason": "identity missing from hom-set"})
+    for a in objs:
+        for b in objs:
+            for f in fragment.hom(a, b):
+                left = fragment.compose(fragment.identity(b), f)
+                right = fragment.compose(f, fragment.identity(a))
+                if left != f or right != f:
+                    report.identity_violations.append({"morphism": f, "left": left, "right": right})
+                    if len(report.identity_violations) >= max_violations:
+                        return report
+    for a, b in product(objs, repeat=2):
+        for f in fragment.hom(a, b):
+            for c in objs:
+                for g in fragment.hom(b, c):
+                    gf = fragment.compose(g, f)
+                    if not fragment.contains_morphism(gf):
+                        report.closure_violations.append({"g": g, "f": f, "composite": gf})
+                        if len(report.closure_violations) >= max_violations:
+                            return report
+    for a, b in product(objs, repeat=2):
+        for f in fragment.hom(a, b):
+            for c in objs:
+                for g in fragment.hom(b, c):
+                    gf = fragment.compose(g, f)
+                    for d in objs:
+                        for h in fragment.hom(c, d):
+                            hg = fragment.compose(h, g)
+                            if fragment.compose(h, gf) != fragment.compose(hg, f):
+                                report.associativity_violations.append({"h": h, "g": g, "f": f})
+                                if len(report.associativity_violations) >= max_violations:
+                                    return report
+    return report
+
+
+def outcome(check, fragment, max_violations):
+    try:
+        return check(fragment, max_violations)
+    except ValidationError as exc:
+        return (type(exc), exc.code, str(exc))
+
+
+def perturbed_ram(n, removed=(), rule=None, name="perturbed"):
+    """ram(n) without the ``removed`` morphisms, composing by ``rule(g, f)``
+    where it gives a morphism and by the ram rule elsewhere."""
+    base = ram_fragment(n)
+    hom = {(a, b): tuple(m for m in base.hom(a, b) if m not in removed)
+           for a in base.objects for b in base.objects if base.hom(a, b)}
+
+    def compose(g, f):
+        return (rule and rule(g, f)) or base.compose(g, f)
+
+    return CategoryFragment(name, base.objects, hom, {a: base.identity(a) for a in base.objects}, compose)
+
+
+GONE = Morphism(1, 4, (4,))
+
+
+def wrong_identity(g, f):
+    """Composing an identity after a morphism out of 1 lands on its first
+    element."""
+    if g.dom == g.cod and g.payload == tuple(range(1, g.dom + 1)) and f.dom == 1:
+        return Morphism(1, g.cod, (1,))
+    return None
+
+
+def wrong_after_gone(g, f):
+    """Composition after the removed GONE into 5 lands on the first
+    element."""
+    return Morphism(1, 5, (1,)) if f == GONE and g.cod == 5 else None
+
+
+def raise_after_gone(g, f):
+    if f == GONE and g.cod == 5:
+        raise ValidationError("not_closed", f"no composite recorded for {g} after {f}")
+    return None
+
+
+def law_fragments():
+    missing_identity = {"id_a": ("a", "a"), "f": ("a", "a")}
+    return [
+        mutated_ram4(),
+        # composites leave the hom-set: closure, then associativity through
+        # the composite outside it
+        perturbed_ram(5, removed={GONE}, rule=wrong_after_gone, name="closure"),
+        # both association orders leave the hom-set, so values decide
+        perturbed_ram(5, removed={GONE, *ram_fragment(5).hom(1, 5)}, rule=wrong_after_gone, name="outside"),
+        perturbed_ram(5, rule=wrong_identity, name="identity"),
+        perturbed_ram(5, removed={GONE}, rule=raise_after_gone, name="raising"),
+        explicit_fragment(["a"], missing_identity, {"a": "id_a"}, {("id_a", "id_a"): "id_a"}),
+        explicit_fragment(["a"], missing_identity, {"a": "id_a"},
+                          {("id_a", "id_a"): "id_a", ("f", "id_a"): "f", ("id_a", "f"): "f"}),
+        twin_fragment(),
+        ram_fragment(4),
+    ]
+
+
+def test_validate_fragment_matches_triple_loops():
+    for frag in law_fragments():
+        for max_violations in (1, 5, 6, 10**6):
+            expected = outcome(triple_loop_validate, frag, max_violations)
+            assert outcome(validate_fragment, frag, max_violations) == expected, (frag.name, max_violations)
+    full = [triple_loop_validate(frag, 10**6) for frag in law_fragments()[:4]]
+    assert len(full[0].associativity_violations) > 5
+    for report in full[1:3]:
+        assert len(report.closure_violations) > 5 and len(report.associativity_violations) > 5
+    assert len(full[3].identity_violations) > 5
+    # the closure report is cut at five before any associativity is checked
+    cut = validate_fragment(law_fragments()[1])
+    assert len(cut.closure_violations) == 5 and not cut.associativity_violations
+
+
+def test_validate_fragment_raises_like_triple_loops():
+    for frag in law_fragments()[4:7]:
+        with pytest.raises(ValidationError):
+            validate_fragment(frag, 10**6)
+
+
+def counted_compose(frag):
+    calls = [0]
+    compose = frag.compose
+
+    def counting(g, f):
+        calls[0] += 1
+        return compose(g, f)
+
+    frag.compose = counting
+    return calls
+
+
+def test_validate_fragment_composes_each_pair_once(swap_context):
+    for frag in [dram_fragment(6), ram_fragment(5), gr_fragment(swap_context, 3), mutated_ram4()]:
+        objs = frag.objects
+        pairs = sum(len(frag.hom(a, b)) * len(frag.hom(b, c)) for a, b, c in product(objs, repeat=3))
+        calls = counted_compose(frag)
+        assert validate_fragment(frag).ok == (frag.name != "mutated")
+        assert calls[0] <= 2 * frag.total_morphisms() + pairs, frag.name
+    frag = dram_fragment(6)
+    calls = counted_compose(frag)
+    validate_fragment(frag)
+    assert calls[0] == 3461
 
 
 def test_explicit_fragment_missing_composite():

@@ -263,6 +263,16 @@ def test_tukey_check(runner, tmp_path):
     assert json.loads(result.output)["witness"] == [0, 1]
 
 
+def test_tukey_check_rejects_a_map_that_does_not_fit(runner, tmp_path):
+    dom = write(tmp_path, "anti.json", {"leq": [[True, False], [False, True]]})
+    cod = write(tmp_path, "one.json", {"leq": [[True]]})
+    for mapping in ("[0]", "[0,1]", "[-1,0]", "5"):
+        result = runner.invoke(main, ["tukey", "check", "--kind", "tukey",
+                                      "--dom", dom, "--cod", cod, "--map", mapping])
+        assert result.exit_code == 1, mapping
+        assert json.loads(result.output)["code"] == "bad_map"
+
+
 def test_tukey_companion(runner):
     result = runner.invoke(main, ["tukey", "companion", "--map", "2*v", "-n", "20"])
     assert result.exit_code == 0
@@ -279,6 +289,35 @@ def test_tukey_monotonize_report(runner, tmp_path):
     report = json.loads(open(out).read())
     assert report["ok"]
     assert all(report["invariants"].values())
+
+
+def test_tukey_map_expression_with_tuples_and_calls(runner):
+    result = runner.invoke(main, ["tukey", "monotonize", "--preorder", "omega2", "--preorder-b", "omega2",
+                                  "--map", "(max(v[0], v[1]), abs(v[0] - v[1]) % 3)", "--steps", "5"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["ok"]
+
+
+@pytest.mark.parametrize("expr", [
+    "().__class__.__base__.__subclasses__().__len__()",
+    "v.real",
+    "len(v)",
+    "__import__('os').getpid()",
+    "(lambda: 1)()",
+    "min(v, key=abs)",
+    "v ** 2",
+    "[v]",
+    "v if",
+    "2 * v * 4294967296 * 4294967296",
+    "v // 0",
+    "v[0]",
+    pytest.param("1+" * 20000 + "1", id="deep-nesting"),
+])
+def test_tukey_map_expressions_outside_the_whitelist_are_usage_errors(runner, expr):
+    result = runner.invoke(main, ["tukey", "companion", "--map", expr, "-n", "5"])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output
 
 
 def test_reports_are_byte_stable(runner, tmp_path):

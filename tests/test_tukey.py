@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramcat import (
     GeneratedPreorder,
@@ -18,7 +20,7 @@ from ramcat import (
     validate_preorder,
     verify_trace,
 )
-from ramcat.tukey import locate_block, subset_bounded, subset_cofinal
+from ramcat.tukey import MapVerdict, locate_block
 
 
 def brute_bounded(p, subset):
@@ -27,6 +29,59 @@ def brute_bounded(p, subset):
 
 def brute_cofinal(p, subset):
     return all(any(p.le(a, x) for x in subset) for a in range(p.size))
+
+
+def subset_bounded(p, mask):
+    """Some element lies above every element of ``mask``."""
+    below = [sum(1 << x for x in range(p.size) if p.le(x, b)) for b in range(p.size)]
+    return any(mask & below[b] == mask for b in range(p.size))
+
+
+def subset_cofinal(p, mask):
+    """Every element lies below some element of ``mask``."""
+    above = [sum(1 << x for x in range(p.size) if p.le(a, x)) for a in range(p.size)]
+    return all(above[a] & mask for a in range(p.size))
+
+
+def elements(mask, n):
+    return tuple(x for x in range(n) if mask >> x & 1)
+
+
+def image_mask(f, mask, n):
+    return sum({1 << f[x] for x in elements(mask, n)})
+
+
+def per_subset_tukey(f, a, b):
+    """The Tukey check subset by subset: the first unbounded subset in
+    ascending mask order whose image is bounded is the witness."""
+    for mask in range(1, 1 << a.size):
+        if not subset_bounded(a, mask) and subset_bounded(b, image_mask(f, mask, a.size)):
+            return MapVerdict(False, elements(mask, a.size))
+    return MapVerdict(True)
+
+
+def per_subset_cofinal(g, dom, cod):
+    for mask in range(1, 1 << dom.size):
+        if subset_cofinal(dom, mask) and not subset_cofinal(cod, image_mask(g, mask, dom.size)):
+            return MapVerdict(False, elements(mask, dom.size))
+    return MapVerdict(True)
+
+
+def per_subset_predicates(p):
+    masks = range(1, 1 << p.size)
+    bounded = [elements(m, p.size) for m in masks if subset_bounded(p, m)]
+    cofinal = [elements(m, p.size) for m in masks if subset_cofinal(p, m)]
+    directed = all(subset_bounded(p, 1 << a | 1 << b) for a in range(p.size) for b in range(a, p.size))
+    return directed, bounded, cofinal
+
+
+@st.composite
+def preorders(draw, min_size=1, max_size=8):
+    """The reflexive-transitive closure of random pairs: cycles give
+    equivalence classes of several elements."""
+    n = draw(st.integers(min_value=min_size, max_value=max_size))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return preorder_from_pairs(n, pairs)
 
 
 def top_class(p):
@@ -227,3 +282,53 @@ def test_subset_helpers_match_definitions():
         subset = [x for x in range(3) if mask >> x & 1]
         assert subset_bounded(p, mask) == brute_bounded(p, subset)
         assert subset_cofinal(p, mask) == brute_cofinal(p, subset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(preorders())
+def test_predicates_match_per_subset_definitions(p):
+    rep = preorder_predicates(p)
+    assert (rep.directed, rep.bounded_subsets, rep.cofinal_subsets) == per_subset_predicates(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_map_checks_match_per_subset_definitions(data):
+    a = data.draw(preorders())
+    b = data.draw(preorders())
+    f = data.draw(st.lists(st.integers(0, b.size - 1), min_size=a.size, max_size=a.size))
+    assert is_tukey_map(f, a, b) == per_subset_tukey(f, a, b)
+    assert is_cofinal_map(f, a, b) == per_subset_cofinal(f, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_map_checks_into_a_codomain_wider_than_16(data):
+    a = data.draw(preorders(max_size=6))
+    b = data.draw(preorders(min_size=17, max_size=24))
+    f = data.draw(st.lists(st.integers(0, b.size - 1), min_size=a.size, max_size=a.size))
+    assert is_tukey_map(f, a, b) == per_subset_tukey(f, a, b)
+    assert is_cofinal_map(f, a, b) == per_subset_cofinal(f, a, b)
+
+
+def test_map_checks_into_20_elements():
+    # 17 and 18 are incomparable, and 19 lies above both only in `joined`
+    apart = preorder_from_pairs(20, [(x, x + 1) for x in range(16)])
+    joined = preorder_from_pairs(20, [(x, x + 1) for x in range(16)] + [(17, 19), (18, 19)])
+    anti = antichain_preorder(2)
+    assert is_tukey_map([17, 18], anti, apart).ok
+    assert is_tukey_map([17, 18], anti, joined) == MapVerdict(False, (0, 1))
+    chain = chain_preorder(20)
+    assert is_cofinal_map([0, 5, 19], chain_preorder(3), chain).ok
+    assert is_cofinal_map([0, 5, 18], chain_preorder(3), chain) == MapVerdict(False, (2,))
+    wide = chain_preorder(70)  # past 64 bits the image masks are Python ints
+    assert is_cofinal_map([3, 69], chain_preorder(2), wide).ok
+    assert is_tukey_map([68, 69], anti, wide) == MapVerdict(False, (0, 1))
+
+
+def test_map_checks_reject_maps_that_do_not_fit():
+    for f in ([0], [0, 1, 0], [0, 2], [-1, 0], [0, "1"]):
+        for check in (is_tukey_map, is_cofinal_map):
+            with pytest.raises(ValidationError) as err:
+                check(f, antichain_preorder(2), chain_preorder(2))
+            assert err.value.code == "bad_map"
