@@ -34,7 +34,6 @@ from .words import (
     validate_word,
 )
 from .surjections import (
-    Chain,
     RigidSurjection,
     compose_rigid,
     dual,

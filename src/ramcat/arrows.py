@@ -19,7 +19,6 @@ morphisms in its inner loop.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,11 +27,6 @@ from .errors import BudgetExceeded, ValidationError
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_COLORING_BUDGET = 1_000_000
-
-
-def node_budget_default() -> int:
-    env = os.environ.get("RAMCAT_BUDGET_NODES")
-    return int(env) if env else DEFAULT_NODE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,7 @@ def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
     when the budget ran out, and the exception carries both as ``stats``."""
     if k < 1:
         raise ValidationError("bad_colors", f"need at least one color, got {k}")
-    budget = node_budget if node_budget is not None else node_budget_default()
+    budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
     copies = _prepare(fragment, a, b, c)
     if k == 1:
         if stats_out is not None:

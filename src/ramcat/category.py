@@ -188,9 +188,6 @@ def gf(p: int) -> OrderedField:
     return OrderedField(p, add, mul)
 
 
-GF2 = gf(2)
-
-
 def alex_less(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     """Anti-lexicographic comparison: the highest differing coordinate
     decides."""

@@ -2,31 +2,33 @@
 
 Exit codes: 0 success/verified, 1 property failure found (invalid object,
 arrow fails, transport-condition failure), 2 usage or configuration error,
-3 budget or resource cap exceeded.  Every command writes a JSON report
-(stdout by default, ``--output`` for a file); reports are byte-stable for a
-fixed configuration.
+3 budget or resource cap exceeded.  Every command but ``preadj list`` writes
+a JSON report (stdout by default, ``--output`` for a file); reports are
+byte-stable for a fixed configuration.  The commands whose verdict depends
+on a budget or a bound record it under ``config``.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import operator
 import sys
+from typing import NoReturn
 
 import click
 
 from . import golden as golden_mod
 from .arrows import (
     DEFAULT_COLORING_BUDGET,
+    DEFAULT_NODE_BUDGET,
     certify_bad_coloring,
     check_arrow_exhaustive,
     find_bad_coloring,
     min_ramsey_witness,
-    node_budget_default,
 )
 from .category import (
-    DEFAULT_HOM_CAP,
     dram_op_fragment,
     fragment_from_spec,
     gr_fragment,
@@ -36,7 +38,7 @@ from .category import (
     validate_fragment,
 )
 from .errors import BudgetExceeded, RamcatError, ResourceBound, ValidationError
-from .groups import action_from_dict, trivial_action, validate_group
+from .groups import action_from_dict, trivial_action
 from .preadjunction import (
     check_card_inequality,
     compose_pa,
@@ -59,6 +61,7 @@ from .tukey import (
     monotonize,
     omega,
     omega_squared,
+    preorder_from_pairs,
     validate_preorder,
     verify_trace,
 )
@@ -84,7 +87,7 @@ def _emit(report: dict, output: str | None):
         click.echo(text)
 
 
-def _fail(exc: RamcatError, output: str | None):
+def _fail(exc: RamcatError, output: str | None) -> NoReturn:
     if isinstance(exc, (BudgetExceeded, ResourceBound)):
         code = 3
     else:
@@ -99,21 +102,68 @@ def _fail(exc: RamcatError, output: str | None):
     sys.exit(code)
 
 
+def reported(body):
+    """Make ``body`` a report-writing command with an ``--output`` option.
+
+    ``body`` returns its report, or ``(lines, report)`` when it answers in
+    text: then the lines go to stdout and the report only to ``--output``.
+    A ``RamcatError`` ends the command through ``_fail``, and a report whose
+    ``ok`` is false exits 1.
+    """
+
+    @click.option("--output", "-o", default=None, help="write the JSON report here instead of stdout")
+    @functools.wraps(body)
+    def run(output, **params):
+        try:
+            result = body(**params)
+        except RamcatError as exc:
+            _fail(exc, output)
+        lines, report = result if isinstance(result, tuple) else (None, result)
+        for line in lines or ():
+            click.echo(line)
+        if output or lines is None:
+            _emit(report, output)
+        if not report["ok"]:
+            sys.exit(1)
+
+    return run
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (OSError, ValueError, RecursionError) as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
+
+
+def _read(path: str, load, what: str):
+    """``load`` applied to the JSON file at ``path``.  The file comes from
+    outside the program, so a file ``load`` rejects, or fails on, is a usage
+    error."""
+    data = _load_json(path)
+    try:
+        return load(data)
+    except (ValidationError, LookupError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"bad {what} file {path}: {type(exc).__name__}: {exc}")
 
 
 def _load_context(path: str | None) -> WordContext:
     if path is None:
         return plain_context()
+    return WordContext(_read(path, action_from_dict, "context"))
+
+
+def _load_fragment(spec_path: str, context_path: str | None):
+    spec = _load_json(spec_path)
+    context = _load_context(context_path) if context_path else None
     try:
-        return WordContext(action_from_dict(_load_json(path)))
-    except ValidationError as exc:
-        raise click.UsageError(f"bad context file {path}: {exc}")
+        return fragment_from_spec(spec, context)
+    except (LookupError, TypeError, ValueError) as exc:
+        # a spec that reads but names an invalid fragment stays a property
+        # failure (a ValidationError, exit 1); this one cannot be read at all
+        raise click.UsageError(f"bad spec file {spec_path}: {type(exc).__name__}: {exc}")
 
 
 def _parse_map_text(text: str) -> tuple[int, ...]:
@@ -124,25 +174,13 @@ def _parse_map_text(text: str) -> tuple[int, ...]:
         raise click.UsageError(f"cannot parse map {text!r}; expected like (1,2,1)")
 
 
-def _config(seed: int, workers: int, **budgets) -> dict:
-    if workers < 1:
-        raise click.UsageError("--workers must be at least 1")
-    cfg = {"seed": seed, "workers": workers}
-    cfg.update(budgets)
-    return cfg
-
-
-common = [
-    click.option("--output", "-o", default=None, help="write the JSON report here instead of stdout"),
-    click.option("--seed", default=0, show_default=True, help="recorded in the report; used by sampled checks only"),
-    click.option("--workers", default=1, show_default=True, help="worker count (verdicts are deterministic)"),
-]
-
-
-def with_common(cmd):
-    for opt in reversed(common):
-        cmd = opt(cmd)
-    return cmd
+def _cod(image: tuple[int, ...], cod: int | None = None) -> int:
+    """``cod`` if given, else the largest value of ``image``."""
+    if cod is not None:
+        return cod
+    if not image:
+        raise click.UsageError("the codomain of the empty map () cannot be inferred")
+    return max(image)
 
 
 @click.group()
@@ -161,44 +199,34 @@ def words():
 @click.argument("text")
 @click.option("--context", "context_path", default=None, help="group/action config file")
 @click.option("-m", "m", type=int, default=None, help="declared parameter count (default: inferred)")
-@with_common
-def words_validate(text, context_path, m, output, seed, workers):
-    ctx = _load_context(context_path)
-    cfg = _config(seed, workers)
-    try:
-        word = parse_word(text, ctx, m=m)
-    except RamcatError as exc:
-        _fail(exc, output)
-        return
-    _emit({"ok": True, "config": cfg, "word": format_word(word), "m": word.m, "n": word.n}, output)
+@reported
+def words_validate(text, context_path, m):
+    word = parse_word(text, _load_context(context_path), m=m)
+    return {"ok": True, "word": format_word(word), "m": word.m, "n": word.n}
 
 
 @words.command("compose")
 @click.argument("u_file", type=click.Path(exists=True))
 @click.argument("v_file", type=click.Path(exists=True))
 @click.option("--context", "context_path", default=None)
-@with_common
-def words_compose(u_file, v_file, context_path, output, seed, workers):
+@reported
+def words_compose(u_file, v_file, context_path):
     ctx = _load_context(context_path)
-    cfg = _config(seed, workers)
 
     def first_word(path):
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    return line.strip()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    if line.strip():
+                        return line.strip()
+        except (OSError, ValueError) as exc:
+            raise click.UsageError(f"cannot read {path}: {exc}")
         raise click.UsageError(f"{path} holds no word")
 
-    try:
-        u = parse_word(first_word(u_file), ctx)
-        v = parse_word(first_word(v_file), ctx)
-        result = substitute(u, v)
-    except RamcatError as exc:
-        _fail(exc, output)
-        return
-    click.echo(format_word(result))
-    if output:
-        _emit({"ok": True, "config": cfg, "result": format_word(result)}, output)
+    u = parse_word(first_word(u_file), ctx)
+    v = parse_word(first_word(v_file), ctx)
+    result = format_word(substitute(u, v))
+    return [result], {"ok": True, "result": result}
 
 
 @words.command("enumerate")
@@ -206,16 +234,11 @@ def words_compose(u_file, v_file, context_path, output, seed, workers):
 @click.option("-m", type=int, required=True)
 @click.option("-n", type=int, required=True)
 @click.option("--quiet", is_flag=True, help="only report the count")
-@with_common
-def words_enumerate(context_path, m, n, quiet, output, seed, workers):
-    ctx = _load_context(context_path)
-    cfg = _config(seed, workers)
-    out = [format_word(w) for w in enumerate_words(m, n, ctx)]
-    if not quiet:
-        for line in out:
-            click.echo(line)
-    if quiet or output:
-        _emit({"ok": True, "config": cfg, "count": len(out)}, output)
+@reported
+def words_enumerate(context_path, m, n, quiet):
+    out = [format_word(w) for w in enumerate_words(m, n, _load_context(context_path))]
+    report = {"ok": True, "count": len(out)}
+    return report if quiet else (out, report)
 
 
 # --- rigid surjections ---------------------------------------------------------
@@ -228,70 +251,46 @@ def rsurj():
 @rsurj.command("validate")
 @click.argument("map_text")
 @click.option("--cod", type=int, default=None, help="codomain size (default: max value)")
-@with_common
-def rsurj_validate(map_text, cod, output, seed, workers):
+@reported
+def rsurj_validate(map_text, cod):
     image = _parse_map_text(map_text)
-    cfg = _config(seed, workers)
-    try:
-        f = validate_rigid(len(image), cod if cod is not None else max(image, default=0), image)
-    except RamcatError as exc:
-        _fail(exc, output)
-        return
-    _emit({"ok": True, "config": cfg, "map": str(f), "dom": f.dom, "cod": f.cod}, output)
+    f = validate_rigid(len(image), cod if cod is not None else max(image, default=0), image)
+    return {"ok": True, "map": str(f), "dom": f.dom, "cod": f.cod}
 
 
 @rsurj.command("compose")
 @click.argument("f_text")
 @click.argument("g_text")
 @click.option("--cod", type=int, default=None, help="codomain size of g")
-@with_common
-def rsurj_compose(f_text, g_text, cod, output, seed, workers):
+@reported
+def rsurj_compose(f_text, g_text, cod):
     fi = _parse_map_text(f_text)
     gi = _parse_map_text(g_text)
-    cfg = _config(seed, workers)
-    try:
-        f = validate_rigid(len(fi), max(fi), fi)
-        g = validate_rigid(len(gi), cod if cod is not None else max(gi), gi)
-        h = compose_rigid(g, f)
-    except RamcatError as exc:
-        _fail(exc, output)
-        return
-    click.echo(str(h))
-    if output:
-        _emit({"ok": True, "config": cfg, "result": str(h)}, output)
+    f = validate_rigid(len(fi), _cod(fi), fi)
+    g = validate_rigid(len(gi), _cod(gi, cod), gi)
+    h = str(compose_rigid(g, f))
+    return [h], {"ok": True, "result": h}
 
 
 @rsurj.command("enumerate")
 @click.option("-n", type=int, required=True)
 @click.option("-m", type=int, required=True)
 @click.option("--quiet", is_flag=True)
-@with_common
-def rsurj_enumerate(n, m, quiet, output, seed, workers):
-    cfg = _config(seed, workers)
+@reported
+def rsurj_enumerate(n, m, quiet):
     out = [str(f) for f in enumerate_rsurj(n, m)]
-    if not quiet:
-        for line in out:
-            click.echo(line)
-    if quiet or output:
-        _emit({"ok": True, "config": cfg, "count": len(out)}, output)
+    report = {"ok": True, "count": len(out)}
+    return report if quiet else (out, report)
 
 
 @rsurj.command("dual")
 @click.argument("map_text")
 @click.option("--cod", type=int, default=None)
-@with_common
-def rsurj_dual(map_text, cod, output, seed, workers):
+@reported
+def rsurj_dual(map_text, cod):
     image = _parse_map_text(map_text)
-    cfg = _config(seed, workers)
-    try:
-        f = validate_rigid(len(image), cod if cod is not None else max(image), image)
-    except RamcatError as exc:
-        _fail(exc, output)
-        return
-    d = dual(f)
-    click.echo("(" + ",".join(str(v) for v in d) + ")")
-    if output:
-        _emit({"ok": True, "config": cfg, "dual": list(d)}, output)
+    d = dual(validate_rigid(len(image), _cod(image, cod), image))
+    return ["(" + ",".join(str(v) for v in d) + ")"], {"ok": True, "dual": list(d)}
 
 
 # --- category fragments --------------------------------------------------------
@@ -305,80 +304,50 @@ def category():
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--context", "context_path", default=None)
 @click.option("--check", is_flag=True, help="also run the law checks")
-@click.option("--hom-cap", default=DEFAULT_HOM_CAP, show_default=True)
-@with_common
-def category_build(spec_path, context_path, check, hom_cap, output, seed, workers):
-    spec = _load_json(spec_path)
-    ctx = _load_context(context_path) if context_path else None
-    cfg = _config(seed, workers, hom_cap=hom_cap)
-    try:
-        frag = fragment_from_spec(spec, ctx)
-        report = {
-            "ok": True,
-            "config": cfg,
-            "name": frag.name,
-            "objects": [str(o) for o in frag.objects],
-            "morphisms": frag.total_morphisms(),
-        }
-        if check:
-            laws = validate_fragment(frag)
-            report["laws_ok"] = laws.ok
-            report["ok"] = laws.ok
-        _emit(report, output)
-        if not report["ok"]:
-            sys.exit(1)
-    except RamcatError as exc:
-        _fail(exc, output)
+@reported
+def category_build(spec_path, context_path, check):
+    frag = _load_fragment(spec_path, context_path)
+    report = {
+        "ok": True,
+        "name": frag.name,
+        "objects": [str(o) for o in frag.objects],
+        "morphisms": frag.total_morphisms(),
+    }
+    if check:
+        report["laws_ok"] = report["ok"] = validate_fragment(frag).ok
+    return report
 
 
 @category.command("check")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--context", "context_path", default=None)
-@with_common
-def category_check(spec_path, context_path, output, seed, workers):
-    spec = _load_json(spec_path)
-    ctx = _load_context(context_path) if context_path else None
-    cfg = _config(seed, workers)
-    try:
-        frag = fragment_from_spec(spec, ctx)
-        laws = validate_fragment(frag)
-        structure = structural_checks(frag)
-        report = {
-            "ok": laws.ok,
-            "config": cfg,
-            "laws": {
-                "identity_violations": [str(v) for v in laws.identity_violations],
-                "associativity_violations": [str(v) for v in laws.associativity_violations],
-                "closure_violations": [str(v) for v in laws.closure_violations],
-            },
-            "structure": structure.as_dict(),
-        }
-        _emit(report, output)
-        if not laws.ok:
-            sys.exit(1)
-    except RamcatError as exc:
-        _fail(exc, output)
+@reported
+def category_check(spec_path, context_path):
+    frag = _load_fragment(spec_path, context_path)
+    laws = validate_fragment(frag)
+    structure = structural_checks(frag)
+    return {
+        "ok": laws.ok,
+        "laws": {
+            "identity_violations": [str(v) for v in laws.identity_violations],
+            "associativity_violations": [str(v) for v in laws.associativity_violations],
+            "closure_violations": [str(v) for v in laws.closure_violations],
+        },
+        "structure": structure.as_dict(),
+    }
 
 
 @category.command("skeleton")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--context", "context_path", default=None)
-@with_common
-def category_skeleton(spec_path, context_path, output, seed, workers):
-    spec = _load_json(spec_path)
-    ctx = _load_context(context_path) if context_path else None
-    cfg = _config(seed, workers)
-    try:
-        frag = fragment_from_spec(spec, ctx)
-        result = skeleton(frag)
-        _emit({
-            "ok": True,
-            "config": cfg,
-            "objects": [str(o) for o in result.fragment.objects],
-            "representatives": {str(k): str(v) for k, v in result.representative.items()},
-        }, output)
-    except RamcatError as exc:
-        _fail(exc, output)
+@reported
+def category_skeleton(spec_path, context_path):
+    result = skeleton(_load_fragment(spec_path, context_path))
+    return {
+        "ok": True,
+        "objects": [str(o) for o in result.fragment.objects],
+        "representatives": {str(k): str(v) for k, v in result.representative.items()},
+    }
 
 
 # --- ramsey arrows --------------------------------------------------------------
@@ -405,41 +374,33 @@ def ramsey():
 @click.option("-B", "b", type=int, required=True)
 @click.option("-C", "c", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
-@click.option("--budget-nodes", default=None, type=int)
+@click.option("--budget-nodes", default=DEFAULT_NODE_BUDGET, show_default=True, type=int)
 @click.option("--budget-colorings", default=DEFAULT_COLORING_BUDGET, show_default=True, type=int)
 @click.option("--engine", default="both", type=click.Choice(["exhaustive", "search", "both"]), show_default=True)
-@with_common
-def ramsey_check(family, context_path, a, b, c, k, budget_nodes, budget_colorings, engine,
-                 output, seed, workers):
-    ctx = _load_context(context_path)
-    nodes = budget_nodes if budget_nodes is not None else node_budget_default()
-    cfg = _config(seed, workers, budget_nodes=nodes, budget_colorings=budget_colorings)
-    try:
-        frag = _family(family, ctx)(c)
-        report = {"config": cfg, "family": family, "A": a, "B": b, "C": c, "k": k}
-        holds = None
-        if engine in ("exhaustive", "both"):
-            verdict = check_arrow_exhaustive(frag, a, b, c, k, coloring_budget=budget_colorings)
-            holds = verdict.holds
-            report["exhaustive"] = {"holds": verdict.holds, "stats": verdict.stats}
-            if verdict.counterexample:
-                report["counterexample"] = list(verdict.counterexample.colors)
-        if engine in ("search", "both"):
-            search_stats: dict = {}
-            bad = find_bad_coloring(frag, a, b, c, k, node_budget=nodes, stats_out=search_stats)
-            report["search"] = {"holds": bad is None, "stats": search_stats}
-            if bad is not None:
-                report["search"]["counterexample"] = list(bad.colors)
-                report["search"]["certified"] = certify_bad_coloring(frag, a, b, c, bad)
-            if holds is not None and holds != (bad is None):
-                raise ValidationError("engine_disagreement", "the two engines disagree")
-            holds = bad is None
-        report["ok"] = bool(holds)
-        _emit(report, output)
-        if not holds:
-            sys.exit(1)
-    except RamcatError as exc:
-        _fail(exc, output)
+@reported
+def ramsey_check(family, context_path, a, b, c, k, budget_nodes, budget_colorings, engine):
+    frag = _family(family, _load_context(context_path))(c)
+    report = {"config": {"budget_nodes": budget_nodes, "budget_colorings": budget_colorings},
+              "family": family, "A": a, "B": b, "C": c, "k": k}
+    holds = None
+    if engine in ("exhaustive", "both"):
+        verdict = check_arrow_exhaustive(frag, a, b, c, k, coloring_budget=budget_colorings)
+        holds = verdict.holds
+        report["exhaustive"] = {"holds": verdict.holds, "stats": verdict.stats}
+        if verdict.counterexample:
+            report["counterexample"] = list(verdict.counterexample.colors)
+    if engine in ("search", "both"):
+        search_stats: dict = {}
+        bad = find_bad_coloring(frag, a, b, c, k, node_budget=budget_nodes, stats_out=search_stats)
+        report["search"] = {"holds": bad is None, "stats": search_stats}
+        if bad is not None:
+            report["search"]["counterexample"] = list(bad.colors)
+            report["search"]["certified"] = certify_bad_coloring(frag, a, b, c, bad)
+        if holds is not None and holds != (bad is None):
+            raise ValidationError("engine_disagreement", "the two engines disagree")
+        holds = bad is None
+    report["ok"] = bool(holds)
+    return report
 
 
 @ramsey.command("search")
@@ -449,17 +410,12 @@ def ramsey_check(family, context_path, a, b, c, k, budget_nodes, budget_coloring
 @click.option("-B", "b", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
 @click.option("--max-n", type=int, required=True)
-@click.option("--budget-nodes", default=None, type=int)
-@with_common
-def ramsey_search(family, context_path, a, b, k, max_n, budget_nodes, output, seed, workers):
-    ctx = _load_context(context_path)
-    nodes = budget_nodes if budget_nodes is not None else node_budget_default()
-    cfg = _config(seed, workers, budget_nodes=nodes)
-    try:
-        n, log = min_ramsey_witness(_family(family, ctx), a, b, k, max_n, node_budget=nodes)
-        _emit({"ok": True, "config": cfg, "minimal_n": n, "log": log}, output)
-    except RamcatError as exc:
-        _fail(exc, output)
+@click.option("--budget-nodes", default=DEFAULT_NODE_BUDGET, show_default=True, type=int)
+@reported
+def ramsey_search(family, context_path, a, b, k, max_n, budget_nodes):
+    family_fn = _family(family, _load_context(context_path))
+    n, log = min_ramsey_witness(family_fn, a, b, k, max_n, node_budget=budget_nodes)
+    return {"ok": True, "config": {"budget_nodes": budget_nodes}, "minimal_n": n, "log": log}
 
 
 # --- pre-adjunctions -------------------------------------------------------------
@@ -541,80 +497,74 @@ def preadj_list():
 @click.option("--alphabet", default=None, help="letters for a trivial action over --group")
 @click.option("--bounds", default=None, help="like src<=2,chains<=6")
 @click.option("--card-check/--no-card-check", default=True, show_default=True)
-@with_common
-def preadj_verify(instance, group_path, context_path, alphabet, bounds, card_check,
-                  output, seed, workers):
-    if context_path:
-        context = _load_context(context_path)
-    elif group_path:
-        data = _load_json(group_path)
-        from .groups import _unflatten
+@reported
+def preadj_verify(instance, group_path, context_path, alphabet, bounds, card_check):
+    if group_path and not context_path:
+        letters = tuple(alphabet.split(",")) if alphabet else ()
 
-        order = int(data["order"])
-        table = _unflatten(data["table"], order, order, "group table")
-        group = validate_group(table, names=tuple(data.get("element_names") or ()) or None)
-        context = WordContext(trivial_action(group, tuple(alphabet.split(",")) if alphabet else ()))
+        def group_context(data):
+            return WordContext(trivial_action(action_from_dict(data).group, letters))
+
+        context = _read(group_path, group_context, "group")
     else:
-        context = plain_context()
+        context = _load_context(context_path)
     parsed = _parse_bounds(bounds)
-    cfg = _config(seed, workers, bounds=parsed or {})
-    try:
-        if instance.startswith("composed:"):
-            names = instance.split(":", 1)[1].split(",")
-            # size every factor's fragments alike so adjacent interfaces match
-            forced = dict(parsed)
-            forced["objects"] = forced.get("chains", forced.get("tgt", 6))
-            parts = [_build_instance(nm.strip(), context, forced) for nm in names]
-            pa = parts[0][0]
-            for nxt, _, _ in parts[1:]:
-                pa = compose_pa(pa, nxt)
-            src_objs = list(range(1, parsed.get("src", parsed.get("objects", 2)) + 1))
-            tgt_objs = parts[-1][2]
-        else:
-            pa, src_objs, tgt_objs = _build_instance(instance, context, parsed)
-        report = verify_pa(pa, src_objs, tgt_objs)
-        out = {
-            "ok": report.ok,
-            "config": cfg,
-            "instance": pa.name,
-            "instances_checked": report.instances,
-            "failures": [
-                {k: str(v) for k, v in f.items()} for f in report.failures[:20]
-            ],
-            "failure_count": len(report.failures),
-            "phi_landing_failures": [
-                {k: str(v) for k, v in f.items()} for f in report.phi_landing_failures[:20]
-            ],
-            "phi_landing_failure_count": len(report.phi_landing_failures),
-            "suggested_tried": report.suggested_tried,
-            "suggested_hits": report.suggested_hits,
-        }
-        if card_check:
-            try:
-                card = check_card_inequality(pa, src_objs)
-                out["cardinality_ok"] = card.ok
-                out["cardinality_violations"] = card.violations
-            except ValidationError as exc:
-                out["cardinality_ok"] = None
-                out["cardinality_note"] = str(exc)
-        _emit(out, output)
-        if not report.ok:
-            sys.exit(1)
-    except RamcatError as exc:
-        _fail(exc, output)
+    if instance.startswith("composed:"):
+        names = instance.split(":", 1)[1].split(",")
+        # size every factor's fragments alike so adjacent interfaces match
+        forced = dict(parsed)
+        forced["objects"] = forced.get("chains", forced.get("tgt", 6))
+        parts = [_build_instance(nm.strip(), context, forced) for nm in names]
+        pa = parts[0][0]
+        for nxt, _, _ in parts[1:]:
+            pa = compose_pa(pa, nxt)
+        src_objs = list(range(1, parsed.get("src", parsed.get("objects", 2)) + 1))
+        tgt_objs = parts[-1][2]
+    else:
+        pa, src_objs, tgt_objs = _build_instance(instance, context, parsed)
+    if not src_objs or not tgt_objs:
+        # a check over no objects checks nothing, so it cannot verify anything
+        raise click.UsageError(f"--bounds {bounds!r} leaves no source or no target objects")
+    report = verify_pa(pa, src_objs, tgt_objs)
+    out = {
+        "ok": report.ok,
+        "config": {"bounds": parsed},
+        "instance": pa.name,
+        "instances_checked": report.instances,
+        "failures": [
+            {k: str(v) for k, v in f.items()} for f in report.failures[:20]
+        ],
+        "failure_count": len(report.failures),
+        "phi_landing_failures": [
+            {k: str(v) for k, v in f.items()} for f in report.phi_landing_failures[:20]
+        ],
+        "phi_landing_failure_count": len(report.phi_landing_failures),
+        "suggested_tried": report.suggested_tried,
+        "suggested_hits": report.suggested_hits,
+    }
+    if card_check:
+        try:
+            card = check_card_inequality(pa, src_objs)
+            out["cardinality_ok"] = card.ok
+            out["cardinality_violations"] = card.violations
+        except ValidationError as exc:
+            out["cardinality_ok"] = None
+            out["cardinality_note"] = str(exc)
+    return out
 
 
 # --- tukey ------------------------------------------------------------------------
 
-def _load_preorder(path: str):
-    data = _load_json(path)
+def _preorder_from_dict(data: dict):
     if "leq" in data:
         return validate_preorder(data["leq"])
     if "pairs" in data:
-        from .tukey import preorder_from_pairs
-
         return preorder_from_pairs(int(data["size"]), data["pairs"])
-    raise click.UsageError(f"{path} must give 'leq' or 'pairs'")
+    raise ValidationError("not_preorder", "a preorder file must give 'leq' or 'pairs'")
+
+
+def _load_preorder(path: str):
+    return _read(path, _preorder_from_dict, "preorder")
 
 
 def _generated(name: str) -> GeneratedPreorder:
@@ -622,12 +572,7 @@ def _generated(name: str) -> GeneratedPreorder:
         return omega()
     if name == "omega2":
         return omega_squared()
-    try:
-        finite = _load_preorder(name)
-    except click.UsageError:
-        raise
-    except OSError:
-        raise click.UsageError(f"unknown generated preorder {name!r}")
+    finite = _load_preorder(name)
 
     def upper_bound(x, y):
         for z in range(finite.size):
@@ -743,26 +688,17 @@ def tukey():
 @click.option("--dom", "dom_path", required=True, type=click.Path(exists=True))
 @click.option("--cod", "cod_path", required=True, type=click.Path(exists=True))
 @click.option("--map", "map_json", required=True, help="JSON list, e.g. [0,1,1]")
-@with_common
-def tukey_check(kind, dom_path, cod_path, map_json, output, seed, workers):
-    cfg = _config(seed, workers)
+@reported
+def tukey_check(kind, dom_path, cod_path, map_json):
     dom = _load_preorder(dom_path)
     cod = _load_preorder(cod_path)
     try:
         mapping = json.loads(map_json)
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"bad --map: {exc}")
-    try:
-        if kind == "tukey":
-            verdict = is_tukey_map(mapping, dom, cod)
-        else:
-            verdict = is_cofinal_map(mapping, dom, cod)
-        _emit({"ok": verdict.ok, "config": cfg, "kind": kind,
-               "witness": list(verdict.witness) if verdict.witness else None}, output)
-        if not verdict.ok:
-            sys.exit(1)
-    except RamcatError as exc:
-        _fail(exc, output)
+    check = is_tukey_map if kind == "tukey" else is_cofinal_map
+    verdict = check(mapping, dom, cod)
+    return {"ok": verdict.ok, "kind": kind, "witness": list(verdict.witness) if verdict.witness else None}
 
 
 @tukey.command("companion")
@@ -770,19 +706,15 @@ def tukey_check(kind, dom_path, cod_path, map_json, output, seed, workers):
 @click.option("--preorder-b", default="omega", show_default=True)
 @click.option("--map", "expr", required=True, help="expression in v, e.g. '2*v'")
 @click.option("-n", "n", default=20, show_default=True)
-@with_common
-def tukey_companion(preorder, preorder_b, expr, n, output, seed, workers):
-    cfg = _config(seed, workers)
+@reported
+def tukey_companion(preorder, preorder_b, expr, n):
     a = _generated(preorder)
     b = _generated(preorder_b)
     f, shown = _map_expr(expr)
-    try:
-        result = cofinal_companion(f, a, b, n)
-        _emit({"ok": result.implication_ok, "config": cfg, "map": shown,
-               "g": [str(x) for x in result.g], "checked_pairs": result.checked_pairs,
-               "warnings": result.warnings, "certified": "prefix"}, output)
-    except RamcatError as exc:
-        _fail(exc, output)
+    result = cofinal_companion(f, a, b, n)
+    return {"ok": result.implication_ok, "map": shown,
+            "g": [str(x) for x in result.g], "checked_pairs": result.checked_pairs,
+            "warnings": result.warnings, "certified": "prefix"}
 
 
 @tukey.command("monotonize")
@@ -791,62 +723,44 @@ def tukey_companion(preorder, preorder_b, expr, n, output, seed, workers):
 @click.option("--map", "expr", required=True)
 @click.option("--steps", default=20, show_default=True)
 @click.option("--prefix", "prefix_size", default=None, type=int)
-@click.option("--report", "report_path", default=None, help="alias of --output")
-@with_common
-def tukey_monotonize(preorder, preorder_b, expr, steps, prefix_size, report_path,
-                     output, seed, workers):
-    cfg = _config(seed, workers)
+@reported
+def tukey_monotonize(preorder, preorder_b, expr, steps, prefix_size):
     a = _generated(preorder)
     b = _generated(preorder_b)
     f, shown = _map_expr(expr)
-    try:
-        trace = monotonize(f, a, b, steps, prefix_size=prefix_size)
-        check = verify_trace(trace, a, b)
-        _emit({
-            "ok": check.ok,
-            "config": cfg,
-            "map": shown,
-            "rounds": trace.rounds,
-            "s": [str(x) for x in trace.s],
-            "b": [str(x) for x in trace.b],
-            "blocks": [[str(x) for x in blk] for blk in trace.big_s],
-            "invariants": {
-                "s_strictly_increasing": check.s_strictly_increasing,
-                "blocks_partition_prefix": check.blocks_partition_prefix,
-                "blocks_respect_order": check.blocks_respect_order,
-                "b_non_decreasing": check.b_non_decreasing,
-                "fhat_monotone": check.fhat_monotone,
-            },
-            "certified": "prefix",
-        }, report_path or output)
-        if not check.ok:
-            sys.exit(1)
-    except RamcatError as exc:
-        _fail(exc, output or report_path)
+    trace = monotonize(f, a, b, steps, prefix_size=prefix_size)
+    check = verify_trace(trace, a, b)
+    return {
+        "ok": check.ok,
+        "map": shown,
+        "rounds": trace.rounds,
+        "s": [str(x) for x in trace.s],
+        "b": [str(x) for x in trace.b],
+        "blocks": [[str(x) for x in blk] for blk in trace.big_s],
+        "invariants": {
+            "s_strictly_increasing": check.s_strictly_increasing,
+            "blocks_partition_prefix": check.blocks_partition_prefix,
+            "blocks_respect_order": check.blocks_respect_order,
+            "b_non_decreasing": check.b_non_decreasing,
+            "fhat_monotone": check.fhat_monotone,
+        },
+        "certified": "prefix",
+    }
 
 
 # --- golden -------------------------------------------------------------------------
 
 @main.command("golden")
-@with_common
-def golden_cmd(output, seed, workers):
-    cfg = _config(seed, workers)
+@reported
+def golden_cmd():
     report = golden_mod.run_golden_suite()
-    for item in report["criteria"]:
-        status = "PASS" if item["ok"] else "FAIL"
-        click.echo(f"{status} {item['name']}: {item['detail']} [{item['seconds']:.2f}s]")
-    if output:
-        # timings vary run to run; the written report stays byte-stable
-        stable = {
-            "ok": report["ok"],
-            "config": cfg,
-            "criteria": [
-                {"name": c["name"], "ok": c["ok"], "detail": c["detail"]}
-                for c in report["criteria"]
-            ],
-        }
-        _emit(stable, output)
-    sys.exit(0 if report["ok"] else 1)
+    lines = [f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']} [{c['seconds']:.2f}s]"
+             for c in report["criteria"]]
+    # timings vary run to run; the written report stays byte-stable
+    return lines, {
+        "ok": report["ok"],
+        "criteria": [{"name": c["name"], "ok": c["ok"], "detail": c["detail"]} for c in report["criteria"]],
+    }
 
 
 if __name__ == "__main__":

@@ -93,7 +93,7 @@ class PAReport:
 
 
 def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Sequence,
-              max_instances: int = 2_000_000, keep_witnesses: bool = True) -> PAReport:
+              max_instances: int = 2_000_000) -> PAReport:
     """Exhaustively check the transport condition over the given object
     bounds.  Every recorded failure really has no witness (the whole
     candidate hom-set was scanned); every recorded witness is the first one
@@ -150,7 +150,7 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
                         if witness is None:
                             report.failures.append(
                                 {"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f})
-                        elif keep_witnesses:
+                        else:
                             report.witnesses.append(
                                 {"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f,
                                  "v": witness, "suggested": used_suggested})

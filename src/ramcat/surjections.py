@@ -17,24 +17,6 @@ from .words import PARAM, DecoratedWord, WordContext, param, plain_context, vali
 
 
 @dataclass(frozen=True)
-class Chain:
-    """A finite chain; canonical positions are 1..size.  Labels, when given,
-    are a presentation-layer veneer and must be distinct."""
-
-    size: int
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValidationError("chain_size", f"chain size {self.size} is negative")
-        if self.labels:
-            if len(self.labels) != self.size:
-                raise ValidationError("chain_labels", "label count must equal the chain size")
-            if len(set(self.labels)) != self.size:
-                raise ValidationError("chain_labels", "chain labels must be pairwise distinct")
-
-
-@dataclass(frozen=True)
 class RigidSurjection:
     dom: int
     cod: int

@@ -66,6 +66,9 @@ def preorder_from_pairs(n: int, pairs) -> FinitePreorder:
     """Reflexive-transitive closure of the given ``a <= b`` pairs."""
     rows = [[a == b for b in range(n)] for a in range(n)]
     for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValidationError("not_preorder", f"pair ({a}, {b}) names an element outside 0..{n - 1}",
+                                  a=a, b=b)
         rows[a][b] = True
     changed = True
     while changed:
@@ -124,10 +127,10 @@ class PreorderReport:
     class_of: tuple[int, ...]
 
 
-def preorder_predicates(p: FinitePreorder, subset_cap: int = SUBSET_CAP) -> PreorderReport:
-    if p.size > subset_cap:
-        raise ValidationError("size_cap_exceeded", f"subset predicates are capped at {subset_cap} elements",
-                              cap=subset_cap, size=p.size)
+def preorder_predicates(p: FinitePreorder) -> PreorderReport:
+    if p.size > SUBSET_CAP:
+        raise ValidationError("size_cap_exceeded", f"subset predicates are capped at {SUBSET_CAP} elements",
+                              cap=SUBSET_CAP, size=p.size)
     n = p.size
     full = (1 << n) - 1
     above, below = _above_masks(p), _below_masks(p)
@@ -164,13 +167,12 @@ class MapVerdict:
     witness: tuple[int, ...] | None = None
 
 
-def is_tukey_map(f: Sequence[int], a: FinitePreorder, b: FinitePreorder,
-                 subset_cap: int = SUBSET_CAP) -> MapVerdict:
+def is_tukey_map(f: Sequence[int], a: FinitePreorder, b: FinitePreorder) -> MapVerdict:
     """True iff every subset unbounded in the domain has an unbounded image;
     otherwise the first offending subset is the witness."""
-    if a.size > subset_cap:
-        raise ValidationError("size_cap_exceeded", f"Tukey check capped at {subset_cap} elements",
-                              cap=subset_cap, size=a.size)
+    if a.size > SUBSET_CAP:
+        raise ValidationError("size_cap_exceeded", f"Tukey check capped at {SUBSET_CAP} elements",
+                              cap=SUBSET_CAP, size=a.size)
     _check_map(f, a, b)
     above_a, above_b = _above_masks(a), _above_masks(b)
     ub, image_ub = _table(a.size, (1 << a.size) - 1), _table(b.size, (1 << b.size) - 1)
@@ -184,12 +186,11 @@ def is_tukey_map(f: Sequence[int], a: FinitePreorder, b: FinitePreorder,
     return MapVerdict(True)
 
 
-def is_cofinal_map(g: Sequence[int], dom: FinitePreorder, cod: FinitePreorder,
-                   subset_cap: int = SUBSET_CAP) -> MapVerdict:
+def is_cofinal_map(g: Sequence[int], dom: FinitePreorder, cod: FinitePreorder) -> MapVerdict:
     """True iff every cofinal subset of the domain has a cofinal image."""
-    if dom.size > subset_cap:
-        raise ValidationError("size_cap_exceeded", f"cofinal check capped at {subset_cap} elements",
-                              cap=subset_cap, size=dom.size)
+    if dom.size > SUBSET_CAP:
+        raise ValidationError("size_cap_exceeded", f"cofinal check capped at {SUBSET_CAP} elements",
+                              cap=SUBSET_CAP, size=dom.size)
     _check_map(g, dom, cod)
     below_dom, below_cod = _below_masks(dom), _below_masks(cod)
     full_dom, full_cod = (1 << dom.size) - 1, (1 << cod.size) - 1

@@ -50,13 +50,12 @@ class WordContext:
     """The alphabet/group pair (via a right action) words are read against."""
 
     action: RightAction
-    variable_limit: int | None = None
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         # every word embeds its context, so hashing a word must not walk the
         # group and action tables again
-        object.__setattr__(self, "_hash", hash((self.action, self.variable_limit)))
+        object.__setattr__(self, "_hash", hash(self.action))
 
     def __hash__(self) -> int:
         return self._hash
@@ -193,8 +192,6 @@ def enumerate_words(m: int, n: int, context: WordContext) -> Iterator[DecoratedW
     canonical lexicographic order over token sequences (empty iff m > n,
     apart from the all-letter words allowed at m = 0)."""
     if m < 0 or n < 1:
-        return
-    if context.variable_limit is not None and m > context.variable_limit:
         return
     group = context.group
     order = group.element_order

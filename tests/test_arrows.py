@@ -177,14 +177,6 @@ def test_search_deeper_than_recursion_limit():
         find_bad_coloring(f, 2, 3, 6, 2, node_budget=50_000)
 
 
-def test_node_budget_env_override(monkeypatch):
-    monkeypatch.setenv("RAMCAT_BUDGET_NODES", "7")
-    f = ram_fragment(6)
-    with pytest.raises(BudgetExceeded) as err:
-        find_bad_coloring(f, 2, 3, 6, 2)
-    assert err.value.limit == 7
-
-
 def test_dram_op_micro_instances():
     f = dram_op_fragment(4)
     # single morphism at A=1 makes every coloring monochromatic

@@ -1,5 +1,7 @@
 import json
+import traceback
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -15,14 +17,28 @@ GOLDEN_V = "b x1 x1^g2"
 GOLDEN_RESULT = "c a b a a x1 d x1^g2 x1^g2 c a x1"
 
 
+class GuardedRunner(CliRunner):
+    """A CliRunner that fails any invocation ending in an exception other
+    than SystemExit: outside input must end with a documented exit code,
+    never with a traceback."""
+
+    def invoke(self, *args, **kwargs):
+        result = super().invoke(*args, **kwargs)
+        if result.exception is not None and not isinstance(result.exception, SystemExit):
+            pytest.fail("traceback from the CLI:\n" + "".join(traceback.format_exception(*result.exc_info)))
+        return result
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return GuardedRunner()
 
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
-    if isinstance(payload, str):
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    elif isinstance(payload, str):
         path.write_text(payload, encoding="utf-8")
     else:
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -284,7 +300,7 @@ def test_tukey_monotonize_report(runner, tmp_path):
     out = str(tmp_path / "trace.json")
     result = runner.invoke(main, ["tukey", "monotonize",
                                   "--map", "v + 10 if v % 2 == 0 else v // 2",
-                                  "--steps", "30", "--prefix", "30", "--report", out])
+                                  "--steps", "30", "--prefix", "30", "--output", out])
     assert result.exit_code == 0, result.output
     report = json.loads(open(out).read())
     assert report["ok"]
@@ -316,7 +332,6 @@ def test_tukey_map_expression_with_tuples_and_calls(runner):
 def test_tukey_map_expressions_outside_the_whitelist_are_usage_errors(runner, expr):
     result = runner.invoke(main, ["tukey", "companion", "--map", expr, "-n", "5"])
     assert result.exit_code == 2, result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Error:" in result.output
 
 
@@ -327,14 +342,130 @@ def test_reports_are_byte_stable(runner, tmp_path):
     assert first.output == second.output
 
 
-def test_workers_must_be_positive(runner):
-    result = runner.invoke(main, ["words", "enumerate", "-m", "1", "-n", "2", "--workers", "0"])
-    assert result.exit_code == 2
-
-
-def test_golden_command(runner):
-    result = runner.invoke(main, ["golden"])
+def test_golden_command(runner, tmp_path):
+    out = str(tmp_path / "golden.json")
+    result = runner.invoke(main, ["golden", "--output", out])
     assert result.exit_code == 0, result.output
     lines = [l for l in result.output.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 9
     assert all(l.startswith("PASS") for l in lines)
+    assert set(json.loads(open(out).read())) == {"ok", "criteria"}
+
+
+NON_REFLEXIVE = {"leq": [[False, False], [False, True]]}
+ONE = {"leq": [[True]]}
+
+
+@pytest.mark.parametrize("args, files", [
+    pytest.param(["words", "validate", "--context", "{ctx}", "x1"], {"ctx": {"table": [0]}},
+                 id="context-without-order"),
+    pytest.param(["words", "validate", "--context", "{ctx}", "x1"], {"ctx": b"\xff\xfe"},
+                 id="context-not-utf8"),
+    pytest.param(["words", "compose", "{u}", "{v}"], {"u": b"\xff\xfe x1\n", "v": "x1\n"},
+                 id="word-file-not-utf8"),
+    pytest.param(["preadj", "verify", "--instance", "gr-to-dram-op", "--group", "{g}"],
+                 {"g": {"order": 2, "table": [0, 1, 0, 1]}}, id="group-table-not-a-group"),
+    pytest.param(["preadj", "verify", "--instance", "gr-to-dram-op", "--group", "{g}"],
+                 {"g": {"table": [0]}}, id="group-without-order"),
+    pytest.param(["preadj", "verify", "--instance", "gr-to-dram-op", "--group", "{g}"],
+                 {"g": {"order": 2, "table": [0, 1, 1, 0], "element_order": [0, 0]}},
+                 id="group-element-order-not-a-permutation"),
+    pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
+                 {"p": NON_REFLEXIVE, "q": ONE}, id="non-reflexive-dom"),
+    pytest.param(["tukey", "companion", "--preorder", "{p}", "--map", "v", "-n", "2"],
+                 {"p": NON_REFLEXIVE}, id="non-reflexive-preorder"),
+    pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
+                 {"p": {"size": 2, "pairs": [[0, 5]]}, "q": ONE}, id="pair-out-of-range"),
+    pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
+                 {"p": {"size": 2, "pairs": [[0, -1]]}, "q": ONE}, id="pair-negative"),
+    pytest.param(["category", "build", "--spec", "{s}"], {"s": {"objects": [1]}}, id="spec-without-tables"),
+    pytest.param(["category", "check", "--spec", "{s}"], {"s": {"builder": "ram", "params": {"n": "x"}}},
+                 id="spec-n-not-an-integer"),
+    pytest.param(["rsurj", "compose", "(1,2)", "()"], {}, id="compose-empty-map"),
+    pytest.param(["rsurj", "dual", "()"], {}, id="dual-empty-map"),
+])
+def test_malformed_input_is_usage_error(runner, tmp_path, args, files):
+    paths = {name: write(tmp_path, name + ".json", payload) for name, payload in files.items()}
+    result = runner.invoke(main, [arg.format(**paths) for arg in args])
+    assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize("bounds", ["objects<=0", "src<=-1"])
+def test_preadj_verify_over_no_objects_is_usage_error(runner, bounds):
+    result = runner.invoke(main, ["preadj", "verify", "--instance", "identity", "--bounds", bounds])
+    assert result.exit_code == 2, result.output
+
+
+def _commands(group=main, path=()):
+    for name, cmd in sorted(group.commands.items()):
+        if isinstance(cmd, click.Group):
+            yield from _commands(cmd, path + (name,))
+        else:
+            yield " ".join(path + (name,)), cmd
+
+
+def test_cli_surface_has_no_dead_options():
+    options = {name: [p for p in cmd.params if isinstance(p, click.Option)] for name, cmd in _commands()}
+    assert len(options) == 18
+    assert sum(len(opts) for opts in options.values()) == 72
+    dead = {"--seed", "--workers", "--report", "--hom-cap"}
+    for name, opts in options.items():
+        assert not dead & {flag for opt in opts for flag in opt.opts}, name
+        assert any("--output" in opt.opts for opt in opts) == (name != "preadj list"), name
+
+
+PREADJ_KEYS = {"cardinality_ok", "cardinality_violations", "config", "failure_count", "failures", "instance",
+               "instances_checked", "ok", "phi_landing_failure_count", "phi_landing_failures",
+               "suggested_hits", "suggested_tried"}
+
+
+@pytest.mark.parametrize("args, keys, config", [
+    pytest.param(["words", "validate", "x1 x2"], {"m", "n", "ok", "word"}, None, id="words-validate"),
+    pytest.param(["words", "validate", "x2 x1", "-m", "2"], {"code", "data", "error", "ok"}, None,
+                 id="words-validate-failure"),
+    pytest.param(["words", "compose", "--context", "{ctx}", "{u}", "{v}"], {"ok", "result"}, None,
+                 id="words-compose"),
+    pytest.param(["words", "enumerate", "-m", "2", "-n", "3"], {"count", "ok"}, None, id="words-enumerate"),
+    pytest.param(["rsurj", "validate", "(1,2,1)"], {"cod", "dom", "map", "ok"}, None, id="rsurj-validate"),
+    pytest.param(["rsurj", "compose", "(1,2,3,2)", "(1,1,2)"], {"ok", "result"}, None, id="rsurj-compose"),
+    pytest.param(["rsurj", "enumerate", "-n", "4", "-m", "2"], {"count", "ok"}, None, id="rsurj-enumerate"),
+    pytest.param(["rsurj", "dual", "(1,1,2,1,3)"], {"dual", "ok"}, None, id="rsurj-dual"),
+    pytest.param(["category", "build", "--spec", "{spec}", "--check"],
+                 {"laws_ok", "morphisms", "name", "objects", "ok"}, None, id="category-build"),
+    pytest.param(["category", "check", "--spec", "{spec}"], {"laws", "ok", "structure"}, None,
+                 id="category-check"),
+    pytest.param(["category", "skeleton", "--spec", "{spec}"], {"objects", "ok", "representatives"}, None,
+                 id="category-skeleton"),
+    pytest.param(["ramsey", "check", "--family", "ram", "-A", "1", "-B", "2", "-C", "3", "-k", "2"],
+                 {"A", "B", "C", "config", "exhaustive", "family", "k", "ok", "search"},
+                 {"budget_colorings", "budget_nodes"}, id="ramsey-check"),
+    pytest.param(["ramsey", "check", "--family", "ram", "-A", "2", "-B", "3", "-C", "6", "-k", "2",
+                  "--budget-nodes", "5", "--engine", "search"], {"error", "ok", "stats"}, None,
+                 id="ramsey-check-budget-overrun"),
+    pytest.param(["ramsey", "search", "--family", "ram", "-A", "1", "-B", "2", "-k", "2", "--max-n", "4"],
+                 {"config", "log", "minimal_n", "ok"}, {"budget_nodes"}, id="ramsey-search"),
+    pytest.param(["preadj", "verify", "--instance", "identity", "--bounds", "objects<=2"],
+                 PREADJ_KEYS, {"bounds"}, id="preadj-verify"),
+    pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{anti}", "--cod", "{one}", "--map", "[0,0]"],
+                 {"kind", "ok", "witness"}, None, id="tukey-check"),
+    pytest.param(["tukey", "companion", "--map", "2*v", "-n", "5"],
+                 {"certified", "checked_pairs", "g", "map", "ok", "warnings"}, None, id="tukey-companion"),
+    pytest.param(["tukey", "monotonize", "--map", "v", "--steps", "3"],
+                 {"b", "blocks", "certified", "invariants", "map", "ok", "rounds", "s"}, None,
+                 id="tukey-monotonize"),
+])
+def test_report_keys(runner, tmp_path, args, keys, config):
+    paths = {
+        "ctx": write(tmp_path, "z3.json", Z3_CONTEXT),
+        "u": write(tmp_path, "u.txt", GOLDEN_U + "\n"),
+        "v": write(tmp_path, "v.txt", GOLDEN_V + "\n"),
+        "spec": write(tmp_path, "frag.json", {"builder": "ram", "params": {"n": 3}}),
+        "anti": write(tmp_path, "anti.json", {"leq": [[True, False], [False, True]]}),
+        "one": write(tmp_path, "one.json", ONE),
+    }
+    out = str(tmp_path / "report.json")
+    result = runner.invoke(main, [arg.format(**paths) for arg in args] + ["--output", out])
+    assert result.exit_code in (0, 1, 3), result.output
+    report = json.loads(open(out).read())
+    assert set(report) == keys
+    assert (set(report["config"]) if "config" in report else None) == config

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramcat import (
-    Chain,
     ValidationError,
     compose_rigid,
     dual,
@@ -139,15 +138,6 @@ def test_dual_contravariance():
                     for g in enumerate_rsurj(m, k):
                         dg = dual(g)
                         assert dual(compose_rigid(g, f)) == tuple(df[i - 1] for i in dg)
-
-
-def test_chain_labels():
-    c = Chain(3, ("p", "q", "r"))
-    assert c.size == 3
-    with pytest.raises(ValidationError):
-        Chain(3, ("p", "p", "r"))
-    with pytest.raises(ValidationError):
-        Chain(2, ("p",))
 
 
 @settings(max_examples=60, deadline=None)

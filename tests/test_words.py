@@ -151,14 +151,6 @@ def test_enumeration_empty_iff_m_exceeds_n(one_letter_context):
     assert list(enumerate_words(2, 2, one_letter_context)) != []
 
 
-def test_variable_limit_caps_enumeration(one_letter_context):
-    from dataclasses import replace
-
-    capped = replace(one_letter_context, variable_limit=1)
-    assert list(enumerate_words(2, 3, capped)) == []
-    assert list(enumerate_words(1, 3, capped)) != []
-
-
 def test_single_letter_alphabet_counts(one_letter_context):
     words = [format_word(w) for w in enumerate_words(1, 2, one_letter_context)]
     assert words == ["x1 x1", "x1 a", "a x1"]
