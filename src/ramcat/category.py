@@ -1,7 +1,8 @@
 """Finite fragments of locally small categories.
 
-A fragment lists its objects, stores every hom-set explicitly, and composes
-morphisms through a rule or a lookup table.  Builders are provided for the
+A fragment lists its objects, knows the size of every hom-set, lists the
+morphisms of a hom-set the first time it is read, and composes morphisms
+through a rule or a lookup table.  Builders are provided for the
 categories this package cares about:
 
 * ``ram_fragment``      -- chains with injective monotone maps,
@@ -20,11 +21,13 @@ decidable relative to the fragment; reports label them as such.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
-from typing import Callable, Iterator
+from math import comb
+from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceBound, ValidationError
-from .surjections import compose_rigid, enumerate_rsurj, identity_rigid, word_to_rsurj
+from .surjections import compose_rigid, enumerate_rsurj, identity_rigid, stirling2, word_to_rsurj
 from .tukey import FinitePreorder
 from .words import WordContext, enumerate_words, identity_word, substitute
 
@@ -41,13 +44,33 @@ class Morphism:
         return f"{self.dom}->{self.cod}:{self.payload}"
 
 
+@dataclass(frozen=True)
+class LazyHom:
+    """A hom-set not read yet: its size, known without listing it, and the
+    rule that lists its morphisms in canonical order."""
+
+    size: int
+    build: Callable[[], Iterable[Morphism]]
+
+    def __len__(self) -> int:
+        return self.size
+
+
 class CategoryFragment:
+    """Objects, hom-sets and a composition rule.
+
+    ``hom`` maps each pair (a, b) with morphisms to its morphisms, or to a
+    ``LazyHom``.  A lazy hom-set is listed the first time ``hom(a, b)`` reads
+    it and kept from then on; its size is known before that, so
+    ``hom_size``, ``arrow``, ``total_morphisms`` and ``repr`` build
+    nothing."""
+
     def __init__(self, name: str, objects, hom: dict, identity: dict,
                  compose_fn: Callable[[Morphism, Morphism], Morphism]):
         self.name = name
         self.objects = tuple(objects)
         self._object_set = set(self.objects)
-        self._hom = {pair: tuple(ms) for pair, ms in hom.items()}
+        self._hom = {pair: ms if isinstance(ms, LazyHom) else tuple(ms) for pair, ms in hom.items()}
         self._identity = dict(identity)
         self._compose_fn = compose_fn
         self._hom_sets: dict = {}  # filled per pair by the first membership test
@@ -59,7 +82,13 @@ class CategoryFragment:
         return a in self._object_set
 
     def hom(self, a, b) -> tuple[Morphism, ...]:
-        return self._hom.get((a, b), ())
+        ms = self._hom.get((a, b), ())
+        if type(ms) is LazyHom:
+            ms = self._hom[a, b] = tuple(ms.build())
+        return ms
+
+    def hom_size(self, a, b) -> int:
+        return len(self._hom.get((a, b), ()))
 
     def identity(self, a) -> Morphism:
         return self._identity[a]
@@ -77,7 +106,7 @@ class CategoryFragment:
         if members is None:
             if pair not in self._hom:
                 return False
-            members = self._hom_sets[pair] = frozenset(self._hom[pair])
+            members = self._hom_sets[pair] = frozenset(self.hom(*pair))
         return m in members
 
     def in_hom(self, m, a, b) -> bool:
@@ -86,35 +115,46 @@ class CategoryFragment:
 
     def morphisms(self) -> Iterator[Morphism]:
         for pair in sorted(self._hom, key=lambda p: (self.objects.index(p[0]), self.objects.index(p[1]))):
-            yield from self._hom[pair]
+            yield from self.hom(*pair)
 
     def total_morphisms(self) -> int:
         return sum(len(ms) for ms in self._hom.values())
 
     def arrow(self, a, b) -> bool:
-        return bool(self.hom(a, b))
+        return self.hom_size(a, b) > 0
 
 
-def _check_cap(count: int, cap: int, name: str):
-    if count > cap:
-        raise ResourceBound(f"fragment {name} would hold {count} morphisms, over the cap of {cap}", cap)
+def _lazy_homs(sizes: Iterable[tuple[tuple, int]], build: Callable, cap: int, name: str) -> dict:
+    """Lazy hom-sets for the pairs of ``sizes`` that have morphisms, listed
+    by ``build(a, b)``.  The running total is checked against ``cap`` pair by
+    pair, so an oversized fragment is refused after sizing no more pairs
+    than it takes to exceed the cap."""
+    hom: dict = {}
+    total = 0
+    for (a, b), size in sizes:
+        if size:
+            total += size
+            if total > cap:
+                raise ResourceBound(f"fragment {name} would hold more than its cap of {cap} morphisms", cap)
+            hom[a, b] = LazyHom(size, partial(build, a, b))
+    return hom
 
 
 # --- builders ---------------------------------------------------------------
+#
+# Each builder sizes its hom-sets in closed form, checks the cap on those
+# sizes, and lists a hom-set only when it is first read.
 
 def ram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
-    """Chains 1..n with injective monotone maps as image tuples."""
+    """Chains 1..n with injective monotone maps as image tuples; hom(a, b)
+    has C(b, a) of them."""
     objects = range(1, n + 1)
-    hom: dict = {}
-    total = 0
-    for a in objects:
-        for b in objects:
-            if a <= b:
-                ms = tuple(Morphism(a, b, tuple(c)) for c in combinations(range(1, b + 1), a))
-                if ms:
-                    total += len(ms)
-                    _check_cap(total, hom_cap, "ram")
-                    hom[(a, b)] = ms
+
+    def build(a, b):
+        return (Morphism(a, b, c) for c in combinations(range(1, b + 1), a))
+
+    sizes = (((a, b), comb(b, a)) for b in objects for a in range(1, b + 1))
+    hom = _lazy_homs(sizes, build, hom_cap, "ram")
     identity = {a: Morphism(a, a, tuple(range(1, a + 1))) for a in objects}
 
     def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -124,17 +164,14 @@ def ram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
 
 
 def dram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
-    """Chains 1..n with rigid surjections."""
+    """Chains 1..n with rigid surjections; hom(a, b) has S(a, b) of them."""
     objects = range(1, n + 1)
-    hom: dict = {}
-    total = 0
-    for a in objects:
-        for b in objects:
-            ms = tuple(Morphism(a, b, r) for r in enumerate_rsurj(a, b))
-            if ms:
-                total += len(ms)
-                _check_cap(total, hom_cap, "dram")
-                hom[(a, b)] = ms
+
+    def build(a, b):
+        return (Morphism(a, b, r) for r in enumerate_rsurj(a, b))
+
+    sizes = (((a, b), stirling2(a, b)) for a in objects for b in range(1, a + 1))
+    hom = _lazy_homs(sizes, build, hom_cap, "dram")
     identity = {a: Morphism(a, a, identity_rigid(a)) for a in objects}
 
     def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -147,19 +184,28 @@ def dram_op_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment
     return opposite(dram_fragment(n, hom_cap))
 
 
+def _word_counts(n: int, context: WordContext) -> Iterator[tuple[tuple[int, int], int]]:
+    """((k, m), number of k-parameter m-letter words) for 1 <= k <= m <= n,
+    m ascending.  A DP over positions: a position takes the next new variable
+    (one way), a variable already seen with any exponent (k |G| ways when k
+    are seen) or a letter (|A| ways)."""
+    order, letters = context.group.order, len(context.alphabet)
+    row = [1]  # row[k]: words of the current length with k parameters
+    for m in range(1, n + 1):
+        row = [(row[k - 1] if k else 0) + (row[k] * (k * order + letters) if k < m else 0)
+               for k in range(m + 1)]
+        for k in range(1, m + 1):
+            yield (k, m), row[k]
+
+
 def gr_fragment(context: WordContext, n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
     """Positive integers 1..n with hom(k, n) the k-parameter n-letter words."""
     objects = range(1, n + 1)
-    hom: dict = {}
-    total = 0
-    for k in objects:
-        for m in objects:
-            if k <= m:
-                ms = tuple(Morphism(k, m, w) for w in enumerate_words(k, m, context))
-                if ms:
-                    total += len(ms)
-                    _check_cap(total, hom_cap, f"gr over {context.alphabet}")
-                    hom[(k, m)] = ms
+
+    def build(k, m):
+        return (Morphism(k, m, w) for w in enumerate_words(k, m, context))
+
+    hom = _lazy_homs(_word_counts(n, context), build, hom_cap, f"gr over {context.alphabet}")
     identity = {k: Morphism(k, k, identity_word(k, context)) for k in objects}
 
     def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -222,7 +268,9 @@ def vec_fragment(q: int | OrderedField, n: int, hom_cap: int = DEFAULT_HOM_CAP) 
     every vector on the first j - 1 coordinates, so a new column that does
     not lie above the image of the largest of them is dropped before the
     full test.  Each hom-set is sorted by payload, which is the row-major
-    order of the matrix entries."""
+    order of the matrix entries.  A morphism m -> d is the unique
+    order-respecting basis of its image, so hom(m, d) has one morphism per
+    m-dimensional subspace: the Gaussian binomial [d choose m]_q of them."""
     field = q if isinstance(q, OrderedField) else gf(q)
     objects = range(1, n + 1)
 
@@ -235,29 +283,23 @@ def vec_fragment(q: int | OrderedField, n: int, hom_cap: int = DEFAULT_HOM_CAP) 
         images = [_apply_matrix(field, rows, v) for v in vecs]
         return all(alex_less(images[i], images[i + 1]) for i in range(len(images) - 1))
 
-    hom: dict = {}
-    total = 0
-    for m in objects:
-        for d in objects:
-            if m > d:
-                continue
-            columns = list(product(range(field.size), repeat=d))
-            prefixes = [()]
-            for j in range(1, m + 1):
-                vecs = domain_vectors(j)
-                survivors = []
-                for cols in prefixes:
-                    # image of the largest vector on the first j - 1 coordinates
-                    top = _apply_matrix(field, tuple(zip(*cols)), vecs[-1][:-1]) if cols else (0,) * d
-                    for col in columns:
-                        if alex_less(top, col) and increasing(tuple(zip(*cols, col)), vecs):
-                            survivors.append(cols + (col,))
-                prefixes = survivors
-            ms = sorted((Morphism(m, d, tuple(zip(*cols))) for cols in prefixes), key=lambda f: f.payload)
-            if ms:
-                total += len(ms)
-                _check_cap(total, hom_cap, f"vec(F_{field.size})")
-                hom[(m, d)] = tuple(ms)
+    def build(m, d):
+        columns = list(product(range(field.size), repeat=d))
+        prefixes = [()]
+        for j in range(1, m + 1):
+            vecs = domain_vectors(j)
+            survivors = []
+            for cols in prefixes:
+                # image of the largest vector on the first j - 1 coordinates
+                top = _apply_matrix(field, tuple(zip(*cols)), vecs[-1][:-1]) if cols else (0,) * d
+                for col in columns:
+                    if alex_less(top, col) and increasing(tuple(zip(*cols, col)), vecs):
+                        survivors.append(cols + (col,))
+            prefixes = survivors
+        return sorted((Morphism(m, d, tuple(zip(*cols))) for cols in prefixes), key=lambda f: f.payload)
+
+    sizes = (((m, d), _gaussian_binomial(d, m, field.size)) for d in objects for m in range(1, d + 1))
+    hom = _lazy_homs(sizes, build, hom_cap, f"vec(F_{field.size})")
 
     identity = {
         m: Morphism(m, m, tuple(tuple(1 if r == c else 0 for c in range(m)) for r in range(m)))
@@ -276,6 +318,15 @@ def vec_fragment(q: int | OrderedField, n: int, hom_cap: int = DEFAULT_HOM_CAP) 
         return Morphism(f.dom, g.cod, rows)
 
     return CategoryFragment(f"vec(F_{field.size},{n})", objects, hom, identity, compose)
+
+
+def _gaussian_binomial(d: int, m: int, q: int) -> int:
+    """[d choose m]_q, the number of m-dimensional subspaces of F_q^d."""
+    num = den = 1
+    for i in range(m):
+        num *= q ** (d - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
 def _dot(field: OrderedField, row: tuple[int, ...], col: tuple[int, ...]) -> int:
@@ -310,12 +361,15 @@ def omega_truncation(n: int) -> CategoryFragment:
 
 def opposite(fragment: CategoryFragment) -> CategoryFragment:
     """Same objects, arrows reversed, composition flipped.  Payloads are
-    preserved, so opposite(opposite(F)) is structurally equal to F."""
-    hom = {}
-    for (a, b), ms in fragment._hom.items():
-        hom[(b, a)] = tuple(Morphism(b, a, m.payload) for m in ms)
-    identity = {a: Morphism(a, a, fragment.identity(a).payload) for a in fragment.objects}
+    preserved, so opposite(opposite(F)) is structurally equal to F.  A hom-set
+    of the opposite is listed from the base hom-set when first read."""
     base = fragment
+
+    def build(b, a):
+        return (Morphism(b, a, m.payload) for m in base.hom(a, b))
+
+    hom = {(b, a): LazyHom(len(ms), partial(build, b, a)) for (a, b), ms in fragment._hom.items()}
+    identity = {a: Morphism(a, a, fragment.identity(a).payload) for a in fragment.objects}
 
     def compose(g: Morphism, f: Morphism) -> Morphism:
         # f: A->B op and g: B->C op wrap base morphisms B->A and C->B
@@ -517,7 +571,7 @@ class StructuralReport:
 
 def structural_checks(fragment: CategoryFragment) -> StructuralReport:
     objs = fragment.objects
-    thin = all(len(fragment.hom(a, b)) <= 1 for a in objs for b in objs)
+    thin = all(fragment.hom_size(a, b) <= 1 for a in objs for b in objs)
     directed = all(
         any(fragment.arrow(a, c) and fragment.arrow(b, c) for c in objs)
         for a in objs for b in objs
@@ -538,7 +592,7 @@ def structural_checks(fragment: CategoryFragment) -> StructuralReport:
             pairs = iso_pairs(fragment, a, b) if a != b else []
             if pairs and set(fragment.hom(a, b)) != {f for f, _ in pairs}:
                 iso_ok = False
-    fan_in = {b: sum(len(fragment.hom(a, b)) for a in objs) for b in objs}
+    fan_in = {b: sum(fragment.hom_size(a, b) for a in objs) for b in objs}
     return StructuralReport(thin, directed, non_mono is None, self_ok, iso_ok, fan_in=fan_in,
                             non_mono_witness=non_mono, self_hom_witness=self_witness)
 
@@ -573,8 +627,8 @@ def skeleton(fragment: CategoryFragment) -> SkeletonResult:
             eta[obj] = fragment.identity(obj)
             eta_inv[obj] = fragment.identity(obj)
     hom = {
-        (a, b): fragment.hom(a, b)
-        for a in chosen for b in chosen if fragment.hom(a, b)
+        (a, b): LazyHom(fragment.hom_size(a, b), partial(fragment.hom, a, b))
+        for a in chosen for b in chosen if fragment.arrow(a, b)
     }
     identity = {a: fragment.identity(a) for a in chosen}
     sub = CategoryFragment(fragment.name + ".skel", chosen, hom, identity, fragment._compose_fn)

@@ -37,19 +37,11 @@ from .preadjunction import (
     recheck_failures,
     verify_pa,
 )
-from .surjections import compose_rigid, dual, enumerate_rsurj, rsurj_to_word, word_to_rsurj
+from .surjections import compose_rigid, dual, enumerate_rsurj, rsurj_to_word, stirling2, word_to_rsurj
 from .tukey import chain_preorder, cofinal_companion, monotonize, omega, verify_trace
 from .words import WordContext, enumerate_words, format_word, parse_word, plain_context, substitute
 
 GOLDEN_WORD = "c a b a a x1 d x1^g2 x1^g2 c a x1"
-
-
-def _stirling(n: int, m: int) -> int:
-    if n == m:
-        return 1
-    if m < 1 or m > n:
-        return 0
-    return m * _stirling(n - 1, m) + _stirling(n - 1, m - 1)
 
 
 def _z3_letters_context() -> WordContext:
@@ -67,15 +59,17 @@ def _result(name: str, ok: bool, detail: str, started: float) -> dict:
 
 
 def criterion_1_worked_substitution() -> dict:
+    """The worked example, with the substitution itself timed under 1 ms.
+    The detail says only whether it was, so it is the same on every run."""
     started = time.perf_counter()
     ctx = _z3_letters_context()
     u = parse_word("c a x1 a x1^g2 x2 d x3 x2^g2 x1^g a x3^g", ctx)
     v = parse_word("b x1 x1^g2", ctx)
     best = min(_timed_substitution(u, v) for _ in range(3))
     got = format_word(substitute(u, v))
-    ok = got == GOLDEN_WORD and best < 0.001
-    return _result("1 worked substitution", ok,
-                   f"result {got!r}, substitute in {best * 1e6:.0f}us", started)
+    fast = best < 0.001
+    return _result("1 worked substitution", got == GOLDEN_WORD and fast,
+                   f"result {got!r}, substitute {'under' if fast else 'over'} 1ms", started)
 
 
 def _timed_substitution(u, v) -> float:
@@ -89,7 +83,7 @@ def criterion_2_counting_identities() -> dict:
     pc = plain_context()
     for n in range(1, 8):
         for m in range(1, n + 1):
-            expected = _stirling(n, m)
+            expected = stirling2(n, m)
             rs = sum(1 for _ in enumerate_rsurj(n, m))
             ws = sum(1 for _ in enumerate_words(m, n, pc))
             if rs != expected or ws != expected:

@@ -179,9 +179,16 @@ class RightAction:
 
 
 def validate_action(action: RightAction) -> RightAction:
-    """Check unitality and the right-action law, naming the first bad tuple."""
+    """Check the letter names, unitality and the right-action law, naming the
+    first bad letter or tuple.  A letter name must be unique and must not
+    read as a variable ``x1, x2, ...``."""
     group = action.group
     n_letters = len(action.alphabet)
+    for i, name in enumerate(action.alphabet):
+        if name and name[0] == "x" and name[1:].isdigit():
+            raise ValidationError("reserved_letter", f"letter name {name!r} clashes with variable notation", name=name)
+        if name in action.alphabet[:i]:
+            raise ValidationError("repeated_letter", f"letter name {name!r} occurs twice", name=name)
     if len(action.table) != n_letters:
         raise ValidationError("table_shape", "action table must have one row per letter")
     for row in action.table:
@@ -262,9 +269,6 @@ def action_from_dict(data: dict) -> RightAction:
     group = validate_group(table, names=names or None,
                            element_order=tuple(data["element_order"]) if data.get("element_order") else None)
     alphabet = tuple(data.get("alphabet") or ())
-    for name in alphabet:
-        if name and name[0] == "x" and name[1:].isdigit():
-            raise ValidationError("reserved_letter", f"letter name {name!r} clashes with variable notation", name=name)
     if alphabet:
         action_table = _unflatten(data["action_table"], len(alphabet), order, "action table")
     else:

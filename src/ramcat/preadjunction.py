@@ -48,9 +48,11 @@ from .words import (
 
 @dataclass
 class PreAdjunction:
-    """Object maps ``F`` and ``H`` with the morphism family ``phi``.  ``phi``
-    must be a function of its arguments alone: the verifier evaluates it
-    once per distinct ``(X, Y, u)`` and reuses the value."""
+    """Object maps ``F`` and ``H`` with the morphism family ``phi`` and an
+    optional ``suggested_v`` that proposes a transport witness for ``(A, B,
+    f)``.  ``phi`` and ``suggested_v`` must be functions of their arguments
+    alone: the verifier evaluates each once per distinct argument and reuses
+    the value."""
 
     name: str
     source: CategoryFragment
@@ -92,6 +94,20 @@ class PAReport:
         return not self.failures and not self.phi_landing_failures
 
 
+def _memoised(fn: Callable) -> Callable:
+    """``fn`` evaluated once per distinct argument tuple."""
+    values: dict = {}
+
+    def memo(*args):
+        try:
+            return values[args]
+        except KeyError:
+            value = values[args] = fn(*args)
+            return value
+
+    return memo
+
+
 def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Sequence,
               max_instances: int = 2_000_000) -> PAReport:
     """Exhaustively check the transport condition over the given object
@@ -103,15 +119,8 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
     arguments; ``recheck_failures`` evaluates it afresh."""
     report = PAReport(pa.name, list(source_objects), list(target_objects))
     src, tgt = pa.source, pa.target
-    pa_phi, phi_of = pa.phi, {}
-
-    def phi(x, y, u):
-        key = (x, y, u)
-        try:
-            return phi_of[key]
-        except KeyError:
-            value = phi_of[key] = pa_phi(x, y, u)
-            return value
+    phi = _memoised(pa.phi)
+    suggested_v = None if pa.suggested_v is None else _memoised(pa.suggested_v)
 
     for b_obj in source_objects:
         fb = pa.F(b_obj)
@@ -134,9 +143,9 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
                         lhs = src.compose(phi_u, f)
                         witness = None
                         used_suggested = False
-                        if pa.suggested_v is not None:
+                        if suggested_v is not None:
                             report.suggested_tried += 1
-                            v = pa.suggested_v(a_obj, b_obj, f)
+                            v = suggested_v(a_obj, b_obj, f)
                             if tgt.in_hom(v, fa, fb):
                                 if phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
                                     witness = v
@@ -446,7 +455,7 @@ def build_nonthin_sequence(fragment: CategoryFragment, length: int,
     seed = None
     for a in fragment.objects:
         for b in fragment.objects:
-            if len(fragment.hom(a, b)) >= 2:
+            if fragment.hom_size(a, b) >= 2:
                 seed = (a, b)
                 break
         if seed:
@@ -474,7 +483,7 @@ def build_nonthin_sequence(fragment: CategoryFragment, length: int,
     for i in range(len(seq) - 1):
         certificates.append({
             "pair": (seq[i], seq[i + 1]),
-            "forward_at_least_two": len(fragment.hom(seq[i], seq[i + 1])) >= 2,
+            "forward_at_least_two": fragment.hom_size(seq[i], seq[i + 1]) >= 2,
             "reverse_empty": not fragment.arrow(seq[i + 1], seq[i]),
         })
     return NonthinSequence(seq, seed, certificates, exhausted)
@@ -563,8 +572,8 @@ def check_card_inequality(pa: PreAdjunction, source_objects: Sequence) -> Cardin
     violations = []
     for a in source_objects:
         for b in source_objects:
-            lhs = len(pa.target.hom(pa.F(a), pa.F(b)))
-            rhs = len(pa.source.hom(a, b))
+            lhs = pa.target.hom_size(pa.F(a), pa.F(b))
+            rhs = pa.source.hom_size(a, b)
             entry = {"A": a, "B": b, "target_count": lhs, "source_count": rhs}
             pairs.append(entry)
             if lhs < rhs:

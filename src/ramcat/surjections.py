@@ -88,6 +88,20 @@ def enumerate_rsurj(dom: int, cod: int) -> Iterator[RigidSurjection]:
     yield from rec(0, 0)
 
 
+def stirling2(n: int, m: int) -> int:
+    """The Stirling number S(n, m), which counts the rigid surjections
+    ``n -> m``, by the recurrence S(n, m) = m S(n-1, m) + S(n-1, m-1) taken
+    row by row."""
+    if m < 0 or m > n:
+        return 0
+    row = [1] + [0] * m  # S(0, j)
+    for i in range(1, n + 1):
+        for j in range(min(i, m), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[m]
+
+
 def word_to_rsurj(u: DecoratedWord) -> RigidSurjection:
     """Read an undecorated word as the rigid surjection sending position
     ``i`` to the index of the variable at ``i``."""

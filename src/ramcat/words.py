@@ -190,41 +190,33 @@ def token_sort_key(context: WordContext):
 def enumerate_words(m: int, n: int, context: WordContext) -> Iterator[DecoratedWord]:
     """All valid words with ``m`` parameters and ``n`` tokens, in the
     canonical lexicographic order over token sequences (empty iff m > n,
-    apart from the all-letter words allowed at m = 0)."""
-    if m < 0 or n < 1:
-        return
-    group = context.group
-    order = group.element_order
-    n_letters = len(context.alphabet)
-    if m > n:
-        return
+    apart from the all-letter words allowed at m = 0).
 
-    prefix: list[tuple[int, int, int]] = []
-
-    def candidates(seen: int):
-        for j in range(1, seen + 1):
-            for g in order:
-                yield (PARAM, j, g)
+    Prefixes are extended one position at a time, each by its allowed tokens
+    in canonical order, so every level stays sorted.  A prefix is kept only
+    while the positions left can still introduce the missing variables; the
+    last position is streamed rather than stored."""
+    if m < 0 or n < 1 or m > n:
+        return
+    order = context.group.element_order
+    letters = [(LETTER, a, 0) for a in range(len(context.alphabet))]
+    # options[seen]: (token, variables seen after it) for a position that
+    # follows ``seen`` distinct variables, in canonical token order
+    options = []
+    for seen in range(m + 1):
+        opts = [((PARAM, j, g), seen) for j in range(1, seen + 1) for g in order]
         if seen < m:
-            yield (PARAM, seen + 1, 0)
-        for a in range(n_letters):
-            yield (LETTER, a, 0)
-
-    def rec(pos: int, seen: int):
-        if pos == n:
-            if seen == m:
-                yield DecoratedWord(context, tuple(prefix), m)
-            return
-        remaining = n - pos
-        for token in candidates(seen):
-            new_seen = seen + 1 if token[0] == PARAM and token[1] == seen + 1 else seen
-            if m - new_seen > remaining - 1:
-                continue
-            prefix.append(token)
-            yield from rec(pos + 1, new_seen)
-            prefix.pop()
-
-    yield from rec(0, 0)
+            opts.append(((PARAM, seen + 1, 0), seen + 1))
+        options.append(opts + [(token, seen) for token in letters])
+    level = [((), 0)]
+    for pos in range(n - 1):
+        floor = m - (n - pos - 1)  # variables that must be seen after this position
+        level = [(prefix + (token,), after)
+                 for prefix, seen in level for token, after in options[seen] if after >= floor]
+    for prefix, seen in level:
+        for token, after in options[seen]:
+            if after == m:
+                yield DecoratedWord(context, prefix + (token,), m)
 
 
 # --- notation -------------------------------------------------------------

@@ -19,6 +19,11 @@ def test_criterion_1_worked_substitution():
     _run(golden.criterion_1_worked_substitution)
 
 
+def test_criterion_1_detail_is_the_same_on_every_run():
+    first, second = golden.criterion_1_worked_substitution(), golden.criterion_1_worked_substitution()
+    assert first["detail"] == second["detail"] == "result 'c a b a a x1 d x1^g2 x1^g2 c a x1', substitute under 1ms"
+
+
 def test_criterion_2_counting_identities():
     _run(golden.criterion_2_counting_identities)
 

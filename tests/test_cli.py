@@ -370,6 +370,10 @@ ONE = {"leq": [[True]]}
     pytest.param(["preadj", "verify", "--instance", "gr-to-dram-op", "--group", "{g}"],
                  {"g": {"order": 2, "table": [0, 1, 1, 0], "element_order": [0, 0]}},
                  id="group-element-order-not-a-permutation"),
+    pytest.param(["preadj", "verify", "--instance", "gr-plain-to-decorated", "--group", "{g}", "--alphabet", "x1"],
+                 {"g": {"order": 2, "table": [0, 1, 1, 0]}}, id="alphabet-reserved-letter"),
+    pytest.param(["preadj", "verify", "--instance", "gr-plain-to-decorated", "--group", "{g}", "--alphabet", "a,a"],
+                 {"g": {"order": 2, "table": [0, 1, 1, 0]}}, id="alphabet-repeated-letter"),
     pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
                  {"p": NON_REFLEXIVE, "q": ONE}, id="non-reflexive-dom"),
     pytest.param(["tukey", "companion", "--preorder", "{p}", "--map", "v", "-n", "2"],

@@ -133,10 +133,21 @@ def test_action_config_round_trip(z3_context):
 
 
 def test_config_rejects_reserved_letter_names():
-    data = action_to_dict(trivial_action(cyclic_group(2), ("x1",)))
+    data = {"order": 2, "table": [0, 1, 1, 0], "alphabet": ["x1"], "action_table": [0, 0]}
     with pytest.raises(ValidationError) as err:
         action_from_dict(data)
     assert err.value.code == "reserved_letter"
+
+
+@pytest.mark.parametrize("letters, code", [(("a", "x12"), "reserved_letter"), (("a", "b", "a"), "repeated_letter")])
+def test_every_action_checks_its_letter_names(letters, code):
+    with pytest.raises(ValidationError) as err:
+        trivial_action(cyclic_group(2), letters)
+    assert err.value.code == code
+    data = {"order": 1, "table": [0], "alphabet": list(letters), "action_table": [[i] for i in range(len(letters))]}
+    with pytest.raises(ValidationError) as err:
+        action_from_dict(data)
+    assert err.value.code == code
 
 
 def test_config_accepts_row_major_flat_tables():

@@ -138,6 +138,29 @@ def test_phi_evaluated_once_per_argument(make_pa, swap_context):
         plain.instances, plain.failures, plain.witnesses)
 
 
+@pytest.mark.parametrize("make_pa", [
+    lambda ctx: pa_gr_plain_to_decorated(ctx, 3),
+    lambda ctx: pa_gr_to_dramop(WordContext(trivial_action(cyclic_group(2))), 3, 6),
+])
+def test_suggested_v_evaluated_once_per_argument(make_pa, swap_context):
+    pa = make_pa(swap_context)
+    plain = verify_pa(pa, [1, 2], [1, 2, 3])
+    calls = Counter()
+    suggested = pa.suggested_v
+
+    def counting_suggested(a, b, f):
+        calls[(a, b, f)] += 1
+        return suggested(a, b, f)
+
+    pa.suggested_v = counting_suggested
+    report = verify_pa(pa, [1, 2], [1, 2, 3])
+    assert calls and max(calls.values()) == 1
+    # tried and hit are still counted per instance
+    assert report.suggested_tried == report.instances > len(calls)
+    assert (report.instances, report.suggested_hits, report.failures, report.witnesses) == (
+        plain.instances, plain.suggested_hits, plain.failures, plain.witnesses)
+
+
 # --- word-category reductions ----------------------------------------------------
 
 def test_plain_to_decorated_phi_strips(swap_context):

@@ -1,3 +1,4 @@
+import inspect
 from itertools import product
 
 import pytest
@@ -6,16 +7,19 @@ from hypothesis import strategies as st
 
 from ramcat import (
     ValidationError,
+    WordContext,
+    cyclic_group,
     enumerate_words,
     format_word,
     identity_word,
     parse_word,
     plain_context,
     substitute,
+    trivial_action,
     validate_word,
 )
 from conftest import stirling
-from ramcat.words import LETTER, PARAM, letter, param
+from ramcat.words import LETTER, PARAM, DecoratedWord, letter, param
 
 GOLDEN_WORD = "c a x1 a x1^g2 x2 d x3 x2^g2 x1^g a x3^g"
 GOLDEN_V = "b x1 x1^g2"
@@ -128,6 +132,51 @@ def test_enumeration_against_brute_force(swap_context, one_letter_context):
                 slow = brute_force_words(m, n, ctx)
                 assert sorted(fast) == sorted(slow), (ctx.alphabet, m, n)
                 assert len(set(fast)) == len(fast)
+
+
+def recursive_words(m, n, context):
+    """The enumeration as a recursive generator over positions, one nested
+    frame per token; the order oracle for ``enumerate_words``."""
+    if m < 0 or n < 1 or m > n:
+        return
+    order = context.group.element_order
+    n_letters = len(context.alphabet)
+    prefix = []
+
+    def candidates(seen):
+        for j in range(1, seen + 1):
+            for g in order:
+                yield (PARAM, j, g)
+        if seen < m:
+            yield (PARAM, seen + 1, 0)
+        for a in range(n_letters):
+            yield (LETTER, a, 0)
+
+    def rec(pos, seen):
+        if pos == n:
+            if seen == m:
+                yield DecoratedWord(context, tuple(prefix), m)
+            return
+        for token in candidates(seen):
+            new_seen = seen + 1 if token[0] == PARAM and token[1] == seen + 1 else seen
+            if m - new_seen > n - pos - 1:
+                continue
+            prefix.append(token)
+            yield from rec(pos + 1, new_seen)
+            prefix.pop()
+
+    yield from rec(0, 0)
+
+
+def test_enumeration_matches_recursive_order(swap_context, plain_z2_context, z3_context):
+    plain_z3 = WordContext(trivial_action(cyclic_group(3)))
+    for ctx in [plain_context(), plain_z2_context, plain_z3, swap_context, z3_context]:
+        for n in range(1, 7):
+            for m in range(0, n + 1):
+                assert list(enumerate_words(m, n, ctx)) == list(recursive_words(m, n, ctx)), (ctx.alphabet, m, n)
+    assert list(enumerate_words(3, 2, swap_context)) == list(enumerate_words(1, 0, swap_context)) == []
+    # a generator, so a caller can step it with next()
+    assert inspect.isgeneratorfunction(enumerate_words)
 
 
 def test_enumeration_is_sorted(swap_context):
