@@ -5,16 +5,20 @@ morphism ``w`` in hom(B, C) whose translated copy ``w . hom(A, B)`` is
 monochromatic.  Two engines are provided:
 
 * an exhaustive engine iterating the colorings directly, and
-* a backtracking engine searching for a counterexample coloring with
-  forward pruning: a partial coloring is abandoned exactly when some copy is
-  already completely colored in one color.  Positions are colored in index
-  order, so each copy is checked once, when its last position is colored,
-  against a bitmask of the positions holding the color just tried.
+* a propagating search for a counterexample coloring: unit propagation
+  over the copies, one bitmask of positions per color, branching on the
+  tightest copy that can still become monochromatic, with chronological
+  backtracking through a trail.  The propagation is GRASP's (Marques-Silva
+  & Sakallah 1999); no clauses are learned.  ``find_bad_coloring`` gives
+  the rules.
 
 Both engines canonicalize colors by first use, which quotients out the k!
-color permutations without affecting the verdict.  Copies are hoisted into
-index sets over hom(A, C) once per instance, so the search never composes
-morphisms in its inner loop.
+color permutations without affecting the verdict: a decision tries the
+colors used so far plus one new color, since unused colors are
+interchangeable.  Copies are hoisted into index sets over hom(A, C) once per
+(fragment, A, B, C) and kept with the fragment, so both engines share them
+and the search never composes morphisms.  ``certify_bad_coloring`` composes
+afresh, as an independent re-check.
 """
 
 from __future__ import annotations
@@ -72,6 +76,15 @@ def _prepare(fragment: CategoryFragment, a, b, c) -> _Copies:
     return _Copies(hom_ac, sets, reps)
 
 
+def _copies(fragment: CategoryFragment, a, b, c) -> _Copies:
+    """The copies of (A, B, C), listed by ``_prepare`` on the first request
+    and kept with the fragment, so both engines share one listing."""
+    copies = fragment.copies.get((a, b, c))
+    if copies is None:
+        copies = fragment.copies[a, b, c] = _prepare(fragment, a, b, c)
+    return copies
+
+
 def _canonical_colorings(h: int, k: int):
     """Colorings of h positions in first-use canonical form (position i may
     only use colors 0..min(max_used+1, k-1))."""
@@ -96,7 +109,7 @@ def check_arrow_exhaustive(fragment: CategoryFragment, a, b, c, k: int,
     holds iff each one admits a monochromatic copy."""
     if k < 1:
         raise ValidationError("bad_colors", f"need at least one color, got {k}")
-    copies = _prepare(fragment, a, b, c)
+    copies = _copies(fragment, a, b, c)
     h = len(copies.hom_ac)
     if k ** h > coloring_budget:
         raise BudgetExceeded("colorings", coloring_budget,
@@ -127,69 +140,127 @@ def check_arrow_exhaustive(fragment: CategoryFragment, a, b, c, k: int,
 def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
                       node_budget: int | None = None,
                       stats_out: dict | None = None) -> Coloring | None:
-    """Depth-first search for a coloring defeating every copy; returns None
-    when the complete search finds none (which certifies the arrow).
-    Positions are colored in index order, so each copy is checked once, when
-    its last position is colored: that color is dead there iff the copy's
-    other positions all hold it already, a test against one bitmask per
-    color.  A budget overrun raises, and is never reported as none-found.
-    Pass a dict as ``stats_out`` to receive the number of nodes expanded; on
-    an overrun it also receives ``prefix``, the number of positions colored
-    when the budget ran out, and the exception carries both as ``stats``."""
+    """Search for a coloring defeating every copy; returns None when the
+    complete search finds none (which certifies the arrow).
+
+    Coloring a position p with color c tests every copy through p against
+    the bitmask of the positions holding c: if none of the copy is left the
+    copy is monochromatic (a conflict); if one uncolored position is left it
+    loses c, and is forced when one color remains for it (a conflict when
+    none does).  The search branches on an uncolored position of the
+    still-one-colored copy with the fewest uncolored positions among those
+    touched since the last decision, or else on the first uncolored
+    position, and tries the colors used so far plus one new color there.
+    Choices and the colorings they force are undone through a trail on an
+    explicit stack.
+
+    A budget overrun raises, and is never reported as none-found.  Pass a
+    dict as ``stats_out`` to receive ``nodes`` (colors tried at branch
+    positions) and ``forced`` (positions colored by propagation); on an
+    overrun it also receives ``prefix``, the number of positions colored
+    when the budget ran out, and the exception carries all three as
+    ``stats``."""
     if k < 1:
         raise ValidationError("bad_colors", f"need at least one color, got {k}")
     budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    copies = _prepare(fragment, a, b, c)
-    if k == 1:
+    copies = _copies(fragment, a, b, c)
+    nodes = forced = 0
+    if k == 1 or min(map(len, copies.sets)) == 1:
+        # one color, or a copy of one position, makes some copy monochromatic
         if stats_out is not None:
-            stats_out["nodes"] = 0
-        return None  # a single color makes every copy monochromatic
+            stats_out.update(nodes=0, forced=0)
+        return None
     h = len(copies.hom_ac)
-    closing: list[list[int]] = [[] for _ in range(h)]  # other positions of each copy ending here
+    through: list[list[int]] = [[] for _ in range(h)]  # the masks of the copies through each position
     for copy in copies.sets:
-        closing[copy[-1]].append(sum(1 << i for i in copy[:-1]))
+        mask = 0
+        for i in copy:
+            mask |= 1 << i
+        for i in copy:
+            through[i].append(mask)
     masks = [0] * k  # the positions holding each color
     colors = [-1] * h
-    limit = [1] * h  # colors open at each position: those used before it and one more
-    nodes = 0
+    allowed = [(1 << k) - 1] * h  # the colors each position may still take
+    trail: list[int] = []  # colored positions p, and ~(q * k + color) for a color q lost
+    touched: list[tuple[int, int]] = []  # (copy mask, color) met since the last decision
+    frames = [[0, [0], 0]]  # decisions: position, colors left to try, trail length
     found = None
-    # depth-first over positions with an explicit stack, so hom(A, C) may
-    # hold more positions than Python's recursion limit
-    pos = color = 0
-    while True:
-        if color < limit[pos]:
-            if nodes >= budget:
-                progress = {"nodes": nodes, "prefix": pos}
-                if stats_out is not None:
-                    stats_out.update(progress)
-                raise BudgetExceeded("nodes", budget, stats=progress)
-            nodes += 1
-            mask = masks[color]
-            for rest in closing[pos]:
-                if rest & mask == rest:
-                    break  # this copy would be monochromatic for good
+    while frames:
+        pos, options, mark = frames[-1]
+        while len(trail) > mark:
+            entry = trail.pop()
+            if entry >= 0:
+                masks[colors[entry]] ^= 1 << entry
+                colors[entry] = -1
             else:
-                colors[pos] = color
-                masks[color] = mask | 1 << pos
-                if pos + 1 == h:
-                    found = tuple(colors)
-                    break
-                lim = limit[pos]
-                pos += 1
-                limit[pos] = lim + 1 if color + 1 == lim < k else lim
-                color = 0
-                continue
-            color += 1
+                entry = ~entry
+                allowed[entry // k] |= 1 << entry % k
+        if not options:
+            frames.pop()
             continue
-        pos -= 1
-        if pos < 0:
-            break
-        # retract the color at pos, then try the next one there
-        color = colors[pos]
-        masks[color] ^= 1 << pos
-        color += 1
+        if nodes >= budget:
+            progress = {"nodes": nodes, "forced": forced, "prefix": h - colors.count(-1)}
+            if stats_out is not None:
+                stats_out.update(progress)
+            raise BudgetExceeded("nodes", budget, stats=progress)
+        nodes += 1
+        touched.clear()
+        p, color = pos, options.pop(0)
+        queue: list[tuple[int, int]] = []  # positions forced, with their one color left
+        conflict = False
+        while True:
+            mask = masks[color] | 1 << p
+            masks[color] = mask
+            colors[p] = color
+            trail.append(p)
+            for copy in through[p]:
+                rest = copy & ~mask
+                if not rest:
+                    conflict = True  # the copy is monochromatic
+                    break
+                touched.append((copy, color))
+                if rest & (rest - 1):
+                    continue
+                q = rest.bit_length() - 1
+                domain = allowed[q]
+                if colors[q] < 0 and domain >> color & 1:
+                    domain ^= 1 << color
+                    if not domain:
+                        conflict = True
+                        break
+                    allowed[q] = domain
+                    trail.append(~(q * k + color))
+                    if not domain & (domain - 1):
+                        queue.append((q, domain.bit_length() - 1))
+            if conflict or not queue:
+                break
+            p, color = queue.pop()
+            forced += 1
+        if conflict:
+            continue
+        colored = 0
+        for mask in masks:
+            colored |= mask
+        best, best_free = 0, h + 1
+        for copy, color in touched:
+            rest = copy & ~masks[color]  # never 0: that is a conflict
+            if not rest & colored:  # the copy is still one-colored
+                free = rest.bit_count()
+                if free < best_free:
+                    best, best_free = rest, free
+                    if free == 1:
+                        break
+        if best:
+            pos = (best & -best).bit_length() - 1
+        else:
+            pos = (~colored & (colored + 1)).bit_length() - 1
+            if pos == h:
+                found = tuple(colors)
+                break
+        opened = min(sum(1 for mask in masks if mask) + 1, k)
+        frames.append([pos, [col for col in range(opened) if allowed[pos] >> col & 1], len(trail)])
     if stats_out is not None:
-        stats_out["nodes"] = nodes
+        stats_out.update(nodes=nodes, forced=forced)
     if found is None:
         return None
     return Coloring(a, c, k, found)

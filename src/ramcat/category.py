@@ -74,6 +74,7 @@ class CategoryFragment:
         self._identity = dict(identity)
         self._compose_fn = compose_fn
         self._hom_sets: dict = {}  # filled per pair by the first membership test
+        self.copies: dict = {}  # the arrow copies of each (A, B, C), filled by ramcat.arrows
 
     def __repr__(self):
         return f"<fragment {self.name}: {len(self.objects)} objects, {self.total_morphisms()} morphisms>"

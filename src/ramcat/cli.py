@@ -438,7 +438,12 @@ def _parse_bounds(spec: str | None) -> dict:
     return bounds
 
 
-def _build_instance(name: str, context: WordContext, bounds: dict):
+def _build_instance(name: str, context: WordContext, bounds: dict, gr=gr_fragment):
+    """The named pre-adjunction with its source and target objects.  Its
+    word fragments come from ``gr(context, n)``: the factors of a composed
+    instance share one memoised builder, so a factor's source is the very
+    fragment its predecessor built as target whenever the two are equal, and
+    ``compose_pa`` need not list them to compare."""
     src = bounds.get("src", bounds.get("objects", 2))
     chains = bounds.get("chains", bounds.get("tgt", 6))
     if name == "identity":
@@ -447,14 +452,14 @@ def _build_instance(name: str, context: WordContext, bounds: dict):
         return pa, list(range(1, n + 1)), list(range(1, n + 1))
     if name == "gr-plain-to-decorated":
         n = bounds.get("objects", bounds.get("src", 3))
-        pa = pa_gr_plain_to_decorated(context, n)
+        pa = pa_gr_plain_to_decorated(context, n, source=gr(plain_context(), n), target=gr(context, n))
         return pa, list(range(1, n + 1)), list(range(1, n + 1))
+    plain_g = context if not context.alphabet else WordContext(trivial_action(context.group))
     if name == "gr-decorated-to-plain":
-        pa = pa_gr_decorated_to_plain(context, chains)
+        pa = pa_gr_decorated_to_plain(context, chains, source=gr(context, chains), target=gr(plain_g, chains))
         return pa, list(range(1, src + 1)), list(range(1, chains + 1))
     if name == "gr-to-dram-op":
-        plain_g = context if not context.alphabet else WordContext(trivial_action(context.group))
-        pa = pa_gr_to_dramop(plain_g, chains, chains)
+        pa = pa_gr_to_dramop(plain_g, chains, chains, source=gr(plain_g, chains))
         return pa, list(range(1, src + 1)), list(range(1, chains + 1))
     if name == "ram-to-dram-op":
         n = bounds.get("src", max(chains - 1, 1))
@@ -514,7 +519,8 @@ def preadj_verify(instance, group_path, context_path, alphabet, bounds, card_che
         # size every factor's fragments alike so adjacent interfaces match
         forced = dict(parsed)
         forced["objects"] = forced.get("chains", forced.get("tgt", 6))
-        parts = [_build_instance(nm.strip(), context, forced) for nm in names]
+        gr = functools.cache(gr_fragment)
+        parts = [_build_instance(nm.strip(), context, forced, gr) for nm in names]
         pa = parts[0][0]
         for nxt, _, _ in parts[1:]:
             pa = compose_pa(pa, nxt)

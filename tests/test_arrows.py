@@ -2,6 +2,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramcat import (
     BudgetExceeded,
@@ -9,6 +11,7 @@ from ramcat import (
     WordContext,
     certify_bad_coloring,
     check_arrow_exhaustive,
+    cycle_action,
     cyclic_group,
     dram_op_fragment,
     find_bad_coloring,
@@ -17,6 +20,45 @@ from ramcat import (
     ram_fragment,
     trivial_action,
 )
+from ramcat.arrows import DEFAULT_NODE_BUDGET, Coloring, _prepare
+
+
+def dfs_find_bad_coloring(fragment, a, b, c, k):
+    """Oracle: the fixed-order depth-first search the propagating engine
+    replaced.  Positions are colored in index order, with colors by first
+    use, and each copy is checked once, when its last position is colored."""
+    copies = _prepare(fragment, a, b, c)
+    if k == 1:
+        return None
+    h = len(copies.hom_ac)
+    closing = [[] for _ in range(h)]  # other positions of each copy ending here
+    for copy in copies.sets:
+        closing[copy[-1]].append(sum(1 << i for i in copy[:-1]))
+    masks = [0] * k
+    colors = [-1] * h
+    limit = [1] * h  # colors open at each position: those used before it and one more
+    pos = color = 0
+    while True:
+        if color < limit[pos]:
+            mask = masks[color]
+            if all(rest & mask != rest for rest in closing[pos]):
+                colors[pos] = color
+                masks[color] = mask | 1 << pos
+                if pos + 1 == h:
+                    return Coloring(a, c, k, tuple(colors))
+                lim = limit[pos]
+                pos += 1
+                limit[pos] = lim + 1 if color + 1 == lim < k else lim
+                color = 0
+                continue
+            color += 1
+            continue
+        pos -= 1
+        if pos < 0:
+            return None
+        color = colors[pos]
+        masks[color] ^= 1 << pos
+        color += 1
 
 
 def brute_force_arrow(fragment, a, b, c, k):
@@ -139,15 +181,15 @@ def test_node_budget_exceeded_distinct_from_none_found():
     with pytest.raises(BudgetExceeded) as err:
         find_bad_coloring(f, 2, 3, 6, 2, node_budget=10, stats_out=stats)
     # an overrun reports how far the search got, in stats_out and on the error
-    assert stats == err.value.stats == {"nodes": 10, "prefix": 7}
+    assert stats == err.value.stats == {"nodes": 10, "forced": 7, "prefix": 4}
 
 
 @pytest.mark.parametrize("family, a, b, c, k, holds, nodes", [
-    ("ram", 2, 3, 6, 2, True, 987),
-    ("ram", 2, 4, 9, 2, False, 12_474),
-    ("ram", 3, 4, 7, 2, False, 22_647),
-    ("ram", 2, 3, 8, 3, False, 87_726),
-    ("gr-plain-z3", 1, 2, 5, 2, True, 10_119),
+    ("ram", 2, 3, 6, 2, True, 19),
+    ("ram", 2, 4, 9, 2, False, 35),
+    ("ram", 3, 4, 7, 2, False, 26),
+    ("ram", 2, 3, 8, 3, False, 28),
+    ("gr-plain-z3", 1, 2, 5, 2, True, 27),
 ])
 def test_search_node_counts_pinned(family, a, b, c, k, holds, nodes):
     # the search order is part of the contract: same colors first, same nodes
@@ -173,8 +215,104 @@ def test_search_deeper_than_recursion_limit():
     # default recursion limit, so the search must not recurse per position
     f = gr_fragment(WordContext(trivial_action(cyclic_group(3))), 6)
     assert len(f.hom(2, 6)) == 2511
-    with pytest.raises(BudgetExceeded):
-        find_bad_coloring(f, 2, 3, 6, 2, node_budget=50_000)
+    bad = find_bad_coloring(f, 2, 3, 6, 2, node_budget=50_000)
+    assert len(bad.colors) == 2511
+    assert certify_bad_coloring(f, 2, 3, 6, bad)
+
+
+def test_copy_of_one_position_holds_at_zero_nodes():
+    # A = B: every copy is the single position w . id, so any coloring
+    # makes it monochromatic
+    f = ram_fragment(5)
+    stats = {}
+    assert find_bad_coloring(f, 2, 2, 5, 2, stats_out=stats) is None
+    assert stats == {"nodes": 0, "forced": 0}
+    assert check_arrow_exhaustive(f, 2, 2, 5, 2).holds
+
+
+def test_engines_prepare_each_instance_once(monkeypatch):
+    import ramcat.arrows
+
+    calls = []
+    monkeypatch.setattr(ramcat.arrows, "_prepare", lambda *args: calls.append(args) or _prepare(*args))
+    f = ram_fragment(5)
+    assert not check_arrow_exhaustive(f, 2, 3, 5, 2).holds
+    bad = find_bad_coloring(f, 2, 3, 5, 2)
+    assert find_bad_coloring(f, 2, 3, 5, 3) is not None  # another k, the same copies
+    assert calls == [(f, 2, 3, 5)]
+    # the re-check composes afresh, so it does not read the kept copies
+    assert certify_bad_coloring(f, 2, 3, 5, bad)
+    assert len(calls) == 1
+
+
+def test_search_agrees_with_dfs_on_the_criterion_4_grid():
+    f = ram_fragment(10)
+    grid = [(a, b, c) for c in range(1, 11) for a in range(1, c + 1) if comb(c, a) <= 16
+            for b in range(a, c + 1)]
+    assert len(grid) == 98
+    for a, b, c in grid:
+        bad = find_bad_coloring(f, a, b, c, 2)
+        assert (bad is None) == (dfs_find_bad_coloring(f, a, b, c, 2) is None), (a, b, c)
+        assert bad is None or certify_bad_coloring(f, a, b, c, bad)
+
+
+def _sweep_families():
+    plain_z2 = WordContext(trivial_action(cyclic_group(2)))
+    swap = WordContext(cycle_action(cyclic_group(2), "ab", [1, 0]))
+    return {
+        "ram": (ram_fragment, 7),
+        "dram-op": (dram_op_fragment, 6),
+        "gr-plain-z2": (lambda n: gr_fragment(plain_z2, n), 4),
+        "gr-swap": (lambda n: gr_fragment(swap, n), 4),
+    }
+
+
+SWEEP_FAMILIES = _sweep_families()
+
+
+def _sweep_instances():
+    """Every (family, A, B, C, k) with A <= B <= C within the family's bound,
+    k = 1..3 and at most 10^5 colorings of hom(A, C)."""
+    out = []
+    for name, (build, c_max) in SWEEP_FAMILIES.items():
+        f = build(c_max)
+        for c in range(1, c_max + 1):
+            for a in range(1, c + 1):
+                for b in range(a, c + 1):
+                    if f.arrow(a, b) and f.arrow(b, c):
+                        out += [(name, a, b, c, k) for k in (1, 2, 3) if k ** f.hom_size(a, c) <= 10 ** 5]
+    return out
+
+
+SWEEP = _sweep_instances()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SWEEP), st.integers(0, 3))
+def test_search_agrees_with_exhaustive_sweep(instance, extra):
+    name, a, b, c, k = instance
+    build, c_max = SWEEP_FAMILIES[name]
+    f = build(min(c + extra, c_max))  # the instance inside a fragment of its own size or larger
+    expected = check_arrow_exhaustive(f, a, b, c, k, coloring_budget=10 ** 5).holds
+    bad = find_bad_coloring(f, a, b, c, k)
+    assert (bad is None) == expected
+    assert bad is None or certify_bad_coloring(f, a, b, c, bad)
+
+
+@pytest.mark.parametrize("family, a, b, c, k, nodes", [
+    ("ram", 2, 4, 13, 2, 67),  # R(4,4) = 18
+    ("ram", 2, 3, 12, 3, 52),  # R(3,3,3) = 17
+    ("ram", 3, 4, 8, 2, 35),  # R^(3)(4,4) = 13
+    ("dram-op", 3, 4, 7, 2, 172),
+    ("ram", 2, 4, 17, 2, 14_417),  # the Paley graph P17 is one answer
+])
+def test_search_decides_former_overruns(family, a, b, c, k, nodes):
+    # the fixed-order search ran out of 3M nodes on the first four
+    f = ram_fragment(c) if family == "ram" else dram_op_fragment(c)
+    stats = {}
+    bad = find_bad_coloring(f, a, b, c, k, stats_out=stats)
+    assert bad is not None and stats["nodes"] == nodes < DEFAULT_NODE_BUDGET
+    assert certify_bad_coloring(f, a, b, c, bad)
 
 
 def test_dram_op_micro_instances():

@@ -1,5 +1,6 @@
 import json
 import traceback
+from math import comb
 
 import click
 import pytest
@@ -140,6 +141,30 @@ def test_ramsey_budget_exit_code(runner):
     assert result.exit_code == 3
     report = json.loads(result.output)
     assert report["stats"]["nodes"] == 5
+    assert set(report["stats"]) == {"nodes", "forced", "prefix"}
+
+
+@pytest.mark.parametrize("c", [6, 5])
+def test_ramsey_check_both_engines_compose_each_pair_once(runner, monkeypatch, c):
+    # both engines read one listing of the copies: |hom(3, C)| * |hom(2, 3)|
+    # composites; a bad coloring at C=5 is re-certified by composing afresh
+    from ramcat.category import CategoryFragment
+
+    calls = [0]
+    compose = CategoryFragment.compose
+
+    def counted(self, g, f):
+        calls[0] += 1
+        return compose(self, g, f)
+
+    monkeypatch.setattr(CategoryFragment, "compose", counted)
+    result = runner.invoke(main, ["ramsey", "check", "--family", "ram",
+                                  "-A", "2", "-B", "3", "-C", str(c), "-k", "2", "--engine", "both"])
+    report = json.loads(result.output)
+    assert report["search"]["holds"] == report["exhaustive"]["holds"] == (c == 6)
+    prepared = comb(c, 3) * comb(3, 2)
+    assert calls[0] == (prepared if c == 6 else 2 * prepared)
+    assert {"nodes", "forced"} <= set(report["search"]["stats"])
 
 
 def test_preadj_list(runner):
@@ -175,6 +200,51 @@ def test_preadj_verify_composed(runner, tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["failure_count"] == 0
+
+
+def test_preadj_verify_composed_shares_middle_fragment(runner, tmp_path, monkeypatch):
+    # adjacent factors share their middle fragment, so no word is listed
+    # just to compare the two before verification starts
+    import ramcat.category
+    import ramcat.cli
+
+    listed = [0]
+    enumerate_words = ramcat.category.enumerate_words
+
+    def counted(*args):
+        for word in enumerate_words(*args):
+            listed[0] += 1
+            yield word
+
+    before = []
+    verify_pa = ramcat.cli.verify_pa
+
+    def verify(*args, **kwargs):
+        before.append(listed[0])
+        return verify_pa(*args, **kwargs)
+
+    monkeypatch.setattr(ramcat.category, "enumerate_words", counted)
+    monkeypatch.setattr(ramcat.cli, "verify_pa", verify)
+    group = write(tmp_path, "z2.json", Z2_GROUP)
+    result = runner.invoke(main, [
+        "preadj", "verify",
+        "--instance", "composed:gr-plain-to-decorated,gr-decorated-to-plain",
+        "--group", group, "--alphabet", "a", "--bounds", "chains<=6", "--no-card-check",
+    ])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert (report["ok"], report["instances_checked"], report["failure_count"]) == (True, 2317, 0)
+    assert before == [0] and listed[0] == 1547
+
+
+def test_preadj_verify_composed_mismatch_still_refused(runner, tmp_path):
+    group = write(tmp_path, "z2.json", Z2_GROUP)
+    result = runner.invoke(main, [
+        "preadj", "verify", "--instance", "composed:gr-decorated-to-plain,gr-plain-to-decorated",
+        "--group", group, "--alphabet", "a", "--bounds", "src<=2,chains<=4",
+    ])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["code"] == "fragment_mismatch"
 
 
 def test_preadj_verify_composed_three_factors(runner, tmp_path):
