@@ -658,21 +658,34 @@ def dramop_word_functor(n: int, plain: WordContext, hom_cap: int = DEFAULT_HOM_C
 def check_fragment_isomorphism(src: CategoryFragment, dst: CategoryFragment,
                                on_morphism) -> dict:
     """Exhaustively check that an object-preserving morphism map is a
-    composition- and identity-preserving bijection on hom-sets."""
+    composition- and identity-preserving bijection on hom-sets.
+
+    ``on_morphism`` must be a function of its argument: each listed
+    morphism is mapped once, and identities, composites and the factors of
+    every pair are read back from those images."""
     failures = []
     bijective = True
+    image = {}
     for a in src.objects:
         for b in src.objects:
-            imgs = [on_morphism(m) for m in src.hom(a, b)]
+            hom = src.hom(a, b)
+            imgs = [on_morphism(m) for m in hom]
+            image.update(zip(hom, imgs))
             if len(set(imgs)) != len(imgs) or set(imgs) != set(dst.hom(a, b)):
                 bijective = False
                 failures.append({"pair": (a, b), "reason": "hom-set image is not a bijection"})
-    identities = all(on_morphism(src.identity(a)) == dst.identity(a) for a in src.objects)
+
+    def mapped(m):
+        if m not in image:  # only a morphism the hom-sets do not list
+            image[m] = on_morphism(m)
+        return image[m]
+
+    identities = all(mapped(src.identity(a)) == dst.identity(a) for a in src.objects)
     comp_ok = True
     for a, b, c in product(src.objects, repeat=3):
         for f in src.hom(a, b):
             for g in src.hom(b, c):
-                if on_morphism(src.compose(g, f)) != dst.compose(on_morphism(g), on_morphism(f)):
+                if mapped(src.compose(g, f)) != dst.compose(image[g], image[f]):
                     comp_ok = False
                     failures.append({"pair": (a, b, c), "f": f, "g": g})
     return {"bijective": bijective, "identities": identities, "composition": comp_ok,

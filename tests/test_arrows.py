@@ -20,7 +20,7 @@ from ramcat import (
     ram_fragment,
     trivial_action,
 )
-from ramcat.arrows import DEFAULT_NODE_BUDGET, Coloring, _prepare
+from ramcat.arrows import BLOCK, DEFAULT_NODE_BUDGET, Coloring, _prepare
 
 
 def dfs_find_bad_coloring(fragment, a, b, c, k):
@@ -59,6 +59,38 @@ def dfs_find_bad_coloring(fragment, a, b, c, k):
         color = colors[pos]
         masks[color] ^= 1 << pos
         color += 1
+
+
+def enumerating_check_arrow(fragment, a, b, c, k):
+    """Oracle: the exhaustive engine the bit-sliced one replaced.  One
+    recursive generator yields the first-use canonical colorings in
+    lexicographic order, and each is scanned copy by copy, the copy found
+    last kept in front.  Returns (holds, counterexample, stats) as
+    ``check_arrow_exhaustive`` reports them."""
+    copies = _prepare(fragment, a, b, c)
+    h = len(copies.hom_ac)
+    colors = [0] * h
+
+    def canonical(pos, used):
+        if pos == h:
+            yield tuple(colors)
+            return
+        for color in range(min(used + 1, k)):
+            colors[pos] = color
+            yield from canonical(pos + 1, max(used, color + 1))
+
+    order = list(copies.sets)
+    examined = 0
+    for coloring in canonical(0, 0):
+        examined += 1
+        for pos, copy in enumerate(order):
+            if all(coloring[i] == coloring[copy[0]] for i in copy):
+                order.insert(0, order.pop(pos))
+                break
+        else:
+            return False, Coloring(a, c, k, coloring), {"colorings": examined, "hom_ac": h,
+                                                        "copies": len(copies.sets)}
+    return True, None, {"colorings": examined, "hom_ac": h, "copies": len(copies.sets)}
 
 
 def brute_force_arrow(fragment, a, b, c, k):
@@ -173,6 +205,12 @@ def test_coloring_budget_exceeded():
     f = ram_fragment(6)
     with pytest.raises(BudgetExceeded):
         check_arrow_exhaustive(f, 2, 3, 6, 2, coloring_budget=100)
+    # k^h colorings fit a budget of k^h; an overrun reports the sizes it saw
+    f = ram_fragment(5)
+    assert not check_arrow_exhaustive(f, 2, 3, 5, 2, coloring_budget=2 ** 10).holds
+    with pytest.raises(BudgetExceeded) as err:
+        check_arrow_exhaustive(f, 2, 3, 5, 2, coloring_budget=2 ** 10 - 1)
+    assert err.value.stats == {"hom_ac": 10, "copies": 10}
 
 
 def test_node_budget_exceeded_distinct_from_none_found():
@@ -245,58 +283,98 @@ def test_engines_prepare_each_instance_once(monkeypatch):
     assert len(calls) == 1
 
 
+CRITERION_4_GRID = [(a, b, c) for c in range(1, 11) for a in range(1, c + 1) if comb(c, a) <= 16
+                    for b in range(a, c + 1)]
+
+
 def test_search_agrees_with_dfs_on_the_criterion_4_grid():
     f = ram_fragment(10)
-    grid = [(a, b, c) for c in range(1, 11) for a in range(1, c + 1) if comb(c, a) <= 16
-            for b in range(a, c + 1)]
-    assert len(grid) == 98
-    for a, b, c in grid:
+    assert len(CRITERION_4_GRID) == 98
+    for a, b, c in CRITERION_4_GRID:
         bad = find_bad_coloring(f, a, b, c, 2)
         assert (bad is None) == (dfs_find_bad_coloring(f, a, b, c, 2) is None), (a, b, c)
         assert bad is None or certify_bad_coloring(f, a, b, c, bad)
 
 
-def _sweep_families():
+def _families():
     plain_z2 = WordContext(trivial_action(cyclic_group(2)))
     swap = WordContext(cycle_action(cyclic_group(2), "ab", [1, 0]))
     return {
-        "ram": (ram_fragment, 7),
-        "dram-op": (dram_op_fragment, 6),
-        "gr-plain-z2": (lambda n: gr_fragment(plain_z2, n), 4),
-        "gr-swap": (lambda n: gr_fragment(swap, n), 4),
+        "ram": ram_fragment,
+        "dram-op": dram_op_fragment,
+        "gr-plain-z2": lambda n: gr_fragment(plain_z2, n),
+        "gr-swap": lambda n: gr_fragment(swap, n),
     }
 
 
-SWEEP_FAMILIES = _sweep_families()
+FAMILIES = _families()
 
 
-def _sweep_instances():
-    """Every (family, A, B, C, k) with A <= B <= C within the family's bound,
-    k = 1..3 and at most 10^5 colorings of hom(A, C)."""
+def _instances(bounds, ks, limit):
+    """Every (family, A, B, C, k) with A <= B <= C <= bounds[family], k in
+    ks and at most ``limit`` colorings of hom(A, C)."""
     out = []
-    for name, (build, c_max) in SWEEP_FAMILIES.items():
-        f = build(c_max)
+    for name, c_max in bounds.items():
+        f = FAMILIES[name](c_max)
         for c in range(1, c_max + 1):
             for a in range(1, c + 1):
                 for b in range(a, c + 1):
                     if f.arrow(a, b) and f.arrow(b, c):
-                        out += [(name, a, b, c, k) for k in (1, 2, 3) if k ** f.hom_size(a, c) <= 10 ** 5]
+                        out += [(name, a, b, c, k) for k in ks if k ** f.hom_size(a, c) <= limit]
     return out
 
 
-SWEEP = _sweep_instances()
+SWEEP_BOUNDS = {"ram": 7, "dram-op": 6, "gr-plain-z2": 4, "gr-swap": 4}
+SWEEP = _instances(SWEEP_BOUNDS, (1, 2, 3), 10 ** 5)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(SWEEP), st.integers(0, 3))
 def test_search_agrees_with_exhaustive_sweep(instance, extra):
     name, a, b, c, k = instance
-    build, c_max = SWEEP_FAMILIES[name]
-    f = build(min(c + extra, c_max))  # the instance inside a fragment of its own size or larger
+    # the instance inside a fragment of its own size or larger
+    f = FAMILIES[name](min(c + extra, SWEEP_BOUNDS[name]))
     expected = check_arrow_exhaustive(f, a, b, c, k, coloring_budget=10 ** 5).holds
     bad = find_bad_coloring(f, a, b, c, k)
     assert (bad is None) == expected
     assert bad is None or certify_bad_coloring(f, a, b, c, bad)
+
+
+def _agrees_with_enumerating_oracle(f, a, b, c, k):
+    verdict = check_arrow_exhaustive(f, a, b, c, k)
+    assert (verdict.holds, verdict.counterexample, verdict.stats) == enumerating_check_arrow(f, a, b, c, k), \
+        (f, a, b, c, k)
+    return verdict
+
+
+def test_exhaustive_agrees_with_enumerating_oracle_on_the_criterion_4_grid():
+    f = ram_fragment(10)
+    for a, b, c in CRITERION_4_GRID:
+        _agrees_with_enumerating_oracle(f, a, b, c, 2)
+    # hom(2, 6) has 15 positions: 2^15 colorings take several blocks
+    assert max(f.hom_size(a, c) for a, _, c in CRITERION_4_GRID) == 15
+
+
+def test_exhaustive_agrees_with_enumerating_oracle_on_small_families():
+    bounds = {"ram": 7, "dram-op": 6, "gr-plain-z2": 4, "gr-swap": 3}
+    grid = _instances(bounds, (1, 2, 3, 4), 2 * 10 ** 5)
+    assert len(grid) == 506
+    fragments = {name: FAMILIES[name](c_max) for name, c_max in bounds.items()}
+    for name, a, b, c, k in grid:
+        _agrees_with_enumerating_oracle(fragments[name], a, b, c, k)
+
+
+@pytest.mark.parametrize("family, a, b, c, k, holds", [
+    ("ram", 1, 4, 10, 3, True),  # 3^10 colorings: five canonical blocks of 3^7 lanes
+    ("dram-op", 2, 3, 5, 2, False),
+])
+def test_exhaustive_spans_several_blocks(family, a, b, c, k, holds):
+    f = FAMILIES[family](c)
+    assert k ** f.hom_size(a, c) > BLOCK
+    verdict = _agrees_with_enumerating_oracle(f, a, b, c, k)
+    assert verdict.holds == holds
+    # one block holds at most BLOCK colorings, so these reach past the first
+    assert verdict.stats["colorings"] > BLOCK
 
 
 @pytest.mark.parametrize("family, a, b, c, k, nodes", [
@@ -366,10 +444,3 @@ def test_gr_family_minimal_witnesses(plain_z2_context):
     pc = plain_context()
     n, _ = min_ramsey_witness(lambda k: gr_fragment(pc, k), 1, 2, 2, 5)
     assert n == 2
-
-
-def test_witness_lists_kept_on_request():
-    f = ram_fragment(3)
-    verdict = check_arrow_exhaustive(f, 1, 2, 3, 2, keep_witnesses=True)
-    assert verdict.holds
-    assert len(verdict.witnesses) == verdict.stats["colorings"]

@@ -545,6 +545,51 @@ def test_words_surjections_fragment_isomorphism():
     assert result["ok"], result["failures"][:3]
 
 
+def triple_loop_isomorphism(src, dst, on_morphism):
+    """Oracle: the isomorphism check that maps g, f and g . f afresh for
+    every composable pair."""
+    failures = []
+    bijective = True
+    for a in src.objects:
+        for b in src.objects:
+            imgs = [on_morphism(m) for m in src.hom(a, b)]
+            if len(set(imgs)) != len(imgs) or set(imgs) != set(dst.hom(a, b)):
+                bijective = False
+                failures.append({"pair": (a, b), "reason": "hom-set image is not a bijection"})
+    identities = all(on_morphism(src.identity(a)) == dst.identity(a) for a in src.objects)
+    comp_ok = True
+    for a, b, c in product(src.objects, repeat=3):
+        for f in src.hom(a, b):
+            for g in src.hom(b, c):
+                if on_morphism(src.compose(g, f)) != dst.compose(on_morphism(g), on_morphism(f)):
+                    comp_ok = False
+                    failures.append({"pair": (a, b, c), "f": f, "g": g})
+    return {"bijective": bijective, "identities": identities, "composition": comp_ok,
+            "ok": bijective and identities and comp_ok, "failures": failures}
+
+
+def test_isomorphism_check_matches_triple_loop():
+    # golden criterion 9's instance, and two broken maps on hom(2, 4): two
+    # images swapped (still a bijection) and two images merged (not one)
+    grf, dop, on_m = dramop_word_functor(5, plain_context())
+    first, second = grf.hom(2, 4)[:2]
+    maps = [on_m,
+            lambda m: on_m(second if m == first else first if m == second else m),
+            lambda m: on_m(first if m == second else m)]
+    for on_morphism in maps:
+        assert check_fragment_isomorphism(grf, dop, on_morphism) == triple_loop_isomorphism(grf, dop, on_morphism)
+    assert check_fragment_isomorphism(grf, dop, maps[0])["ok"]
+    assert not any(check_fragment_isomorphism(grf, dop, broken)["ok"] for broken in maps[1:])
+
+
+def test_isomorphism_check_maps_each_morphism_once():
+    grf, dop, on_m = dramop_word_functor(6, plain_context())
+    calls = []
+    report = check_fragment_isomorphism(grf, dop, lambda m: calls.append(m) or on_m(m))
+    assert report["ok"]
+    assert len(calls) == len(set(calls)) == grf.total_morphisms() == 278
+
+
 def test_hom_cap_resource_bound(plain_z2_context):
     with pytest.raises(ResourceBound):
         gr_fragment(plain_z2_context, 8, hom_cap=100)

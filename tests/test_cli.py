@@ -516,6 +516,9 @@ PREADJ_KEYS = {"cardinality_ok", "cardinality_violations", "config", "failure_co
     pytest.param(["ramsey", "check", "--family", "ram", "-A", "2", "-B", "3", "-C", "6", "-k", "2",
                   "--budget-nodes", "5", "--engine", "search"], {"error", "ok", "stats"}, None,
                  id="ramsey-check-budget-overrun"),
+    pytest.param(["ramsey", "check", "--family", "ram", "-A", "2", "-B", "3", "-C", "6", "-k", "2",
+                  "--budget-colorings", "100", "--engine", "exhaustive"], {"error", "ok", "stats"}, None,
+                 id="ramsey-check-colorings-overrun"),
     pytest.param(["ramsey", "search", "--family", "ram", "-A", "1", "-B", "2", "-k", "2", "--max-n", "4"],
                  {"config", "log", "minimal_n", "ok"}, {"budget_nodes"}, id="ramsey-search"),
     pytest.param(["preadj", "verify", "--instance", "identity", "--bounds", "objects<=2"],
