@@ -2,7 +2,10 @@
 
 A fragment lists its objects, knows the size of every hom-set, lists the
 morphisms of a hom-set the first time it is read, and composes morphisms
-through a rule or a lookup table.  Builders are provided for the
+through a rule on payloads: ``rule(g.payload, f.payload)`` is the payload of
+g after f, and the rule never sees a domain or codomain.
+``CategoryFragment.compose`` is the one place that checks ``f.cod == g.dom``
+and types the composite as ``f.dom -> g.cod``.  Builders are provided for the
 categories this package cares about:
 
 * ``ram_fragment``      -- chains with injective monotone maps,
@@ -59,6 +62,10 @@ class LazyHom:
 class CategoryFragment:
     """Objects, hom-sets and a composition rule.
 
+    ``rule(g, f)`` takes the payloads of g and f and returns the payload of
+    g after f; it never reads a domain or codomain.  ``compose`` checks
+    that the pair is composable and types the composite.
+
     ``hom`` maps each pair (a, b) with morphisms to its morphisms, or to a
     ``LazyHom``.  A lazy hom-set is listed the first time ``hom(a, b)`` reads
     it and kept from then on; its size is known before that, so
@@ -66,13 +73,13 @@ class CategoryFragment:
     nothing."""
 
     def __init__(self, name: str, objects, hom: dict, identity: dict,
-                 compose_fn: Callable[[Morphism, Morphism], Morphism]):
+                 rule: Callable[[object, object], object]):
         self.name = name
         self.objects = tuple(objects)
         self._object_set = set(self.objects)
         self._hom = {pair: ms if isinstance(ms, LazyHom) else tuple(ms) for pair, ms in hom.items()}
         self._identity = dict(identity)
-        self._compose_fn = compose_fn
+        self._rule = rule
         self._hom_sets: dict = {}  # filled per pair by the first membership test
         self.copies: dict = {}  # the arrow copies of each (A, B, C), filled by ramcat.arrows
 
@@ -99,7 +106,7 @@ class CategoryFragment:
         if f.cod != g.dom:
             raise ValidationError("compose_mismatch",
                                   f"cannot compose {g.dom}->{g.cod} after {f.dom}->{f.cod}")
-        return self._compose_fn(g, f)
+        return Morphism(f.dom, g.cod, self._rule(g.payload, f.payload))
 
     def contains_morphism(self, m: Morphism) -> bool:
         pair = (m.dom, m.cod)
@@ -158,10 +165,10 @@ def ram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
     hom = _lazy_homs(sizes, build, hom_cap, "ram")
     identity = {a: Morphism(a, a, tuple(range(1, a + 1))) for a in objects}
 
-    def compose(g: Morphism, f: Morphism) -> Morphism:
-        return Morphism(f.dom, g.cod, tuple(g.payload[i - 1] for i in f.payload))
+    def rule(g: tuple, f: tuple) -> tuple:
+        return tuple(g[i - 1] for i in f)
 
-    return CategoryFragment(f"ram({n})", objects, hom, identity, compose)
+    return CategoryFragment(f"ram({n})", objects, hom, identity, rule)
 
 
 def dram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
@@ -174,11 +181,7 @@ def dram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
     sizes = (((a, b), stirling2(a, b)) for a in objects for b in range(1, a + 1))
     hom = _lazy_homs(sizes, build, hom_cap, "dram")
     identity = {a: Morphism(a, a, identity_rigid(a)) for a in objects}
-
-    def compose(g: Morphism, f: Morphism) -> Morphism:
-        return Morphism(f.dom, g.cod, compose_rigid(g.payload, f.payload))
-
-    return CategoryFragment(f"dram({n})", objects, hom, identity, compose)
+    return CategoryFragment(f"dram({n})", objects, hom, identity, compose_rigid)
 
 
 def dram_op_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
@@ -208,12 +211,8 @@ def gr_fragment(context: WordContext, n: int, hom_cap: int = DEFAULT_HOM_CAP) ->
 
     hom = _lazy_homs(_word_counts(n, context), build, hom_cap, f"gr over {context.alphabet}")
     identity = {k: Morphism(k, k, identity_word(k, context)) for k in objects}
-
-    def compose(g: Morphism, f: Morphism) -> Morphism:
-        return Morphism(f.dom, g.cod, substitute(g.payload, f.payload))
-
     alpha = "".join(context.alphabet) or "0"
-    return CategoryFragment(f"gr({alpha},|G|={context.group.order},{n})", objects, hom, identity, compose)
+    return CategoryFragment(f"gr({alpha},|G|={context.group.order},{n})", objects, hom, identity, substitute)
 
 
 @dataclass(frozen=True)
@@ -307,18 +306,11 @@ def vec_fragment(q: int | OrderedField, n: int, hom_cap: int = DEFAULT_HOM_CAP) 
         for m in objects
     }
 
-    def compose(g: Morphism, f: Morphism) -> Morphism:
-        rows_g, rows_f = g.payload, f.payload
-        rows = tuple(
-            tuple(
-                _dot(field, rows_g[r], tuple(rows_f[k][c] for k in range(len(rows_f))))
-                for c in range(len(rows_f[0]))
-            )
-            for r in range(len(rows_g))
-        )
-        return Morphism(f.dom, g.cod, rows)
+    def rule(rows_g: tuple, rows_f: tuple) -> tuple:
+        cols_f = tuple(zip(*rows_f))
+        return tuple(tuple(_dot(field, row, col) for col in cols_f) for row in rows_g)
 
-    return CategoryFragment(f"vec(F_{field.size},{n})", objects, hom, identity, compose)
+    return CategoryFragment(f"vec(F_{field.size},{n})", objects, hom, identity, rule)
 
 
 def _gaussian_binomial(d: int, m: int, q: int) -> int:
@@ -344,11 +336,7 @@ def thin_from_preorder(p: FinitePreorder, name: str = "thin") -> CategoryFragmen
         for a in objects for b in objects if p.le(a, b)
     }
     identity = {a: Morphism(a, a, None) for a in objects}
-
-    def compose(g: Morphism, f: Morphism) -> Morphism:
-        return Morphism(f.dom, g.cod, None)
-
-    return CategoryFragment(f"{name}({p.size})", objects, hom, identity, compose)
+    return CategoryFragment(f"{name}({p.size})", objects, hom, identity, lambda g, f: None)
 
 
 def omega_truncation(n: int) -> CategoryFragment:
@@ -361,26 +349,19 @@ def omega_truncation(n: int) -> CategoryFragment:
 # --- generic constructions --------------------------------------------------
 
 def opposite(fragment: CategoryFragment) -> CategoryFragment:
-    """Same objects, arrows reversed, composition flipped.  Payloads are
+    """Same objects, arrows reversed, composition flipped: g after f in the
+    opposite has the payload of f after g in the base.  Payloads are
     preserved, so opposite(opposite(F)) is structurally equal to F.  A hom-set
     of the opposite is listed from the base hom-set when first read."""
-    base = fragment
 
     def build(b, a):
-        return (Morphism(b, a, m.payload) for m in base.hom(a, b))
+        return (Morphism(b, a, m.payload) for m in fragment.hom(a, b))
 
     hom = {(b, a): LazyHom(len(ms), partial(build, b, a)) for (a, b), ms in fragment._hom.items()}
     identity = {a: Morphism(a, a, fragment.identity(a).payload) for a in fragment.objects}
-
-    def compose(g: Morphism, f: Morphism) -> Morphism:
-        # f: A->B op and g: B->C op wrap base morphisms B->A and C->B
-        fb = Morphism(f.cod, f.dom, f.payload)
-        gb = Morphism(g.cod, g.dom, g.payload)
-        h = base.compose(fb, gb)
-        return Morphism(f.dom, g.cod, h.payload)
-
-    name = base.name[:-3] if base.name.endswith("^op") else base.name + "^op"
-    return CategoryFragment(name, fragment.objects, hom, identity, compose)
+    rule = fragment._rule
+    name = fragment.name[:-3] if fragment.name.endswith("^op") else fragment.name + "^op"
+    return CategoryFragment(name, fragment.objects, hom, identity, lambda g, f: rule(f, g))
 
 
 def fragment_equal(f: CategoryFragment, g: CategoryFragment) -> bool:
@@ -405,23 +386,30 @@ def fragment_equal(f: CategoryFragment, g: CategoryFragment) -> bool:
 
 def explicit_fragment(objects, morphisms, identities, compose_table, name="explicit") -> CategoryFragment:
     """Fragment from fully explicit tables.  ``morphisms`` maps id -> (dom,
-    cod); ``compose_table`` maps (g_id, f_id) -> h_id for composable pairs."""
+    cod); ``compose_table`` maps (g_id, f_id) -> h_id for composable pairs.
+    A payload is its id.  A composite missing from the table, or recorded
+    outside hom(dom f, cod g), raises ``not_closed`` when it is composed."""
     by_id = {mid: Morphism(dom, cod, mid) for mid, (dom, cod) in morphisms.items()}
     hom: dict = {}
-    for mid, (dom, cod) in morphisms.items():
-        hom.setdefault((dom, cod), []).append(by_id[mid])
+    for m in by_id.values():
+        hom.setdefault((m.dom, m.cod), []).append(m)
     hom = {pair: tuple(sorted(ms, key=lambda m: str(m.payload))) for pair, ms in hom.items()}
     identity = {a: by_id[mid] for a, mid in identities.items()}
-    table = {pair: by_id[h] for pair, h in compose_table.items()}
+    unknown = set(compose_table.values()) - set(morphisms)
+    if unknown:
+        raise KeyError(f"recorded composites {sorted(map(str, unknown))} are not listed morphisms")
 
-    def compose(g: Morphism, f: Morphism) -> Morphism:
-        try:
-            return table[(g.payload, f.payload)]
-        except KeyError:
-            raise ValidationError("not_closed", f"no composite recorded for {g.payload} after {f.payload}",
-                                  g=g.payload, f=f.payload) from None
+    def rule(g, f):
+        h = compose_table.get((g, f))
+        if h is None:
+            raise ValidationError("not_closed", f"no composite recorded for {g} after {f}", g=g, f=f)
+        dom, cod = by_id[f].dom, by_id[g].cod
+        if (by_id[h].dom, by_id[h].cod) != (dom, cod):
+            raise ValidationError("not_closed", f"the composite {h} recorded for {g} after {f} is not in "
+                                  f"hom({dom}, {cod})", g=g, f=f, h=h)
+        return h
 
-    return CategoryFragment(name, objects, hom, identity, compose)
+    return CategoryFragment(name, objects, hom, identity, rule)
 
 
 def tabulate(fragment: CategoryFragment) -> tuple[dict, dict, dict]:
@@ -632,7 +620,7 @@ def skeleton(fragment: CategoryFragment) -> SkeletonResult:
         for a in chosen for b in chosen if fragment.arrow(a, b)
     }
     identity = {a: fragment.identity(a) for a in chosen}
-    sub = CategoryFragment(fragment.name + ".skel", chosen, hom, identity, fragment._compose_fn)
+    sub = CategoryFragment(fragment.name + ".skel", chosen, hom, identity, fragment._rule)
     return SkeletonResult(sub, reps, eta, eta_inv)
 
 

@@ -67,15 +67,16 @@ from .tukey import (
 )
 from .words import WordContext, enumerate_words, format_word, parse_word, plain_context, substitute
 
-PA_INSTANCES = (
-    "identity",
-    "gr-plain-to-decorated",
-    "gr-decorated-to-plain",
-    "gr-to-dram-op",
-    "ram-to-dram-op",
-    "omega-to-fragment",
-    "from-monotone-tukey",
-)
+# each named pre-adjunction with the --bounds keys it reads
+PA_INSTANCES = {
+    "identity": {"objects", "src"},
+    "gr-plain-to-decorated": {"objects", "src"},
+    "gr-decorated-to-plain": {"src", "objects", "chains", "tgt"},
+    "gr-to-dram-op": {"src", "objects", "chains", "tgt"},
+    "ram-to-dram-op": {"src", "chains", "tgt"},
+    "omega-to-fragment": {"omega", "chains"},
+    "from-monotone-tukey": {"src", "tgt"},
+}
 
 
 def _emit(report: dict, output: str | None):
@@ -375,31 +376,30 @@ def ramsey():
 @click.option("-C", "c", type=int, required=True)
 @click.option("-k", "k", type=int, required=True)
 @click.option("--budget-nodes", default=DEFAULT_NODE_BUDGET, show_default=True, type=int)
-@click.option("--budget-colorings", default=DEFAULT_COLORING_BUDGET, show_default=True, type=int)
-@click.option("--engine", default="both", type=click.Choice(["exhaustive", "search", "both"]), show_default=True)
+@click.option("--budget-colorings", default=DEFAULT_COLORING_BUDGET, show_default=True, type=int,
+              help="the exhaustive oracle runs when k^|hom(A,C)| is at most this")
 @reported
-def ramsey_check(family, context_path, a, b, c, k, budget_nodes, budget_colorings, engine):
+def ramsey_check(family, context_path, a, b, c, k, budget_nodes, budget_colorings):
     frag = _family(family, _load_context(context_path))(c)
     report = {"config": {"budget_nodes": budget_nodes, "budget_colorings": budget_colorings},
               "family": family, "A": a, "B": b, "C": c, "k": k}
-    holds = None
-    if engine in ("exhaustive", "both"):
+    search_stats: dict = {}
+    bad = find_bad_coloring(frag, a, b, c, k, node_budget=budget_nodes, stats_out=search_stats)
+    report["search"] = {"holds": bad is None, "stats": search_stats}
+    if bad is not None:
+        report["search"]["counterexample"] = list(bad.colors)
+        report["search"]["certified"] = certify_bad_coloring(frag, a, b, c, bad)
+    try:
         verdict = check_arrow_exhaustive(frag, a, b, c, k, coloring_budget=budget_colorings)
-        holds = verdict.holds
+    except BudgetExceeded as exc:  # too many colorings for the oracle: the search decides alone
+        report["exhaustive"] = {"skipped": str(exc), "stats": exc.stats}
+    else:
         report["exhaustive"] = {"holds": verdict.holds, "stats": verdict.stats}
         if verdict.counterexample:
             report["counterexample"] = list(verdict.counterexample.colors)
-    if engine in ("search", "both"):
-        search_stats: dict = {}
-        bad = find_bad_coloring(frag, a, b, c, k, node_budget=budget_nodes, stats_out=search_stats)
-        report["search"] = {"holds": bad is None, "stats": search_stats}
-        if bad is not None:
-            report["search"]["counterexample"] = list(bad.colors)
-            report["search"]["certified"] = certify_bad_coloring(frag, a, b, c, bad)
-        if holds is not None and holds != (bad is None):
+        if verdict.holds != (bad is None):
             raise ValidationError("engine_disagreement", "the two engines disagree")
-        holds = bad is None
-    report["ok"] = bool(holds)
+    report["ok"] = bad is None
     return report
 
 
@@ -420,7 +420,8 @@ def ramsey_search(family, context_path, a, b, k, max_n, budget_nodes):
 
 # --- pre-adjunctions -------------------------------------------------------------
 
-def _parse_bounds(spec: str | None) -> dict:
+def _parse_bounds(spec: str | None, keys: set) -> dict:
+    """Clauses like src<=2, each naming one of ``keys``, the keys the instance reads."""
     bounds = {}
     if not spec:
         return bounds
@@ -431,8 +432,12 @@ def _parse_bounds(spec: str | None) -> dict:
         key, sep, value = clause.partition("<=")
         if not sep:
             raise click.UsageError(f"bad bounds clause {clause!r}; expected like src<=2")
+        key = key.strip()
+        if key not in keys:
+            raise click.UsageError(f"bounds key {key!r} is not read by this instance; "
+                                   f"it reads {', '.join(sorted(keys))}")
         try:
-            bounds[key.strip()] = int(value)
+            bounds[key] = int(value)
         except ValueError:
             raise click.UsageError(f"bad bound value in {clause!r}")
     return bounds
@@ -480,7 +485,6 @@ def _build_instance(name: str, context: WordContext, bounds: dict, gr=gr_fragmen
         g = [min(y // 2, a_top) for y in range(b_top + 1)]
         pa = pa_from_monotone_tukey(p, q, f, g)
         return pa, list(range(a_top + 1)), list(range(b_top + 1))
-    raise click.UsageError(f"unknown instance {name!r}; see `ramcat preadj list`")
 
 
 @main.group()
@@ -513,14 +517,20 @@ def preadj_verify(instance, group_path, context_path, alphabet, bounds, card_che
         context = _read(group_path, group_context, "group")
     else:
         context = _load_context(context_path)
-    parsed = _parse_bounds(bounds)
-    if instance.startswith("composed:"):
-        names = instance.split(":", 1)[1].split(",")
+    composed = instance.startswith("composed:")
+    names = [nm.strip() for nm in instance.split(":", 1)[1].split(",")] if composed else [instance]
+    for nm in names:
+        if nm not in PA_INSTANCES:
+            raise click.UsageError(f"unknown instance {nm!r}; see `ramcat preadj list`")
+    # a composition reads the keys that size its factors and pick its source objects
+    keys = {"src", "objects", "chains", "tgt"} if composed else set()
+    parsed = _parse_bounds(bounds, keys.union(*(PA_INSTANCES[nm] for nm in names)))
+    if composed:
         # size every factor's fragments alike so adjacent interfaces match
         forced = dict(parsed)
         forced["objects"] = forced.get("chains", forced.get("tgt", 6))
         gr = functools.cache(gr_fragment)
-        parts = [_build_instance(nm.strip(), context, forced, gr) for nm in names]
+        parts = [_build_instance(nm, context, forced, gr) for nm in names]
         pa = parts[0][0]
         for nxt, _, _ in parts[1:]:
             pa = compose_pa(pa, nxt)

@@ -226,6 +226,55 @@ def test_opposite_involution_and_counts():
     assert structural_checks(opposite(thin)).is_thin
 
 
+def flipped(compose):
+    """Oracle: composition in the opposite of a fragment composing by
+    ``compose``, by flipping both morphisms, composing them the other way
+    round and flipping the result back."""
+    def op_compose(g, f):
+        h = compose(Morphism(f.cod, f.dom, f.payload), Morphism(g.cod, g.dom, g.payload))
+        return Morphism(f.dom, g.cod, h.payload)
+
+    return op_compose
+
+
+def test_opposite_composes_like_flipped_morphisms(swap_context):
+    for base in [ram_fragment(5), dram_fragment(5), gr_fragment(swap_context, 3), vec_fragment(2, 3),
+                 thin_from_preorder(chain_preorder(4))]:
+        op = opposite(base)
+        for frag, oracle in [(op, flipped(base.compose)), (opposite(op), flipped(flipped(base.compose)))]:
+            pairs = 0
+            for a, b, c in product(frag.objects, repeat=3):
+                for f in frag.hom(a, b):
+                    for g in frag.hom(b, c):
+                        assert frag.compose(g, f) == oracle(g, f), (frag.name, g, f)
+                        pairs += 1
+            assert pairs, frag.name
+
+
+def test_opposite_composes_without_its_base(monkeypatch):
+    # one fragment-level compose call per composite, at any depth of opposites
+    calls = [0]
+    compose = CategoryFragment.compose
+
+    def counted(self, g, f):
+        calls[0] += 1
+        return compose(self, g, f)
+
+    monkeypatch.setattr(CategoryFragment, "compose", counted)
+    grf, dop, on_m = dramop_word_functor(6, plain_context())
+    runs = [
+        lambda: fragment_equal(opposite(opposite(dram_fragment(6))), dram_fragment(6)),
+        lambda: check_fragment_isomorphism(grf, dop, on_m)["ok"],
+        lambda: validate_fragment(dram_op_fragment(6)).ok,
+    ]
+    counts = []
+    for run in runs:
+        calls[0] = 0
+        assert run()
+        counts.append(calls[0])
+    assert counts == [5810, 5810, 3461]
+
+
 def test_thin_from_preorder():
     two_chain = thin_from_preorder(chain_preorder(2))
     assert two_chain.total_morphisms() == 3
@@ -312,17 +361,27 @@ def outcome(check, fragment, max_violations):
         return (type(exc), exc.code, str(exc))
 
 
+class PerturbedFragment(CategoryFragment):
+    """Composes by ``perturb(g, f)`` where it gives a morphism and by the
+    payload rule elsewhere.  The perturbations read domains and codomains,
+    which a payload rule never sees, so they override ``compose``."""
+
+    def __init__(self, name, base, hom, perturb):
+        super().__init__(name, base.objects, hom, {a: base.identity(a) for a in base.objects}, base._rule)
+        self.perturb = perturb
+
+    def compose(self, g, f):
+        composite = super().compose(g, f)
+        return (self.perturb and self.perturb(g, f)) or composite
+
+
 def perturbed_ram(n, removed=(), rule=None, name="perturbed"):
     """ram(n) without the ``removed`` morphisms, composing by ``rule(g, f)``
     where it gives a morphism and by the ram rule elsewhere."""
     base = ram_fragment(n)
     hom = {(a, b): tuple(m for m in base.hom(a, b) if m not in removed)
            for a in base.objects for b in base.objects if base.hom(a, b)}
-
-    def compose(g, f):
-        return (rule and rule(g, f)) or base.compose(g, f)
-
-    return CategoryFragment(name, base.objects, hom, {a: base.identity(a) for a in base.objects}, compose)
+    return PerturbedFragment(name, base, hom, rule)
 
 
 GONE = Morphism(1, 4, (4,))
@@ -421,6 +480,18 @@ def test_explicit_fragment_missing_composite():
     with pytest.raises(ValidationError) as err:
         frag.compose(f, f)
     assert err.value.code == "not_closed"
+
+
+def test_explicit_fragment_composite_in_another_hom_set():
+    # id_b after f: a -> b is recorded as id_a, a morphism of hom(a, a)
+    morphs = {"id_a": ("a", "a"), "id_b": ("b", "b"), "f": ("a", "b")}
+    compose = {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b", ("f", "id_a"): "f", ("id_b", "f"): "id_a"}
+    frag = explicit_fragment(["a", "b"], morphs, {"a": "id_a", "b": "id_b"}, compose)
+    with pytest.raises(ValidationError) as err:
+        validate_fragment(frag)
+    assert err.value.code == "not_closed"
+    with pytest.raises(KeyError):
+        explicit_fragment(["a", "b"], morphs, {"a": "id_a", "b": "id_b"}, {("f", "id_a"): "h"})
 
 
 def test_skeleton_collapses_isomorphic_objects():

@@ -35,6 +35,11 @@ def runner():
     return GuardedRunner()
 
 
+def read_report(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     if isinstance(payload, bytes):
@@ -107,6 +112,21 @@ def test_category_build_and_check(runner, tmp_path):
     assert structure["all_mono"] and not structure["is_thin"]
 
 
+def test_category_check_refuses_a_composite_in_another_hom_set(runner, tmp_path):
+    # id_b after f: a -> b is recorded as id_a, a morphism of hom(a, a)
+    spec = write(tmp_path, "frag.json", {
+        "objects": ["a", "b"],
+        "morphisms": {"id_a": {"dom": "a", "cod": "a"}, "id_b": {"dom": "b", "cod": "b"},
+                      "f": {"dom": "a", "cod": "b"}},
+        "identities": {"a": "id_a", "b": "id_b"},
+        "compose": [["id_a", "id_a", "id_a"], ["id_b", "id_b", "id_b"], ["f", "id_a", "f"], ["id_b", "f", "id_a"]],
+    })
+    result = runner.invoke(main, ["category", "check", "--spec", spec])
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.output)
+    assert report["code"] == "not_closed" and "is not in hom(a, b)" in report["error"]
+
+
 def test_category_skeleton(runner, tmp_path):
     spec = write(tmp_path, "frag.json", {"builder": "dram", "params": {"n": 3}})
     result = runner.invoke(main, ["category", "skeleton", "--spec", spec])
@@ -127,6 +147,21 @@ def test_ramsey_check_holds_and_fails(runner):
     assert report["search"]["certified"]
 
 
+def test_ramsey_check_skips_the_oracle_beyond_its_colouring_budget(runner):
+    # 2^21 colourings exceed the default budget; the search decides alone
+    result = runner.invoke(main, ["ramsey", "check", "--family", "ram",
+                                  "-A", "2", "-B", "3", "-C", "7", "-k", "2"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["ok"] and report["search"]["holds"]
+    assert report["exhaustive"] == {"skipped": "2^21 colorings exceed the budget of 1000000",
+                                    "stats": {"hom_ac": 21, "copies": 35}}
+    small = runner.invoke(main, ["ramsey", "check", "--family", "ram", "-A", "2", "-B", "3", "-C", "6",
+                                 "-k", "2", "--budget-colorings", "100"])
+    assert small.exit_code == 0, small.output
+    assert json.loads(small.output)["exhaustive"]["stats"] == {"hom_ac": 15, "copies": 20}
+
+
 def test_ramsey_search_finds_six(runner):
     result = runner.invoke(main, ["ramsey", "search", "--family", "ram",
                                   "-A", "2", "-B", "3", "-k", "2", "--max-n", "8"])
@@ -137,7 +172,7 @@ def test_ramsey_search_finds_six(runner):
 def test_ramsey_budget_exit_code(runner):
     result = runner.invoke(main, ["ramsey", "check", "--family", "ram",
                                   "-A", "2", "-B", "3", "-C", "6", "-k", "2",
-                                  "--budget-nodes", "5", "--engine", "search"])
+                                  "--budget-nodes", "5"])
     assert result.exit_code == 3
     report = json.loads(result.output)
     assert report["stats"]["nodes"] == 5
@@ -159,7 +194,7 @@ def test_ramsey_check_both_engines_compose_each_pair_once(runner, monkeypatch, c
 
     monkeypatch.setattr(CategoryFragment, "compose", counted)
     result = runner.invoke(main, ["ramsey", "check", "--family", "ram",
-                                  "-A", "2", "-B", "3", "-C", str(c), "-k", "2", "--engine", "both"])
+                                  "-A", "2", "-B", "3", "-C", str(c), "-k", "2"])
     report = json.loads(result.output)
     assert report["search"]["holds"] == report["exhaustive"]["holds"] == (c == 6)
     prepared = comb(c, 3) * comb(3, 2)
@@ -372,7 +407,7 @@ def test_tukey_monotonize_report(runner, tmp_path):
                                   "--map", "v + 10 if v % 2 == 0 else v // 2",
                                   "--steps", "30", "--prefix", "30", "--output", out])
     assert result.exit_code == 0, result.output
-    report = json.loads(open(out).read())
+    report = read_report(out)
     assert report["ok"]
     assert all(report["invariants"].values())
 
@@ -419,7 +454,7 @@ def test_golden_command(runner, tmp_path):
     lines = [l for l in result.output.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 9
     assert all(l.startswith("PASS") for l in lines)
-    assert set(json.loads(open(out).read())) == {"ok", "criteria"}
+    assert set(read_report(out)) == {"ok", "criteria"}
 
 
 NON_REFLEXIVE = {"leq": [[False, False], [False, True]]}
@@ -455,6 +490,10 @@ ONE = {"leq": [[True]]}
     pytest.param(["category", "build", "--spec", "{s}"], {"s": {"objects": [1]}}, id="spec-without-tables"),
     pytest.param(["category", "check", "--spec", "{s}"], {"s": {"builder": "ram", "params": {"n": "x"}}},
                  id="spec-n-not-an-integer"),
+    pytest.param(["category", "check", "--spec", "{s}"],
+                 {"s": {"objects": ["a"], "morphisms": {"id_a": {"dom": "a", "cod": "a"}},
+                        "identities": {"a": "id_a"}, "compose": [["id_a", "id_a", "h"]]}},
+                 id="spec-composite-not-listed"),
     pytest.param(["rsurj", "compose", "(1,2)", "()"], {}, id="compose-empty-map"),
     pytest.param(["rsurj", "dual", "()"], {}, id="dual-empty-map"),
 ])
@@ -470,6 +509,17 @@ def test_preadj_verify_over_no_objects_is_usage_error(runner, bounds):
     assert result.exit_code == 2, result.output
 
 
+@pytest.mark.parametrize("instance, bounds, key", [
+    ("identity", "sorce<=3", "sorce"),
+    ("from-monotone-tukey", "src<=4,chains<=4", "chains"),
+    ("composed:identity,identity", "chains<=3,omega<=3", "omega"),
+])
+def test_preadj_verify_rejects_bounds_the_instance_does_not_read(runner, instance, bounds, key):
+    result = runner.invoke(main, ["preadj", "verify", "--instance", instance, "--bounds", bounds])
+    assert result.exit_code == 2, result.output
+    assert f"bounds key {key!r} is not read" in result.output
+
+
 def _commands(group=main, path=()):
     for name, cmd in sorted(group.commands.items()):
         if isinstance(cmd, click.Group):
@@ -481,8 +531,8 @@ def _commands(group=main, path=()):
 def test_cli_surface_has_no_dead_options():
     options = {name: [p for p in cmd.params if isinstance(p, click.Option)] for name, cmd in _commands()}
     assert len(options) == 18
-    assert sum(len(opts) for opts in options.values()) == 72
-    dead = {"--seed", "--workers", "--report", "--hom-cap"}
+    assert sum(len(opts) for opts in options.values()) == 71
+    dead = {"--seed", "--workers", "--report", "--hom-cap", "--engine"}
     for name, opts in options.items():
         assert not dead & {flag for opt in opts for flag in opt.opts}, name
         assert any("--output" in opt.opts for opt in opts) == (name != "preadj list"), name
@@ -514,11 +564,11 @@ PREADJ_KEYS = {"cardinality_ok", "cardinality_violations", "config", "failure_co
                  {"A", "B", "C", "config", "exhaustive", "family", "k", "ok", "search"},
                  {"budget_colorings", "budget_nodes"}, id="ramsey-check"),
     pytest.param(["ramsey", "check", "--family", "ram", "-A", "2", "-B", "3", "-C", "6", "-k", "2",
-                  "--budget-nodes", "5", "--engine", "search"], {"error", "ok", "stats"}, None,
+                  "--budget-nodes", "5"], {"error", "ok", "stats"}, None,
                  id="ramsey-check-budget-overrun"),
-    pytest.param(["ramsey", "check", "--family", "ram", "-A", "2", "-B", "3", "-C", "6", "-k", "2",
-                  "--budget-colorings", "100", "--engine", "exhaustive"], {"error", "ok", "stats"}, None,
-                 id="ramsey-check-colorings-overrun"),
+    pytest.param(["ramsey", "check", "--family", "ram", "-A", "2", "-B", "3", "-C", "7", "-k", "2"],
+                 {"A", "B", "C", "config", "exhaustive", "family", "k", "ok", "search"},
+                 {"budget_colorings", "budget_nodes"}, id="ramsey-check-oracle-skipped"),
     pytest.param(["ramsey", "search", "--family", "ram", "-A", "1", "-B", "2", "-k", "2", "--max-n", "4"],
                  {"config", "log", "minimal_n", "ok"}, {"budget_nodes"}, id="ramsey-search"),
     pytest.param(["preadj", "verify", "--instance", "identity", "--bounds", "objects<=2"],
@@ -543,6 +593,6 @@ def test_report_keys(runner, tmp_path, args, keys, config):
     out = str(tmp_path / "report.json")
     result = runner.invoke(main, [arg.format(**paths) for arg in args] + ["--output", out])
     assert result.exit_code in (0, 1, 3), result.output
-    report = json.loads(open(out).read())
+    report = read_report(out)
     assert set(report) == keys
     assert (set(report["config"]) if "config" in report else None) == config
