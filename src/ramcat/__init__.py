@@ -58,7 +58,6 @@ from .category import (
     ram_fragment,
     skeleton,
     structural_checks,
-    tabulate,
     thin_from_preorder,
     validate_fragment,
     vec_fragment,

@@ -5,8 +5,12 @@ morphisms of a hom-set the first time it is read, and composes morphisms
 through a rule on payloads: ``rule(g.payload, f.payload)`` is the payload of
 g after f, and the rule never sees a domain or codomain.
 ``CategoryFragment.compose`` is the one place that checks ``f.cod == g.dom``
-and types the composite as ``f.dom -> g.cod``.  Builders are provided for the
-categories this package cares about:
+and types the composite as ``f.dom -> g.cod``.  Morphisms, like the words
+and surjections they carry, are tuple-backed values: a morphism equals a plain
+tuple, or a value of another class, with the same items, so
+``CategoryFragment.in_hom`` is the type check for hom-set membership.
+
+Builders are provided for the categories this package cares about:
 
 * ``ram_fragment``      -- chains with injective monotone maps,
 * ``dram_fragment``     -- chains with rigid surjections (and its opposite),
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ResourceBound, ValidationError
 from .surjections import compose_rigid, enumerate_rsurj, identity_rigid, stirling2, word_to_rsurj
@@ -37,8 +41,11 @@ from .words import WordContext, enumerate_words, identity_word, substitute
 DEFAULT_HOM_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
+    """A tuple-backed value: built, hashed and compared in C.  It equals any
+    tuple with the same items, so ``CategoryFragment.in_hom`` is the type
+    check that keeps a foreign value out of a hom-set."""
+
     dom: object
     cod: object
     payload: object
@@ -109,16 +116,20 @@ class CategoryFragment:
         return Morphism(f.dom, g.cod, self._rule(g.payload, f.payload))
 
     def contains_morphism(self, m: Morphism) -> bool:
+        """Whether ``m`` is listed in hom(m.dom, m.cod).  Tuple equality
+        ignores classes, so the member equal to ``m`` must also carry a
+        payload of the class of m's payload."""
         pair = (m.dom, m.cod)
         members = self._hom_sets.get(pair)
         if members is None:
             if pair not in self._hom:
                 return False
-            members = self._hom_sets[pair] = frozenset(self.hom(*pair))
-        return m in members
+            members = self._hom_sets[pair] = {f: type(f.payload) for f in self.hom(*pair)}
+        return members.get(m) is type(m.payload)
 
     def in_hom(self, m, a, b) -> bool:
-        """Whether ``m`` is a morphism of hom(a, b) in this fragment."""
+        """Whether ``m`` is a morphism of hom(a, b) in this fragment: a
+        ``Morphism``, not merely a tuple equal to one."""
         return isinstance(m, Morphism) and m.dom == a and m.cod == b and self.contains_morphism(m)
 
     def morphisms(self) -> Iterator[Morphism]:
@@ -410,23 +421,6 @@ def explicit_fragment(objects, morphisms, identities, compose_table, name="expli
         return h
 
     return CategoryFragment(name, objects, hom, identity, rule)
-
-
-def tabulate(fragment: CategoryFragment) -> tuple[dict, dict, dict]:
-    """Snapshot a fragment into explicit tables (for mutation experiments)."""
-    ids = {}
-    morphisms = {}
-    for i, m in enumerate(fragment.morphisms()):
-        mid = f"m{i}"
-        ids[m] = mid
-        morphisms[mid] = (m.dom, m.cod)
-    identities = {a: ids[fragment.identity(a)] for a in fragment.objects}
-    compose_table = {}
-    for a, b, c in product(fragment.objects, repeat=3):
-        for f in fragment.hom(a, b):
-            for g in fragment.hom(b, c):
-                compose_table[(ids[g], ids[f])] = ids[fragment.compose(g, f)]
-    return morphisms, identities, compose_table
 
 
 # --- law checking and structure ---------------------------------------------

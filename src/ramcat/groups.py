@@ -165,6 +165,9 @@ class RightAction:
     table: tuple[tuple[int, ...], ...]  # table[letter][element] -> letter
 
     def act(self, letter: int, g: int) -> int:
+        """The letter ``letter^g``, with both indices checked: the accessor
+        for callers outside the package.  Inner loops that only see validated
+        words read ``table[letter][g]`` directly."""
         if not (0 <= letter < len(self.alphabet)):
             raise ValidationError("unknown_letter", f"letter index {letter} out of range", letter=letter)
         if not (0 <= g < self.group.order):

@@ -338,13 +338,13 @@ def pa_gr_decorated_to_plain(context: WordContext, n: int,
     plain_g = WordContext(trivial_action(context.group))
     source = source or gr_fragment(context, n)
     target = target or gr_fragment(plain_g, n)
-    action = context.action
+    act = context.action.table  # a target word's exponents are elements of the same group
 
     def phi(m_obj, n_obj, u: Morphism) -> Morphism:
         tokens = []
         for kind, idx, exp in u.payload.tokens:
             if idx <= t:
-                tokens.append((LETTER, action.act(idx - 1, exp), 0))
+                tokens.append((LETTER, act[idx - 1][exp], 0))
             else:
                 tokens.append((PARAM, idx - t, exp))
         word = validate_word(tokens, m_obj, context)

@@ -4,20 +4,23 @@ A surjection ``f`` from the chain ``1..n`` onto ``1..m`` is rigid when the
 minima of its preimages are increasing: ``min f^-1(b) < min f^-1(b')``
 whenever ``b < b'``.  Rigid surjections compose, correspond bijectively to
 undecorated parameter words, and dualize to strictly monotone injections by
-taking minima of preimages.
+taking minima of preimages.  A surjection is a tuple-backed value (a
+``NamedTuple`` of dom, cod and image).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ValidationError
 from .words import PARAM, DecoratedWord, WordContext, param, plain_context, validate_word
 
 
-@dataclass(frozen=True)
-class RigidSurjection:
+class RigidSurjection(NamedTuple):
+    """A tuple-backed value: built, hashed and compared in C.  It equals any
+    tuple with the same three items, a ``Morphism`` with the same fields
+    included; ``CategoryFragment.in_hom`` tells the two apart."""
+
     dom: int
     cod: int
     image: tuple[int, ...]

@@ -21,14 +21,16 @@ Tokens are plain tuples ``(kind, index, exponent)`` with ``kind`` 0 for
 variables (1-based index) and 1 for letters (0-based index into the
 alphabet); the neutral exponent is 0.  Tuple order gives the canonical token
 order used by enumeration: variables before letters, then index, then the
-exponent's position in the group's element order.
+exponent's position in the group's element order.  A word is a tuple-backed
+value (a ``NamedTuple`` of context, tokens and ``m``), so it is built,
+hashed and compared in C.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ValidationError
 from .groups import RightAction, trivial_action, trivial_group
@@ -74,8 +76,11 @@ def plain_context() -> WordContext:
     return WordContext(trivial_action(trivial_group()))
 
 
-@dataclass(frozen=True)
-class DecoratedWord:
+class DecoratedWord(NamedTuple):
+    """A word as a tuple-backed value: construction, hashing and equality run
+    in C.  Like any tuple it equals a plain tuple with the same items, so
+    ``n`` is its length in tokens, not ``len(word)``."""
+
     context: WordContext
     tokens: tuple[tuple[int, int, int], ...]
     m: int
@@ -152,39 +157,33 @@ def identity_word(n: int, context: WordContext) -> DecoratedWord:
 def substitute(u: DecoratedWord, v: DecoratedWord) -> DecoratedWord:
     """Compose two words: the result replaces each ``xi`` occurrence of ``u``
     by the i-th token of ``v`` and resolves exponents through the group and
-    the action.  Requires ``v.n == u.m`` and a shared context."""
-    if u.context != v.context:
+    the action.  Requires ``v.n == u.m`` and a shared context.
+
+    The loop reads the group and action tables directly, unchecked: every
+    exponent and letter index of a word is bounded when the word is validated
+    or built, and ``validate_action`` bounded the tables."""
+    context = u.context
+    if context is not v.context and context != v.context:
         raise ValidationError("context_mismatch", "words come from different contexts")
-    if v.n != u.m:
+    vtokens = v.tokens
+    if len(vtokens) != u.m:
         raise ValidationError(
             "arity_mismatch",
             f"cannot substitute a {v.n}-letter word for {u.m} parameters",
             expected=u.m, got=v.n,
         )
-    group = u.context.group
-    action = u.context.action
+    mul = context.action.group.table
+    act = context.action.table
     out = []
-    for kind, idx, occ_exp in u.tokens:
+    for token in u.tokens:
+        kind, idx, occ_exp = token
         if kind == LETTER:
-            out.append((LETTER, idx, 0))
+            out.append(token)
             continue
-        vkind, vidx, vexp = v.tokens[idx - 1]
-        exp = group.multiply(vexp, occ_exp)
-        if vkind == PARAM:
-            out.append((PARAM, vidx, exp))
-        else:
-            out.append((LETTER, action.act(vidx, exp), 0))
-    return DecoratedWord(u.context, tuple(out), v.m)
-
-
-def token_sort_key(context: WordContext):
-    order_pos = context.group.order_pos
-
-    def key(token):
-        kind, idx, exp = token
-        return (kind, idx, order_pos[exp])
-
-    return key
+        vkind, vidx, vexp = vtokens[idx - 1]
+        exp = mul[vexp][occ_exp]
+        out.append((PARAM, vidx, exp) if vkind == PARAM else (LETTER, act[vidx][exp], 0))
+    return DecoratedWord(context, tuple(out), v.m)
 
 
 def enumerate_words(m: int, n: int, context: WordContext) -> Iterator[DecoratedWord]:

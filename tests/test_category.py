@@ -21,12 +21,13 @@ from ramcat import (
     ram_fragment,
     skeleton,
     structural_checks,
-    tabulate,
     thin_from_preorder,
     validate_fragment,
     vec_fragment,
 )
 from ramcat.category import CategoryFragment, FragmentLawReport, Morphism
+from ramcat.surjections import RigidSurjection
+from ramcat.words import identity_word
 from conftest import stirling
 
 
@@ -286,6 +287,47 @@ def test_thin_from_preorder():
     frag = thin_from_preorder(p)
     assert validate_fragment(frag).ok
     assert structural_checks(frag).is_thin
+
+
+@pytest.mark.parametrize("fragment, a, b, impostor", [
+    (ram_fragment(3), 2, 3, tuple),  # a plain tuple
+    (ram_fragment(3), 2, 3, lambda m: RigidSurjection(*m)),  # a value of another class
+    (dram_fragment(3), 3, 2, lambda m: Morphism(m.dom, m.cod, tuple(m.payload))),  # another payload class
+    (gr_fragment(plain_context(), 3), 2, 3, lambda m: Morphism(m.dom, m.cod, tuple(m.payload))),
+])
+def test_in_hom_refuses_a_value_equal_to_a_member(fragment, a, b, impostor):
+    for m in fragment.hom(a, b):
+        value = impostor(m)
+        assert value == m and hash(value) == hash(m)  # tuple equality ignores the class
+        assert fragment.in_hom(m, a, b) and not fragment.in_hom(value, a, b)
+
+
+@pytest.mark.parametrize("value, field", [
+    (Morphism(1, 2, (2,)), "cod"),
+    (RigidSurjection(2, 1, (1, 1)), "image"),
+    (identity_word(2, plain_context()), "m"),
+])
+def test_values_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0)
+
+
+def tabulate(fragment):
+    """Snapshot a fragment into explicit tables: ids of its morphisms, of its
+    identities, and the id of every composite."""
+    ids = {}
+    morphisms = {}
+    for i, m in enumerate(fragment.morphisms()):
+        mid = f"m{i}"
+        ids[m] = mid
+        morphisms[mid] = (m.dom, m.cod)
+    identities = {a: ids[fragment.identity(a)] for a in fragment.objects}
+    compose_table = {}
+    for a, b, c in product(fragment.objects, repeat=3):
+        for f in fragment.hom(a, b):
+            for g in fragment.hom(b, c):
+                compose_table[(ids[g], ids[f])] = ids[fragment.compose(g, f)]
+    return morphisms, identities, compose_table
 
 
 def mutated_ram4():

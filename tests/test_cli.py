@@ -87,6 +87,21 @@ def test_bad_context_file_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("bad", [
+    {"action_table": [[1, 2], [1, 0]]},  # letter 2 of a two-letter alphabet
+    {"action_table": [[0, -1], [1, 0]]},  # a negative letter
+    {"table": [[0, 1], [1, 2]]},  # element 2 of a group of order 2
+])
+def test_words_compose_refuses_out_of_range_tables(runner, tmp_path, bad):
+    # substitute indexes these tables without bounds checks; loading the
+    # context must refuse them first
+    ctx = write(tmp_path, "bad.json", {**SWAP_CONTEXT, **bad})
+    u = write(tmp_path, "u.txt", "x1 a x1^g\n")
+    v = write(tmp_path, "v.txt", "b\n")
+    result = runner.invoke(main, ["words", "compose", "--context", ctx, u, v])
+    assert result.exit_code == 2, result.output
+
+
 def test_rsurj_commands(runner):
     ok = runner.invoke(main, ["rsurj", "validate", "(1,2,1)"])
     assert ok.exit_code == 0

@@ -12,6 +12,7 @@ from ramcat import (
     check_card_inequality,
     compose_pa,
     cyclic_group,
+    dram_fragment,
     dram_op_fragment,
     dual,
     format_word,
@@ -98,6 +99,21 @@ def test_phi_off_its_hom_set_is_a_landing_failure():
     assert len({(e["X"], e["Y"], e["u"]) for e in report.phi_landing_failures}) == 11
     first = report.phi_landing_failures[0]
     assert first["phi"] == Morphism(1, 2, first["u"].payload)
+
+
+@pytest.mark.parametrize("foreign", [
+    tuple,  # a bare (dom, cod, payload) tuple
+    lambda u: Morphism(u.dom, u.cod, tuple(u.payload)),  # a morphism whose payload is a bare tuple
+])
+def test_phi_equal_to_a_member_but_not_a_morphism_is_a_landing_failure(foreign):
+    # phi returns the identity's value under another class; tuple equality
+    # alone would take it for a member of hom(X, H(Y))
+    f3 = dram_fragment(3)
+    pa = PreAdjunction("foreign-identity", f3, f3, lambda x: x, lambda y: y, lambda x, y, u: foreign(u))
+    report = verify_pa(pa, [1, 2, 3], [1, 2, 3])
+    assert not report.ok and not report.failures and report.instances == 0
+    assert len(report.phi_landing_failures) == f3.total_morphisms() == 8
+    assert all(e["phi"] == e["u"] for e in report.phi_landing_failures)
 
 
 @pytest.mark.parametrize("wrong_v", [

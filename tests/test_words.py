@@ -113,6 +113,43 @@ def test_plain_substitution_example():
     assert format_word(substitute(u, v)) == "x1 x1 x1"
 
 
+def method_call_substitute(u, v):
+    """Substitution through ``FiniteGroup.multiply`` and the checked
+    ``RightAction.act``, one call per token: the oracle for ``substitute``,
+    which reads their tables directly."""
+    if u.context != v.context:
+        raise ValidationError("context_mismatch", "words come from different contexts")
+    if v.n != u.m:
+        raise ValidationError("arity_mismatch", f"cannot substitute a {v.n}-letter word for {u.m} parameters")
+    group, action = u.context.group, u.context.action
+    out = []
+    for kind, idx, occ_exp in u.tokens:
+        if kind == LETTER:
+            out.append((LETTER, idx, 0))
+            continue
+        vkind, vidx, vexp = v.tokens[idx - 1]
+        exp = group.multiply(vexp, occ_exp)
+        out.append((PARAM, vidx, exp) if vkind == PARAM else (LETTER, action.act(vidx, exp), 0))
+    return DecoratedWord(u.context, tuple(out), v.m)
+
+
+def test_substitution_matches_the_method_call_oracle(swap_context, z3_context):
+    """Every composable pair of words with at most four letters, over plain
+    Z3, Z2 swapping {a,b} and Z3 acting on {a,b,c,d}."""
+    plain_z3 = WordContext(trivial_action(cyclic_group(3)))
+    for ctx, expected_pairs in ((plain_z3, 802), (swap_context, 2994), (z3_context, 20774)):
+        pairs = 0
+        for n in range(1, 5):
+            for m in range(1, n + 1):
+                vs = [v for k in range(m + 1) for v in enumerate_words(k, m, ctx)]
+                for u in enumerate_words(m, n, ctx):
+                    for v in vs:
+                        w = substitute(u, v)
+                        assert type(w) is DecoratedWord and w == method_call_substitute(u, v), (u, v)
+                        pairs += 1
+        assert pairs == expected_pairs
+
+
 def test_substitution_arity_and_context_mismatch(z3_context, swap_context):
     u = parse_word("x1 x2", z3_context)
     with pytest.raises(ValidationError) as err:
@@ -180,9 +217,12 @@ def test_enumeration_matches_recursive_order(swap_context, plain_z2_context, z3_
 
 
 def test_enumeration_is_sorted(swap_context):
-    from ramcat.words import token_sort_key
+    order_pos = swap_context.group.order_pos
 
-    key = token_sort_key(swap_context)
+    def key(token):
+        kind, idx, exp = token
+        return (kind, idx, order_pos[exp])
+
     for m, n in [(1, 3), (2, 3), (2, 4)]:
         words = [w.tokens for w in enumerate_words(m, n, swap_context)]
         assert words == sorted(words, key=lambda toks: tuple(key(t) for t in toks))
