@@ -11,12 +11,9 @@ from .groups import (
     FiniteGroup,
     RightAction,
     action_from_dict,
-    action_to_dict,
     cyclic_group,
     cycle_action,
-    klein_group,
     make_action,
-    symmetric_group,
     trivial_action,
     trivial_group,
     validate_action,

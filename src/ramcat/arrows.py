@@ -18,10 +18,13 @@ monochromatic.  Two engines are provided:
 Both engines canonicalize colors by first use, which quotients out the k!
 color permutations without affecting the verdict: a position takes only
 the colors used before it plus one new color, since unused colors are
-interchangeable.  Copies are hoisted into index sets over hom(A, C) once per
-(fragment, A, B, C) and kept with the fragment, so both engines share them
-and the search never composes morphisms.  ``certify_bad_coloring`` composes
-afresh, as an independent re-check.
+interchangeable.  Copies are listed as index sets over hom(A, C) once per
+(fragment, A, B, C), from the fragment's payload rule: within one hom-set
+the payload names the morphism, so no morphism is built per pair.  They are
+kept with the fragment, so both engines share them and the search never
+composes morphisms.  ``certify_bad_coloring`` is the independent re-check:
+it composes afresh through ``CategoryFragment.compose`` and stops each copy
+at its second color.
 """
 
 from __future__ import annotations
@@ -67,12 +70,15 @@ def _prepare(fragment: CategoryFragment, a, b, c) -> _Copies:
         raise ValidationError("precondition_arrow_missing",
                               f"need nonempty hom({a},{b}) and hom({b},{c})", A=a, B=b, C=c)
     hom_ac = fragment.hom(a, c)
-    index = {m: i for i, m in enumerate(hom_ac)}
+    index = {m.payload: i for i, m in enumerate(hom_ac)}  # one hom-set: the payload names the morphism
+    rule = fragment.rule
+    payloads = [w.payload for w in hom_bc]
+    columns = [[index[rule(g, f.payload)] for g in payloads] for f in hom_ab]
     sets: list[tuple[int, ...]] = []
     reps: list[Morphism] = []
     seen: set[tuple[int, ...]] = set()
-    for w in hom_bc:
-        copy = tuple(sorted({index[fragment.compose(w, f)] for f in hom_ab}))
+    for w, row in zip(hom_bc, zip(*columns)):
+        copy = tuple(sorted(set(row)))
         if copy not in seen:
             seen.add(copy)
             sets.append(copy)
@@ -313,12 +319,14 @@ def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
 
 def certify_bad_coloring(fragment: CategoryFragment, a, b, c, coloring: Coloring) -> bool:
     """Re-check a counterexample by direct enumeration: every w gets a copy
-    showing at least two colors."""
-    hom_ac = fragment.hom(a, c)
-    index = {m: i for i, m in enumerate(hom_ac)}
+    showing at least two colors.  Each copy is composed through
+    ``fragment.compose`` until it shows its second color."""
+    index = {m: i for i, m in enumerate(fragment.hom(a, c))}
+    hom_ab = fragment.hom(a, b)
     for w in fragment.hom(b, c):
-        seen = {coloring.colors[index[fragment.compose(w, f)]] for f in fragment.hom(a, b)}
-        if len(seen) <= 1:
+        colors = (coloring.colors[index[fragment.compose(w, f)]] for f in hom_ab)
+        first = next(colors, None)
+        if all(color == first for color in colors):
             return False
     return True
 

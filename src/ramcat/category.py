@@ -69,9 +69,11 @@ class LazyHom:
 class CategoryFragment:
     """Objects, hom-sets and a composition rule.
 
-    ``rule(g, f)`` takes the payloads of g and f and returns the payload of
-    g after f; it never reads a domain or codomain.  ``compose`` checks
-    that the pair is composable and types the composite.
+    The public attribute ``rule(g, f)`` takes the payloads of g and f and
+    returns the payload of g after f; it never reads a domain or codomain.
+    ``compose`` checks that the pair is composable and types the composite;
+    code that knows the pair is composable, such as the arrow copy listing,
+    may call ``rule`` on payloads directly.
 
     ``hom`` maps each pair (a, b) with morphisms to its morphisms, or to a
     ``LazyHom``.  A lazy hom-set is listed the first time ``hom(a, b)`` reads
@@ -86,7 +88,7 @@ class CategoryFragment:
         self._object_set = set(self.objects)
         self._hom = {pair: ms if isinstance(ms, LazyHom) else tuple(ms) for pair, ms in hom.items()}
         self._identity = dict(identity)
-        self._rule = rule
+        self.rule = rule
         self._hom_sets: dict = {}  # filled per pair by the first membership test
         self.copies: dict = {}  # the arrow copies of each (A, B, C), filled by ramcat.arrows
 
@@ -113,7 +115,7 @@ class CategoryFragment:
         if f.cod != g.dom:
             raise ValidationError("compose_mismatch",
                                   f"cannot compose {g.dom}->{g.cod} after {f.dom}->{f.cod}")
-        return Morphism(f.dom, g.cod, self._rule(g.payload, f.payload))
+        return Morphism(f.dom, g.cod, self.rule(g.payload, f.payload))
 
     def contains_morphism(self, m: Morphism) -> bool:
         """Whether ``m`` is listed in hom(m.dom, m.cod).  Tuple equality
@@ -370,7 +372,7 @@ def opposite(fragment: CategoryFragment) -> CategoryFragment:
 
     hom = {(b, a): LazyHom(len(ms), partial(build, b, a)) for (a, b), ms in fragment._hom.items()}
     identity = {a: Morphism(a, a, fragment.identity(a).payload) for a in fragment.objects}
-    rule = fragment._rule
+    rule = fragment.rule
     name = fragment.name[:-3] if fragment.name.endswith("^op") else fragment.name + "^op"
     return CategoryFragment(name, fragment.objects, hom, identity, lambda g, f: rule(f, g))
 
@@ -614,7 +616,7 @@ def skeleton(fragment: CategoryFragment) -> SkeletonResult:
         for a in chosen for b in chosen if fragment.arrow(a, b)
     }
     identity = {a: fragment.identity(a) for a in chosen}
-    sub = CategoryFragment(fragment.name + ".skel", chosen, hom, identity, fragment._rule)
+    sub = CategoryFragment(fragment.name + ".skel", chosen, hom, identity, fragment.rule)
     return SkeletonResult(sub, reps, eta, eta_inv)
 
 
@@ -644,18 +646,24 @@ def check_fragment_isomorphism(src: CategoryFragment, dst: CategoryFragment,
 
     ``on_morphism`` must be a function of its argument: each listed
     morphism is mapped once, and identities, composites and the factors of
-    every pair are read back from those images."""
+    every pair are read back from those images.  An image that is not a
+    morphism of the target hom-set (``dst.in_hom``), such as a tuple that
+    only equals one, is read back as None: the check fails, and a pair with
+    such a factor is reported without being composed."""
     failures = []
     bijective = True
     image = {}
     for a in src.objects:
         for b in src.objects:
             hom = src.hom(a, b)
-            imgs = [on_morphism(m) for m in hom]
-            image.update(zip(hom, imgs))
-            if len(set(imgs)) != len(imgs) or set(imgs) != set(dst.hom(a, b)):
+            imgs = [img if dst.in_hom(img, a, b) else None for img in map(on_morphism, hom)]
+            if None in imgs:
+                bijective = False
+                failures.append({"pair": (a, b), "reason": "an image is not a morphism of the target hom-set"})
+            elif len(set(imgs)) != len(imgs) or len(imgs) != dst.hom_size(a, b):
                 bijective = False
                 failures.append({"pair": (a, b), "reason": "hom-set image is not a bijection"})
+            image.update(zip(hom, imgs))
 
     def mapped(m):
         if m not in image:  # only a morphism the hom-sets do not list
@@ -666,8 +674,11 @@ def check_fragment_isomorphism(src: CategoryFragment, dst: CategoryFragment,
     comp_ok = True
     for a, b, c in product(src.objects, repeat=3):
         for f in src.hom(a, b):
+            f_image = image[f]
             for g in src.hom(b, c):
-                if mapped(src.compose(g, f)) != dst.compose(image[g], image[f]):
+                g_image = image[g]
+                if (f_image is None or g_image is None
+                        or mapped(src.compose(g, f)) != dst.compose(g_image, f_image)):
                     comp_ok = False
                     failures.append({"pair": (a, b, c), "f": f, "g": g})
     return {"bijective": bijective, "identities": identities, "composition": comp_ok,

@@ -14,7 +14,6 @@ A right action of a group on a finite alphabet is a table
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .errors import ValidationError
 
@@ -137,27 +136,6 @@ def cyclic_group(n: int) -> FiniteGroup:
     return validate_group(table)
 
 
-def klein_group() -> FiniteGroup:
-    table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
-    return validate_group(table, names=("e", "a", "b", "c"))
-
-
-def symmetric_group(n: int) -> FiniteGroup:
-    """S_n with elements ordered so the identity permutation is index 0.
-
-    The product ``g*h`` applies ``g`` first, then ``h``; this matches the
-    right-action convention used throughout the package.
-    """
-    perms = sorted(permutations(range(n)), key=lambda p: (p != tuple(range(n)), p))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(h[g[i]] for i in range(n))] for h in perms]
-        for g in perms
-    ]
-    names = tuple("e" if p == tuple(range(n)) else "s" + "".join(str(x) for x in p) for p in perms)
-    return validate_group(table, names=names)
-
-
 @dataclass(frozen=True)
 class RightAction:
     group: FiniteGroup
@@ -277,14 +255,3 @@ def action_from_dict(data: dict) -> RightAction:
     else:
         action_table = []
     return make_action(group, alphabet, action_table)
-
-
-def action_to_dict(action: RightAction) -> dict:
-    return {
-        "order": action.group.order,
-        "table": [list(row) for row in action.group.table],
-        "element_names": list(action.group.names),
-        "element_order": list(action.group.element_order),
-        "alphabet": list(action.alphabet),
-        "action_table": [list(row) for row in action.table],
-    }

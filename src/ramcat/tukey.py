@@ -401,11 +401,3 @@ def verify_trace(trace: MonotonizationTrace, a: GeneratedPreorder, b: GeneratedP
         if leq_a(x, y)
     )
     return TraceCheck(s_incr, covers, respects, b_nondec, monotone)
-
-
-def locate_block(x, trace: MonotonizationTrace, a: GeneratedPreorder) -> int | None:
-    """Membership procedure: the least round index ``i`` with ``x <= s_i``."""
-    for i, si in enumerate(trace.s):
-        if a.leq(x, si):
-            return i
-    return None

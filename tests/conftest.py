@@ -1,6 +1,36 @@
+from itertools import permutations, product
+
 import pytest
 
-from ramcat import WordContext, cycle_action, cyclic_group, make_action, symmetric_group, trivial_action
+from ramcat import WordContext, cycle_action, cyclic_group, make_action, trivial_action, validate_group
+
+
+def symmetric_group(n: int):
+    """S_n with elements ordered so the identity permutation is index 0.
+
+    The product ``g*h`` applies ``g`` first, then ``h``; this matches the
+    right-action convention used throughout the package.
+    """
+    perms = sorted(permutations(range(n)), key=lambda p: (p != tuple(range(n)), p))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [
+        [index[tuple(h[g[i]] for i in range(n))] for h in perms]
+        for g in perms
+    ]
+    names = tuple("e" if p == tuple(range(n)) else "s" + "".join(str(x) for x in p) for p in perms)
+    return validate_group(table, names=names)
+
+
+def action_to_dict(action) -> dict:
+    """The JSON form of a group/action context file, as ``--context`` reads it."""
+    return {
+        "order": action.group.order,
+        "table": [list(row) for row in action.group.table],
+        "element_names": list(action.group.names),
+        "element_order": list(action.group.element_order),
+        "alphabet": list(action.alphabet),
+        "action_table": [list(row) for row in action.table],
+    }
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +63,7 @@ def one_letter_context():
 def s3_context():
     """S3 acting naturally on three letters; non-abelian, so exponent
     bookkeeping order matters."""
-    from itertools import permutations
+    from itertools import permutations, product
 
     s3 = symmetric_group(3)
     perms = sorted(permutations(range(3)), key=lambda p: (p != (0, 1, 2), p))
@@ -48,3 +78,21 @@ def stirling(n: int, m: int) -> int:
     if m < 1 or m > n:
         return 0
     return m * stirling(n - 1, m) + stirling(n - 1, m - 1)
+
+
+def tabulate(fragment):
+    """Snapshot a fragment into explicit tables: ids of its morphisms, of its
+    identities, and the id of every composite."""
+    ids = {}
+    morphisms = {}
+    for i, m in enumerate(fragment.morphisms()):
+        mid = f"m{i}"
+        ids[m] = mid
+        morphisms[mid] = (m.dom, m.cod)
+    identities = {a: ids[fragment.identity(a)] for a in fragment.objects}
+    compose_table = {}
+    for a, b, c in product(fragment.objects, repeat=3):
+        for f in fragment.hom(a, b):
+            for g in fragment.hom(b, c):
+                compose_table[(ids[g], ids[f])] = ids[fragment.compose(g, f)]
+    return morphisms, identities, compose_table

@@ -7,20 +7,28 @@ from hypothesis import strategies as st
 
 from ramcat import (
     BudgetExceeded,
+    CategoryFragment,
     ValidationError,
     WordContext,
     certify_bad_coloring,
     check_arrow_exhaustive,
     cycle_action,
     cyclic_group,
+    dram_fragment,
     dram_op_fragment,
+    explicit_fragment,
     find_bad_coloring,
     gr_fragment,
     min_ramsey_witness,
+    opposite,
     ram_fragment,
+    skeleton,
     trivial_action,
+    vec_fragment,
 )
 from ramcat.arrows import BLOCK, DEFAULT_NODE_BUDGET, Coloring, _prepare
+
+from conftest import tabulate
 
 
 def dfs_find_bad_coloring(fragment, a, b, c, k):
@@ -103,6 +111,31 @@ def brute_force_arrow(fragment, a, b, c, k):
     ]
     for colors in product(range(k), repeat=len(hom_ac)):
         if not any(len({colors[i] for i in copy}) == 1 for copy in copies):
+            return False
+    return True
+
+
+def composing_prepare(fragment, a, b, c):
+    """Oracle: the copy listing that composed every pair through
+    ``fragment.compose`` and looked the typed composite up in hom(A, C).
+    Returns (sets, representatives) as ``_prepare`` lists them."""
+    index = {m: i for i, m in enumerate(fragment.hom(a, c))}
+    sets, reps, seen = [], [], set()
+    for w in fragment.hom(b, c):
+        copy = tuple(sorted({index[fragment.compose(w, f)] for f in fragment.hom(a, b)}))
+        if copy not in seen:
+            seen.add(copy)
+            sets.append(copy)
+            reps.append(w)
+    return sets, reps
+
+
+def all_pairs_certify(fragment, a, b, c, coloring):
+    """Oracle: the re-check that composed every member of every copy."""
+    index = {m: i for i, m in enumerate(fragment.hom(a, c))}
+    for w in fragment.hom(b, c):
+        seen = {coloring.colors[index[fragment.compose(w, f)]] for f in fragment.hom(a, b)}
+        if len(seen) <= 1:
             return False
     return True
 
@@ -444,3 +477,109 @@ def test_gr_family_minimal_witnesses(plain_z2_context):
     pc = plain_context()
     n, _ = min_ramsey_witness(lambda k: gr_fragment(pc, k), 1, 2, 2, 5)
     assert n == 2
+
+
+def _payload_fragments():
+    z3 = WordContext(trivial_action(cyclic_group(3)))
+    swap = WordContext(cycle_action(cyclic_group(2), "ab", [1, 0]))
+    plain_z2 = WordContext(trivial_action(cyclic_group(2)))
+    return [
+        ram_fragment(7),
+        dram_op_fragment(6),
+        gr_fragment(z3, 5),
+        gr_fragment(swap, 4),
+        vec_fragment(2, 3),
+        opposite(opposite(dram_fragment(5))),
+        skeleton(gr_fragment(plain_z2, 4)).fragment,
+        explicit_fragment(range(1, 5), *tabulate(dram_fragment(4))),
+    ]
+
+
+def test_payload_copies_match_the_composing_oracle():
+    instances = 0
+    for f in _payload_fragments():
+        for a, b, c in product(f.objects, repeat=3):
+            if f.arrow(a, b) and f.arrow(b, c):
+                copies = _prepare(f, a, b, c)
+                assert (copies.sets, copies.representatives) == composing_prepare(f, a, b, c), (f, a, b, c)
+                instances += 1
+    assert instances == 240 + 20 + 20  # the six builders, then the skeleton and dram(4), four objects each
+
+
+def test_payload_copies_build_no_morphism(monkeypatch):
+    # the listing reads the rule on payloads; compose would type a morphism
+    f = ram_fragment(6)
+    expected = composing_prepare(f, 2, 3, 6)
+    monkeypatch.setattr(CategoryFragment, "compose", None)
+    copies = _prepare(f, 2, 3, 6)
+    assert (copies.sets, copies.representatives) == expected
+
+
+def test_certify_agrees_with_all_pairs_oracle_on_every_coloring():
+    # ram(5) at (2, 3, 5): every one of the 2^10 colorings of hom(2, 5)
+    f = ram_fragment(5)
+    verdicts = set()
+    for colors in product(range(2), repeat=f.hom_size(2, 5)):
+        coloring = Coloring(2, 5, 2, colors)
+        verdict = certify_bad_coloring(f, 2, 3, 5, coloring)
+        assert verdict == all_pairs_certify(f, 2, 3, 5, coloring), colors
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    # gr(swap) at (1, 2, 2): one copy of all six positions; at (1, 2, 3) the
+    # 2^28 colorings are left to the drawn test below
+    swap = WordContext(cycle_action(cyclic_group(2), "ab", [1, 0]))
+    g = gr_fragment(swap, 3)
+    verdicts = set()
+    for colors in product(range(2), repeat=g.hom_size(1, 2)):
+        coloring = Coloring(1, 2, 2, colors)
+        verdict = certify_bad_coloring(g, 1, 2, 2, coloring)
+        assert verdict == all_pairs_certify(g, 1, 2, 2, coloring), colors
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _certify_instances():
+    """(fragment, A, B, C, k, a bad coloring of it)."""
+    swap = WordContext(cycle_action(cyclic_group(2), "ab", [1, 0]))
+    z3 = WordContext(trivial_action(cyclic_group(3)))
+    out = []
+    for f, a, b, c, k in [
+        (ram_fragment(7), 2, 3, 7, 3),
+        (dram_op_fragment(6), 3, 4, 6, 2),
+        (gr_fragment(z3, 5), 2, 3, 5, 2),
+        (gr_fragment(swap, 3), 1, 2, 3, 2),
+        (gr_fragment(swap, 4), 2, 3, 4, 2),
+        (vec_fragment(2, 3), 1, 2, 3, 3),
+        (opposite(opposite(dram_fragment(5))), 5, 4, 3, 2),
+    ]:
+        bad = find_bad_coloring(f, a, b, c, k)
+        assert bad is not None, (f, a, b, c, k)
+        out.append((f, a, b, c, k, bad))
+    return out
+
+
+CERTIFY_INSTANCES = _certify_instances()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_certify_agrees_with_all_pairs_oracle_on_drawn_colorings(data):
+    f, a, b, c, k, bad = data.draw(st.sampled_from(CERTIFY_INSTANCES))
+    h = f.hom_size(a, c)
+    start = data.draw(st.sampled_from(["bad", "random"]))
+    if start == "bad":  # a bad coloring with a few positions recolored
+        colors = list(bad.colors)
+        for i in data.draw(st.lists(st.integers(0, h - 1), max_size=3)):
+            colors[i] = data.draw(st.integers(0, k - 1))
+    else:
+        colors = data.draw(st.lists(st.integers(0, k - 1), min_size=h, max_size=h))
+    good = data.draw(st.booleans())
+    if good:  # one copy made monochromatic
+        copy = data.draw(st.sampled_from(_prepare(f, a, b, c).sets))
+        color = data.draw(st.integers(0, k - 1))
+        for i in copy:
+            colors[i] = color
+    coloring = Coloring(a, c, k, tuple(colors))
+    verdict = certify_bad_coloring(f, a, b, c, coloring)
+    assert verdict == all_pairs_certify(f, a, b, c, coloring)
+    assert not (good and verdict)

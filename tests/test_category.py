@@ -26,9 +26,9 @@ from ramcat import (
     vec_fragment,
 )
 from ramcat.category import CategoryFragment, FragmentLawReport, Morphism
-from ramcat.surjections import RigidSurjection
+from ramcat.surjections import RigidSurjection, word_to_rsurj
 from ramcat.words import identity_word
-from conftest import stirling
+from conftest import stirling, tabulate
 
 
 def twin_fragment():
@@ -312,24 +312,6 @@ def test_values_are_immutable(value, field):
         setattr(value, field, 0)
 
 
-def tabulate(fragment):
-    """Snapshot a fragment into explicit tables: ids of its morphisms, of its
-    identities, and the id of every composite."""
-    ids = {}
-    morphisms = {}
-    for i, m in enumerate(fragment.morphisms()):
-        mid = f"m{i}"
-        ids[m] = mid
-        morphisms[mid] = (m.dom, m.cod)
-    identities = {a: ids[fragment.identity(a)] for a in fragment.objects}
-    compose_table = {}
-    for a, b, c in product(fragment.objects, repeat=3):
-        for f in fragment.hom(a, b):
-            for g in fragment.hom(b, c):
-                compose_table[(ids[g], ids[f])] = ids[fragment.compose(g, f)]
-    return morphisms, identities, compose_table
-
-
 def mutated_ram4():
     """ram(4) as explicit tables with two differing 1->3 composites swapped:
     later composition with any 3->4 morphism (mono) then separates the two
@@ -409,7 +391,7 @@ class PerturbedFragment(CategoryFragment):
     which a payload rule never sees, so they override ``compose``."""
 
     def __init__(self, name, base, hom, perturb):
-        super().__init__(name, base.objects, hom, {a: base.identity(a) for a in base.objects}, base._rule)
+        super().__init__(name, base.objects, hom, {a: base.identity(a) for a in base.objects}, base.rule)
         self.perturb = perturb
 
     def compose(self, g, f):
@@ -693,6 +675,27 @@ def test_isomorphism_check_matches_triple_loop():
         assert check_fragment_isomorphism(grf, dop, on_morphism) == triple_loop_isomorphism(grf, dop, on_morphism)
     assert check_fragment_isomorphism(grf, dop, maps[0])["ok"]
     assert not any(check_fragment_isomorphism(grf, dop, broken)["ok"] for broken in maps[1:])
+
+
+def test_isomorphism_check_refuses_look_alike_images():
+    # an image with a plain tuple payload equals a target morphism as a
+    # tuple but is not one: a failed check, and no pair with it is composed
+    grf, dop, on_m = dramop_word_functor(3, plain_context())
+
+    def look_alike(m):
+        return Morphism(m.dom, m.cod, tuple(word_to_rsurj(m.payload)))
+
+    report = check_fragment_isomorphism(grf, dop, look_alike)
+    assert not (report["ok"] or report["bijective"] or report["identities"] or report["composition"])
+    stray = {"pair": (2, 3), "reason": "an image is not a morphism of the target hom-set"}
+    assert stray in report["failures"]
+    # one look-alike image: the pairs with it as a factor or as the composite fail
+    impostor = grf.hom(2, 3)[1]
+    report = check_fragment_isomorphism(grf, dop, lambda m: look_alike(m) if m == impostor else on_m(m))
+    assert report["identities"] and not (report["ok"] or report["bijective"] or report["composition"])
+    pairs = [{"pair": (a, b, c), "f": f, "g": g} for a, b, c in product(grf.objects, repeat=3)
+             for f in grf.hom(a, b) for g in grf.hom(b, c) if impostor in (f, g, grf.compose(g, f))]
+    assert report["failures"] == [stray] + pairs and len(pairs) == 3
 
 
 def test_isomorphism_check_maps_each_morphism_once():

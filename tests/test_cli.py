@@ -7,7 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 from ramcat.cli import main
-from ramcat.groups import action_to_dict, cycle_action, cyclic_group
+from ramcat.groups import cycle_action, cyclic_group
+
+from conftest import action_to_dict
 
 Z3_CONTEXT = action_to_dict(cycle_action(cyclic_group(3), "abcd", [1, 2, 0, 3]))
 Z2_GROUP = {"order": 2, "table": [0, 1, 1, 0], "element_names": ["e", "g"]}
@@ -196,24 +198,35 @@ def test_ramsey_budget_exit_code(runner):
 
 @pytest.mark.parametrize("c", [6, 5])
 def test_ramsey_check_both_engines_compose_each_pair_once(runner, monkeypatch, c):
-    # both engines read one listing of the copies: |hom(3, C)| * |hom(2, 3)|
-    # composites; a bad coloring at C=5 is re-certified by composing afresh
+    # both engines read one listing of the copies, made with the rule on
+    # payloads: |hom(3, C)| * |hom(2, 3)| rule calls and no compose; a bad
+    # coloring at C=5 is re-certified through compose, each copy up to its
+    # second color (23 of the 30 pairs), and each compose calls the rule once
     from ramcat.category import CategoryFragment
 
-    calls = [0]
-    compose = CategoryFragment.compose
+    calls = {"compose": 0, "rule": 0}
+    compose, init = CategoryFragment.compose, CategoryFragment.__init__
 
     def counted(self, g, f):
-        calls[0] += 1
+        calls["compose"] += 1
         return compose(self, g, f)
 
+    def counting_rule(self, name, objects, hom, identity, rule):
+        def counted_rule(g, f):
+            calls["rule"] += 1
+            return rule(g, f)
+
+        init(self, name, objects, hom, identity, counted_rule)
+
     monkeypatch.setattr(CategoryFragment, "compose", counted)
+    monkeypatch.setattr(CategoryFragment, "__init__", counting_rule)
     result = runner.invoke(main, ["ramsey", "check", "--family", "ram",
                                   "-A", "2", "-B", "3", "-C", str(c), "-k", "2"])
     report = json.loads(result.output)
     assert report["search"]["holds"] == report["exhaustive"]["holds"] == (c == 6)
-    prepared = comb(c, 3) * comb(3, 2)
-    assert calls[0] == (prepared if c == 6 else 2 * prepared)
+    composed, ruled = {6: (0, 60), 5: (23, 53)}[c]
+    assert ruled == comb(c, 3) * comb(3, 2) + composed
+    assert calls == {"compose": composed, "rule": ruled}
     assert {"nodes", "forced"} <= set(report["search"]["stats"])
 
 

@@ -3,15 +3,20 @@ import pytest
 from ramcat import (
     ValidationError,
     cyclic_group,
-    klein_group,
     make_action,
-    symmetric_group,
     trivial_action,
     trivial_group,
     validate_action,
     validate_group,
 )
-from ramcat.groups import action_from_dict, action_to_dict
+from ramcat.groups import action_from_dict
+
+from conftest import action_to_dict, symmetric_group
+
+
+def klein_group():
+    table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    return validate_group(table, names=("e", "a", "b", "c"))
 
 
 def brute_force_group_axioms(table):

@@ -20,7 +20,15 @@ from ramcat import (
     validate_preorder,
     verify_trace,
 )
-from ramcat.tukey import MapVerdict, locate_block
+from ramcat.tukey import MapVerdict
+
+
+def locate_block(x, trace, a):
+    """Membership procedure: the least round index ``i`` with ``x <= s_i``."""
+    for i, si in enumerate(trace.s):
+        if a.leq(x, si):
+            return i
+    return None
 
 
 def brute_bounded(p, subset):

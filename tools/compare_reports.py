@@ -1,0 +1,97 @@
+"""Byte-for-byte comparison of the reports two checkouts write.
+
+    python3 tools/compare_reports.py PARENT_DIR CHANGE_DIR
+
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  In each one
+the script runs the ``ramcat`` CLI from that checkout's ``src`` and writes
+these reports with ``--output``:
+
+* ``ramcat golden``;
+* ``ramcat ramsey check --family ram -A a -B b -C c -k 2`` for each of the 98
+  instances (A, B, C) that golden criterion 4 runs on ram(10): every
+  1 <= A <= B <= C <= 10 with C(C, A) <= 16;
+* ``ramcat preadj verify --group z2.json --alphabet a`` for every named
+  pre-adjunction, and README's composed example.
+
+It then compares each report and its exit code between the two sides, prints
+one line per report that differs and a summary line, and exits 1 when any
+differs.  The golden command's text output carries timings and is not
+compared; its report does not.  Runs are sequential and single-process; the
+script needs only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from math import comb
+from pathlib import Path
+
+Z2_GROUP = {"order": 2, "table": [0, 1, 1, 0], "element_names": ["e", "g"]}
+PREADJ = [[name] for name in ("identity", "gr-plain-to-decorated", "gr-decorated-to-plain", "gr-to-dram-op",
+                               "ram-to-dram-op", "omega-to-fragment", "from-monotone-tukey")]
+PREADJ.append(["composed:gr-plain-to-decorated,gr-decorated-to-plain", "--bounds", "src<=2,chains<=5"])
+
+
+def criterion_4_grid() -> list[tuple[int, int, int]]:
+    return [(a, b, c) for c in range(1, 11) for a in range(1, c + 1) if comb(c, a) <= 16
+            for b in range(a, c + 1)]
+
+
+def commands() -> dict[str, list[str]]:
+    """Report file name -> CLI arguments, ``--output`` left to the caller."""
+    out = {"golden.json": ["golden"]}
+    for a, b, c in criterion_4_grid():
+        out[f"ramsey-{a}-{b}-{c}.json"] = ["ramsey", "check", "--family", "ram", "-A", str(a), "-B", str(b),
+                                           "-C", str(c), "-k", "2"]
+    for i, args in enumerate(PREADJ):
+        out[f"preadj-{i}.json"] = ["preadj", "verify", "--group", "z2.json", "--alphabet", "a", "--instance", *args]
+    return out
+
+
+def run_side(checkout: Path, workdir: Path, runs: dict[str, list[str]]) -> dict[str, tuple[int, bytes]]:
+    """(exit code, report bytes) of each run, with ``checkout/src`` first on
+    the module path and ``workdir`` as the working directory."""
+    (workdir / "z2.json").write_text(json.dumps(Z2_GROUP), encoding="utf-8")
+    path = [str(checkout.resolve() / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    results = {}
+    for name, args in runs.items():
+        done = subprocess.run([sys.executable, "-m", "ramcat.cli", *args, "--output", name],
+                              cwd=workdir, env=env, capture_output=True)
+        report = workdir / name
+        results[name] = (done.returncode, report.read_bytes() if report.exists() else b"")
+    return results
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args()
+    runs = commands()
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = []
+        for side in ("parent", "change"):
+            workdir = Path(tmp) / side
+            workdir.mkdir()
+            sides.append(run_side(getattr(args, side), workdir, runs))
+    parent, change = sides
+    differ = [name for name in runs if parent[name] != change[name]]
+    for name in differ:
+        print(f"differs: {name} (exit {parent[name][0]} -> {change[name][0]}, "
+              f"{len(parent[name][1])} -> {len(change[name][1])} bytes)")
+    missing = [name for name in runs if not parent[name][1]]
+    for name in missing:
+        print(f"no report: {name} (exit {parent[name][0]} on the parent side)")
+    print(f"{len(runs) - len(differ)} of {len(runs)} reports byte-identical "
+          f"(golden, {len(criterion_4_grid())} ramsey check, {len(PREADJ)} preadj verify)")
+    return 1 if differ or missing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
