@@ -571,12 +571,24 @@ def preadj_verify(instance, group_path, context_path, alphabet, bounds, card_che
 
 # --- tukey ------------------------------------------------------------------------
 
+PREORDER_FILE_CAP = 256  # elements of a preorder file, checked before any table is built
+
+
 def _preorder_from_dict(data: dict):
     if "leq" in data:
+        size = len(data["leq"])
+    elif "pairs" in data:
+        size = int(data["size"])
+    else:
+        raise ValidationError("not_preorder", "a preorder file must give 'leq' or 'pairs'")
+    if size < 0:
+        raise ValidationError("not_preorder", f"a preorder cannot have {size} elements", size=size)
+    if size > PREORDER_FILE_CAP:
+        raise ValidationError("size_cap_exceeded", f"a preorder file is capped at {PREORDER_FILE_CAP} elements",
+                              cap=PREORDER_FILE_CAP, size=size)
+    if "leq" in data:
         return validate_preorder(data["leq"])
-    if "pairs" in data:
-        return preorder_from_pairs(int(data["size"]), data["pairs"])
-    raise ValidationError("not_preorder", "a preorder file must give 'leq' or 'pairs'")
+    return preorder_from_pairs(size, data["pairs"])
 
 
 def _load_preorder(path: str):

@@ -1,8 +1,11 @@
 """Preorders, Tukey and cofinal maps, and the monotonization construction.
 
 Finite preorders are boolean ``leq`` tables checked for reflexivity and
-transitivity; boundedness, cofinality and the Tukey/cofinal map checks are
-exhaustive over subsets and therefore capped at 15 elements.
+transitivity.  ``preorder_predicates`` lists every bounded and cofinal
+subset, so it enumerates subsets.  The Tukey and cofinal map checks decide
+from one region of the domain per codomain element instead, and return the
+same first witness a scan of the subsets in ascending mask order would.
+Both are capped at 15 domain elements.
 
 Countable preorders are *generated*: an enumeration, a decidable ``leq`` and
 an upper-bound oracle.  Whether such a preorder is bounded is a declared
@@ -91,13 +94,6 @@ def _above_masks(p: FinitePreorder) -> list[int]:
     return [sum(1 << x for x in range(p.size) if p.le(a, x)) for a in range(p.size)]
 
 
-def _table(width: int, first: int):
-    """A table of ``width``-bit masks that starts with ``first``, in the
-    smallest array type that holds them; past 64 bits, a list."""
-    code = next((c for c in "BHIQ" if array(c).itemsize * 8 >= width), None)
-    return [first] if code is None else array(code, [first])
-
-
 def _elements(mask: int) -> tuple[int, ...]:
     return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
@@ -109,13 +105,13 @@ def _check_map(f: Sequence[int], dom: FinitePreorder, cod: FinitePreorder):
                               size=dom.size, cod_size=cod.size)
 
 
-# The subset scans below visit the masks in ascending order, appending each
-# mask's data to tables indexed by mask, and derive it from ``mask ^ low``,
-# the same subset without its lowest element x: its upper bounds are those of
-# ``mask ^ low`` that lie above x, and its down-closure is that of
-# ``mask ^ low`` joined with the elements below x.  A subset is bounded iff
-# it has an upper bound and cofinal iff its down-closure is everything, so
-# each test is one operation per mask.
+# The subset scan of ``preorder_predicates`` visits the masks in ascending
+# order, appending each mask's data to tables indexed by mask, and derives it
+# from ``mask ^ low``, the same subset without its lowest element x: its
+# upper bounds are those of ``mask ^ low`` that lie above x, and its
+# down-closure is that of ``mask ^ low`` joined with the elements below x.
+# A subset is bounded iff it has an upper bound and cofinal iff its
+# down-closure is everything, so each test is one operation per mask.
 
 @dataclass
 class PreorderReport:
@@ -134,7 +130,7 @@ def preorder_predicates(p: FinitePreorder) -> PreorderReport:
     n = p.size
     full = (1 << n) - 1
     above, below = _above_masks(p), _below_masks(p)
-    ub, dn = _table(n, full), _table(n, 0)
+    ub, dn = array("H", [full]), array("H", [0])  # masks of at most SUBSET_CAP bits
     bounded, cofinal = [], []
     for mask in range(1, 1 << n):
         low = mask & -mask
@@ -167,42 +163,65 @@ class MapVerdict:
     witness: tuple[int, ...] | None = None
 
 
+def _least_offending(regions, holds) -> MapVerdict:
+    """The verdict of a map check whose offending subsets are those, among
+    the subsets of some region, on which the upward-closed predicate
+    ``holds`` is true.  The least such mask, which a scan of the subsets in
+    ascending order would meet first, is the least over the regions of each
+    region shrunk from its highest element down while ``holds`` stays true.
+    The empty subset never offends, not even in an empty domain."""
+    least = None
+    for region in regions:
+        if not (region and holds(region)):
+            continue
+        for x in reversed(_elements(region)):
+            if holds(region ^ (1 << x)):
+                region ^= 1 << x
+        least = region if least is None else min(least, region)
+    return MapVerdict(True) if least is None else MapVerdict(False, _elements(least))
+
+
 def is_tukey_map(f: Sequence[int], a: FinitePreorder, b: FinitePreorder) -> MapVerdict:
     """True iff every subset unbounded in the domain has an unbounded image;
-    otherwise the first offending subset is the witness."""
+    otherwise the first offending subset in ascending mask order is the
+    witness.  An image f(S) is bounded by y iff S lies in the region
+    D_y = {x : f(x) <= y}, and a superset of an unbounded set is unbounded,
+    so f fails iff some D_y is unbounded."""
     if a.size > SUBSET_CAP:
         raise ValidationError("size_cap_exceeded", f"Tukey check capped at {SUBSET_CAP} elements",
                               cap=SUBSET_CAP, size=a.size)
     _check_map(f, a, b)
-    above_a, above_b = _above_masks(a), _above_masks(b)
-    ub, image_ub = _table(a.size, (1 << a.size) - 1), _table(b.size, (1 << b.size) - 1)
-    for mask in range(1, 1 << a.size):
-        low = mask & -mask
-        x = low.bit_length() - 1
-        ub.append(ub[mask ^ low] & above_a[x])
-        image_ub.append(image_ub[mask ^ low] & above_b[f[x]])
-        if not ub[mask] and image_ub[mask]:
-            return MapVerdict(False, _elements(mask))
-    return MapVerdict(True)
+    above, full = _above_masks(a), (1 << a.size) - 1
+
+    def unbounded(mask: int) -> bool:
+        ub = full
+        for x in _elements(mask):
+            ub &= above[x]
+        return not ub
+
+    regions = {sum(1 << x for x in range(a.size) if b.le(f[x], y)) for y in range(b.size)}
+    return _least_offending(regions, unbounded)
 
 
 def is_cofinal_map(g: Sequence[int], dom: FinitePreorder, cod: FinitePreorder) -> MapVerdict:
-    """True iff every cofinal subset of the domain has a cofinal image."""
+    """True iff every cofinal subset of the domain has a cofinal image.  The
+    dual argument: g(S) misses y iff S lies in E_y = {x : not y <= g(x)},
+    and a superset of a cofinal set is cofinal, so g fails iff some E_y is
+    cofinal."""
     if dom.size > SUBSET_CAP:
         raise ValidationError("size_cap_exceeded", f"cofinal check capped at {SUBSET_CAP} elements",
                               cap=SUBSET_CAP, size=dom.size)
     _check_map(g, dom, cod)
-    below_dom, below_cod = _below_masks(dom), _below_masks(cod)
-    full_dom, full_cod = (1 << dom.size) - 1, (1 << cod.size) - 1
-    dn, image_dn = _table(dom.size, 0), _table(cod.size, 0)
-    for mask in range(1, 1 << dom.size):
-        low = mask & -mask
-        x = low.bit_length() - 1
-        dn.append(dn[mask ^ low] | below_dom[x])
-        image_dn.append(image_dn[mask ^ low] | below_cod[g[x]])
-        if dn[mask] == full_dom and image_dn[mask] != full_cod:
-            return MapVerdict(False, _elements(mask))
-    return MapVerdict(True)
+    below, full = _below_masks(dom), (1 << dom.size) - 1
+
+    def cofinal(mask: int) -> bool:
+        dn = 0
+        for x in _elements(mask):
+            dn |= below[x]
+        return dn == full
+
+    regions = {sum(1 << x for x in range(dom.size) if not cod.le(y, g[x])) for y in range(cod.size)}
+    return _least_offending(regions, cofinal)
 
 
 # --- generated (countable) preorders ---------------------------------------

@@ -515,6 +515,14 @@ ONE = {"leq": [[True]]}
                  {"p": {"size": 2, "pairs": [[0, 5]]}, "q": ONE}, id="pair-out-of-range"),
     pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
                  {"p": {"size": 2, "pairs": [[0, -1]]}, "q": ONE}, id="pair-negative"),
+    pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[]"],
+                 {"p": {"size": -3, "pairs": []}, "q": ONE}, id="preorder-size-negative"),
+    pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0]"],
+                 {"p": ONE, "q": {"size": 257, "pairs": []}}, id="preorder-pairs-over-cap"),
+    pytest.param(["tukey", "check", "--kind", "cofinal", "--dom", "{p}", "--cod", "{q}", "--map", "[0]"],
+                 {"p": ONE, "q": {"leq": [[True] * 257] * 257}}, id="preorder-leq-over-cap"),
+    pytest.param(["tukey", "companion", "--preorder", "{p}", "--map", "v", "-n", "2"],
+                 {"p": {"size": 257, "pairs": [[x, x + 1] for x in range(256)]}}, id="companion-preorder-over-cap"),
     pytest.param(["category", "build", "--spec", "{s}"], {"s": {"objects": [1]}}, id="spec-without-tables"),
     pytest.param(["category", "check", "--spec", "{s}"], {"s": {"builder": "ram", "params": {"n": "x"}}},
                  id="spec-n-not-an-integer"),
@@ -529,6 +537,16 @@ def test_malformed_input_is_usage_error(runner, tmp_path, args, files):
     paths = {name: write(tmp_path, name + ".json", payload) for name, payload in files.items()}
     result = runner.invoke(main, [arg.format(**paths) for arg in args])
     assert result.exit_code == 2, result.output
+
+
+def test_preorder_files_up_to_the_cap_load(runner, tmp_path):
+    one = write(tmp_path, "one.json", ONE)
+    for name, payload in [("pairs", {"size": 256, "pairs": [[0, 255]]}),
+                          ("leq", {"leq": [[a == b for b in range(256)] for a in range(256)]})]:
+        cod = write(tmp_path, name + ".json", payload)
+        result = runner.invoke(main, ["tukey", "check", "--kind", "tukey", "--dom", one, "--cod", cod,
+                                      "--map", "[255]"])
+        assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize("bounds", ["objects<=0", "src<=-1"])

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -39,16 +40,26 @@ def brute_cofinal(p, subset):
     return all(any(p.le(a, x) for x in subset) for a in range(p.size))
 
 
+@cache
+def down_sets(p):
+    """The mask of the elements below b, for each b."""
+    return tuple(sum(1 << x for x in range(p.size) if p.le(x, b)) for b in range(p.size))
+
+
+@cache
+def up_sets(p):
+    """The mask of the elements above a, for each a."""
+    return tuple(sum(1 << x for x in range(p.size) if p.le(a, x)) for a in range(p.size))
+
+
 def subset_bounded(p, mask):
     """Some element lies above every element of ``mask``."""
-    below = [sum(1 << x for x in range(p.size) if p.le(x, b)) for b in range(p.size)]
-    return any(mask & below[b] == mask for b in range(p.size))
+    return any(mask & below == mask for below in down_sets(p))
 
 
 def subset_cofinal(p, mask):
     """Every element lies below some element of ``mask``."""
-    above = [sum(1 << x for x in range(p.size) if p.le(a, x)) for a in range(p.size)]
-    return all(above[a] & mask for a in range(p.size))
+    return all(above & mask for above in up_sets(p))
 
 
 def elements(mask, n):
@@ -332,6 +343,42 @@ def test_map_checks_into_20_elements():
     wide = chain_preorder(70)  # past 64 bits the image masks are Python ints
     assert is_cofinal_map([3, 69], chain_preorder(2), wide).ok
     assert is_tukey_map([68, 69], anti, wide) == MapVerdict(False, (0, 1))
+
+
+def test_map_checks_from_the_empty_domain_hold():
+    # the empty region is unbounded and cofinal in the empty order, but the
+    # empty subset is never an offending subset
+    empty = preorder_from_pairs(0, [])
+    for cod in (empty, chain_preorder(1), antichain_preorder(2), preorder_from_pairs(3, [(0, 1), (1, 0)])):
+        assert is_tukey_map([], empty, cod) == MapVerdict(True)
+        assert is_cofinal_map([], empty, cod) == MapVerdict(True)
+
+
+def workload_shaped_preorder(rng, n):
+    """The shape of the benchmark's drawn order: a random partial order in
+    which n-2 and n-1 are maximal and incomparable, so there is no top."""
+    pairs = [(a, b) for a in range(n - 2) for b in range(a + 1, n) if rng.random() < 0.2]
+    return preorder_from_pairs(n, pairs)
+
+
+def test_map_checks_match_per_subset_definitions_on_workload_shaped_orders():
+    rng = random.Random(13)
+    deep = 0
+    for n in (12, 13):
+        p = workload_shaped_preorder(rng, n)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        q = preorder_from_pairs(n, [(sigma[a], sigma[b]) for a in range(n) for b in range(n) if p.le(a, b)])
+        maps = [(sigma, p, q), ([rng.randrange(n)] * n, p, q)]
+        maps += [([rng.randrange(n) for _ in range(n)], p, p) for _ in range(3)]
+        for f, a, b in maps:
+            for check, oracle in ((is_tukey_map, per_subset_tukey), (is_cofinal_map, per_subset_cofinal)):
+                verdict = check(f, a, b)
+                assert verdict == oracle(f, a, b), (check.__name__, f)
+                deep += not verdict.ok and sum(1 << x for x in verdict.witness) >= 1 << (n - 2)
+    # a cofinal subset holds both maximal elements, so a cofinal witness lies
+    # past every subset of the other elements in mask order
+    assert deep >= 2
 
 
 def test_map_checks_reject_maps_that_do_not_fit():

@@ -11,7 +11,12 @@ these reports with ``--output``:
   instances (A, B, C) that golden criterion 4 runs on ram(10): every
   1 <= A <= B <= C <= 10 with C(C, A) <= 16;
 * ``ramcat preadj verify --group z2.json --alphabet a`` for every named
-  pre-adjunction, and README's composed example.
+  pre-adjunction, and README's composed example;
+* ``ramcat tukey check`` of both kinds on fixed preorder files: README's
+  ``anti``/``one`` example; a 15-element order of the benchmark's drawn
+  shape (two incomparable maximal elements, no top) under a permutation onto
+  a relabelled copy, a constant map, and a map whose first Tukey witness has
+  three elements; and the 0-element domain.
 
 It then compares each report and its exit code between the two sides, prints
 one line per report that differs and a summary line, and exits 1 when any
@@ -36,6 +41,26 @@ PREADJ = [[name] for name in ("identity", "gr-plain-to-decorated", "gr-decorated
                                "ram-to-dram-op", "omega-to-fragment", "from-monotone-tukey")]
 PREADJ.append(["composed:gr-plain-to-decorated,gr-decorated-to-plain", "--bounds", "src<=2,chains<=5"])
 
+# a partial order on 0..14 drawn like the benchmark's: a < b with chance 0.2
+# for a < 13 and a < b, so 13 and 14 are maximal and incomparable
+DRAWN_15 = [[0, 9], [0, 10], [0, 12], [0, 13], [1, 8], [1, 13], [1, 14], [2, 14], [3, 12], [4, 7], [4, 10],
+            [4, 11], [5, 10], [5, 11], [5, 13], [5, 14], [6, 8], [8, 11], [8, 14], [10, 13], [12, 14]]
+SIGMA = [3, 10, 8, 7, 0, 6, 2, 13, 12, 1, 4, 14, 5, 9, 11]
+PREORDERS = {
+    "anti.json": {"leq": [[True, False], [False, True]]},
+    "one.json": {"leq": [[True]]},
+    "empty.json": {"size": 0, "pairs": []},
+    "drawn.json": {"size": 15, "pairs": DRAWN_15},
+    "relabelled.json": {"size": 15, "pairs": [[SIGMA[a], SIGMA[b]] for a, b in DRAWN_15]},
+}
+TUKEY = [
+    ("anti.json", "one.json", [0, 0]),
+    ("drawn.json", "relabelled.json", SIGMA),
+    ("drawn.json", "drawn.json", [4] * 15),
+    ("drawn.json", "drawn.json", [4, 1, 2, 3, 4, 5, 4, 7, 8, 9, 10, 11, 12, 13, 14]),  # witness (0, 4, 6)
+    ("empty.json", "one.json", []),
+]
+
 
 def criterion_4_grid() -> list[tuple[int, int, int]]:
     return [(a, b, c) for c in range(1, 11) for a in range(1, c + 1) if comb(c, a) <= 16
@@ -50,13 +75,18 @@ def commands() -> dict[str, list[str]]:
                                            "-C", str(c), "-k", "2"]
     for i, args in enumerate(PREADJ):
         out[f"preadj-{i}.json"] = ["preadj", "verify", "--group", "z2.json", "--alphabet", "a", "--instance", *args]
+    for i, (dom, cod, f) in enumerate(TUKEY):
+        for kind in ("tukey", "cofinal"):
+            out[f"{kind}-{i}.json"] = ["tukey", "check", "--kind", kind, "--dom", dom, "--cod", cod,
+                                       "--map", json.dumps(f)]
     return out
 
 
 def run_side(checkout: Path, workdir: Path, runs: dict[str, list[str]]) -> dict[str, tuple[int, bytes]]:
     """(exit code, report bytes) of each run, with ``checkout/src`` first on
     the module path and ``workdir`` as the working directory."""
-    (workdir / "z2.json").write_text(json.dumps(Z2_GROUP), encoding="utf-8")
+    for name, payload in {"z2.json": Z2_GROUP, **PREORDERS}.items():
+        (workdir / name).write_text(json.dumps(payload), encoding="utf-8")
     path = [str(checkout.resolve() / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     results = {}
@@ -89,7 +119,8 @@ def main() -> int:
     for name in missing:
         print(f"no report: {name} (exit {parent[name][0]} on the parent side)")
     print(f"{len(runs) - len(differ)} of {len(runs)} reports byte-identical "
-          f"(golden, {len(criterion_4_grid())} ramsey check, {len(PREADJ)} preadj verify)")
+          f"(golden, {len(criterion_4_grid())} ramsey check, {len(PREADJ)} preadj verify, "
+          f"{2 * len(TUKEY)} tukey check)")
     return 1 if differ or missing else 0
 
 
