@@ -223,9 +223,10 @@ def gr_fragment(context: WordContext, n: int, hom_cap: int = DEFAULT_HOM_CAP) ->
         return (Morphism(k, m, w) for w in enumerate_words(k, m, context))
 
     hom = _lazy_homs(_word_counts(n, context), build, hom_cap, f"gr over {context.alphabet}")
-    identity = {k: Morphism(k, k, identity_word(k, context)) for k in objects}
+    identity = {k: Morphism(k, k, identity_word(k)) for k in objects}
     alpha = "".join(context.alphabet) or "0"
-    return CategoryFragment(f"gr({alpha},|G|={context.group.order},{n})", objects, hom, identity, substitute)
+    return CategoryFragment(f"gr({alpha},|G|={context.group.order},{n})", objects, hom, identity,
+                            partial(substitute, context))
 
 
 @dataclass(frozen=True)

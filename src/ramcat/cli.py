@@ -202,8 +202,9 @@ def words():
 @click.option("-m", "m", type=int, default=None, help="declared parameter count (default: inferred)")
 @reported
 def words_validate(text, context_path, m):
-    word = parse_word(text, _load_context(context_path), m=m)
-    return {"ok": True, "word": format_word(word), "m": word.m, "n": word.n}
+    context = _load_context(context_path)
+    word = parse_word(text, context, m=m)
+    return {"ok": True, "word": format_word(word, context), "m": word.m, "n": word.n}
 
 
 @words.command("compose")
@@ -226,7 +227,7 @@ def words_compose(u_file, v_file, context_path):
 
     u = parse_word(first_word(u_file), ctx)
     v = parse_word(first_word(v_file), ctx)
-    result = format_word(substitute(u, v))
+    result = format_word(substitute(ctx, u, v), ctx)
     return [result], {"ok": True, "result": result}
 
 
@@ -237,7 +238,8 @@ def words_compose(u_file, v_file, context_path):
 @click.option("--quiet", is_flag=True, help="only report the count")
 @reported
 def words_enumerate(context_path, m, n, quiet):
-    out = [format_word(w) for w in enumerate_words(m, n, _load_context(context_path))]
+    context = _load_context(context_path)
+    out = [format_word(w, context) for w in enumerate_words(m, n, context)]
     report = {"ok": True, "count": len(out)}
     return report if quiet else (out, report)
 
@@ -522,9 +524,12 @@ def preadj_verify(instance, group_path, context_path, alphabet, bounds, card_che
     for nm in names:
         if nm not in PA_INSTANCES:
             raise click.UsageError(f"unknown instance {nm!r}; see `ramcat preadj list`")
-    # a composition reads the keys that size its factors and pick its source objects
-    keys = {"src", "objects", "chains", "tgt"} if composed else set()
-    parsed = _parse_bounds(bounds, keys.union(*(PA_INSTANCES[nm] for nm in names)))
+    keys = set().union(*(PA_INSTANCES[nm] for nm in names))
+    if composed:
+        # a composition reads the keys that size its factors and pick its
+        # source objects; it sizes every factor's objects itself
+        keys = (keys | {"src", "chains", "tgt"}) - {"objects"}
+    parsed = _parse_bounds(bounds, keys)
     if composed:
         # size every factor's fragments alike so adjacent interfaces match
         forced = dict(parsed)
@@ -534,7 +539,7 @@ def preadj_verify(instance, group_path, context_path, alphabet, bounds, card_che
         pa = parts[0][0]
         for nxt, _, _ in parts[1:]:
             pa = compose_pa(pa, nxt)
-        src_objs = list(range(1, parsed.get("src", parsed.get("objects", 2)) + 1))
+        src_objs = list(range(1, parsed.get("src", 2) + 1))
         tgt_objs = parts[-1][2]
     else:
         pa, src_objs, tgt_objs = _build_instance(instance, context, parsed)

@@ -65,16 +65,16 @@ def criterion_1_worked_substitution() -> dict:
     ctx = _z3_letters_context()
     u = parse_word("c a x1 a x1^g2 x2 d x3 x2^g2 x1^g a x3^g", ctx)
     v = parse_word("b x1 x1^g2", ctx)
-    best = min(_timed_substitution(u, v) for _ in range(3))
-    got = format_word(substitute(u, v))
+    best = min(_timed_substitution(ctx, u, v) for _ in range(3))
+    got = format_word(substitute(ctx, u, v), ctx)
     fast = best < 0.001
     return _result("1 worked substitution", got == GOLDEN_WORD and fast,
                    f"result {got!r}, substitute {'under' if fast else 'over'} 1ms", started)
 
 
-def _timed_substitution(u, v) -> float:
+def _timed_substitution(ctx, u, v) -> float:
     t0 = time.perf_counter()
-    substitute(u, v)
+    substitute(ctx, u, v)
     return time.perf_counter() - t0
 
 
@@ -106,12 +106,12 @@ def criterion_3_duality_suite() -> dict:
         for m in range(1, n + 1):
             for u in enumerate_words(m, n, pc):
                 if rsurj_to_word(word_to_rsurj(u)) != u:
-                    return _result("3 duality suite", False, f"round trip broke on {u}", started)
+                    return _result("3 duality suite", False, f"round trip broke on {format_word(u, pc)}", started)
             for k in range(1, m + 1):
                 for u in enumerate_words(m, n, pc):
                     fu = word_to_rsurj(u)
                     for v in enumerate_words(k, m, pc):
-                        if word_to_rsurj(substitute(u, v)) != compose_rigid(word_to_rsurj(v), fu):
+                        if word_to_rsurj(substitute(pc, u, v)) != compose_rigid(word_to_rsurj(v), fu):
                             return _result("3 duality suite", False,
                                            f"f_(u.v) != f_v o f_u at ({n},{m},{k})", started)
     for n in range(1, 6):

@@ -204,7 +204,13 @@ def _same_interface(f: CategoryFragment, g: CategoryFragment) -> bool:
 
 def compose_pa(first: PreAdjunction, second: PreAdjunction, name: str | None = None) -> PreAdjunction:
     """Compose two pre-adjunctions along a shared middle fragment; the
-    morphism family threads through the middle hom-sets."""
+    morphism family threads through the middle hom-sets.
+
+    The middle fragments must agree in objects, hom-sets and identities but
+    not in composition: gr(swap, n) and gr(trivial Z2 on "ab", n) list the
+    same words and are accepted, as are explicit fragments that differ only
+    in their compose tables.  No verdict is unsound for it: ``verify_pa``
+    checks the composite's own transport condition."""
     if not _same_interface(first.target, second.source):
         raise ValidationError("fragment_mismatch",
                               "the first target fragment must equal the second source fragment")
@@ -317,8 +323,7 @@ def pa_gr_plain_to_decorated(context: WordContext, n: int,
         return Morphism(m_obj, n_obj, word)
 
     def suggested(a, b, f: Morphism) -> Morphism:
-        word = validate_word(f.payload.tokens, f.payload.m, context)
-        return Morphism(a, b, word)
+        return f  # a plain word is the decorated word with the same tokens
 
     return PreAdjunction("gr-plain-to-decorated", source, target,
                          lambda x: x, lambda y: y, phi, suggested_v=suggested)

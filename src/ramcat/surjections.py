@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .errors import ValidationError
-from .words import PARAM, DecoratedWord, WordContext, param, plain_context, validate_word
+from .words import PARAM, DecoratedWord, param, plain_context, validate_word
 
 
 class RigidSurjection(NamedTuple):
@@ -107,9 +107,8 @@ def stirling2(n: int, m: int) -> int:
 
 def word_to_rsurj(u: DecoratedWord) -> RigidSurjection:
     """Read an undecorated word as the rigid surjection sending position
-    ``i`` to the index of the variable at ``i``."""
-    if u.context.alphabet or u.context.group.order != 1:
-        raise ValidationError("not_plain_word", "only words over the empty alphabet with the trivial group translate")
+    ``i`` to the index of the variable at ``i``: a word with a letter or a
+    non-neutral exponent has none."""
     image = []
     for kind, idx, exp in u.tokens:
         if kind != PARAM or exp != 0:
@@ -118,11 +117,8 @@ def word_to_rsurj(u: DecoratedWord) -> RigidSurjection:
     return validate_rigid(u.n, u.m, tuple(image))
 
 
-def rsurj_to_word(f: RigidSurjection, context: WordContext | None = None) -> DecoratedWord:
-    context = context or plain_context()
-    if context.alphabet or context.group.order != 1:
-        raise ValidationError("not_plain_word", "target context must be the empty alphabet with the trivial group")
-    return validate_word(tuple(param(v) for v in f.image), f.cod, context)
+def rsurj_to_word(f: RigidSurjection) -> DecoratedWord:
+    return validate_word(tuple(param(v) for v in f.image), f.cod, plain_context())
 
 
 def dual(f: RigidSurjection) -> tuple[int, ...]:

@@ -1,11 +1,10 @@
 """Preorders, Tukey and cofinal maps, and the monotonization construction.
 
 Finite preorders are boolean ``leq`` tables checked for reflexivity and
-transitivity.  ``preorder_predicates`` lists every bounded and cofinal
-subset, so it enumerates subsets.  The Tukey and cofinal map checks decide
-from one region of the domain per codomain element instead, and return the
+transitivity.  Nothing here enumerates subsets: ``preorder_predicates``
+reads directedness from the pairs, and the Tukey and cofinal map checks
+decide from one region of the domain per codomain element, returning the
 same first witness a scan of the subsets in ascending mask order would.
-Both are capped at 15 domain elements.
 
 Countable preorders are *generated*: an enumeration, a decidable ``leq`` and
 an upper-bound oracle.  Whether such a preorder is bounded is a declared
@@ -15,14 +14,11 @@ an enumerated prefix only and say so ("prefix-certified").
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .errors import ValidationError
-
-SUBSET_CAP = 15
 
 
 @dataclass(frozen=True)
@@ -105,43 +101,19 @@ def _check_map(f: Sequence[int], dom: FinitePreorder, cod: FinitePreorder):
                               size=dom.size, cod_size=cod.size)
 
 
-# The subset scan of ``preorder_predicates`` visits the masks in ascending
-# order, appending each mask's data to tables indexed by mask, and derives it
-# from ``mask ^ low``, the same subset without its lowest element x: its
-# upper bounds are those of ``mask ^ low`` that lie above x, and its
-# down-closure is that of ``mask ^ low`` joined with the elements below x.
-# A subset is bounded iff it has an upper bound and cofinal iff its
-# down-closure is everything, so each test is one operation per mask.
-
 @dataclass
 class PreorderReport:
     directed: bool
-    bounded_subsets: list[tuple[int, ...]]
-    cofinal_subsets: list[tuple[int, ...]]
     equivalence_classes: list[tuple[int, ...]]
     quotient: FinitePreorder
     class_of: tuple[int, ...]
 
 
 def preorder_predicates(p: FinitePreorder) -> PreorderReport:
-    if p.size > SUBSET_CAP:
-        raise ValidationError("size_cap_exceeded", f"subset predicates are capped at {SUBSET_CAP} elements",
-                              cap=SUBSET_CAP, size=p.size)
-    n = p.size
-    full = (1 << n) - 1
-    above, below = _above_masks(p), _below_masks(p)
-    ub, dn = array("H", [full]), array("H", [0])  # masks of at most SUBSET_CAP bits
-    bounded, cofinal = [], []
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        x = low.bit_length() - 1
-        ub.append(ub[mask ^ low] & above[x])
-        dn.append(dn[mask ^ low] | below[x])
-        if ub[mask]:
-            bounded.append(_elements(mask))
-        if dn[mask] == full:
-            cofinal.append(_elements(mask))
-    directed = all(ub[(1 << a) | (1 << b)] for a in range(n) for b in range(a, n))
+    """Directedness (every pair has an upper bound) and the equivalence
+    classes with their quotient partial order."""
+    above = _above_masks(p)
+    directed = all(above[a] & above[b] for a in range(p.size) for b in range(a, p.size))
     class_of = [-1] * p.size
     classes: list[list[int]] = []
     for a in range(p.size):
@@ -153,8 +125,7 @@ def preorder_predicates(p: FinitePreorder) -> PreorderReport:
         classes.append(cls)
     reps = [cls[0] for cls in classes]
     quotient = FinitePreorder(tuple(tuple(p.le(ra, rb) for rb in reps) for ra in reps))
-    return PreorderReport(directed, bounded, cofinal,
-                          [tuple(c) for c in classes], quotient, tuple(class_of))
+    return PreorderReport(directed, [tuple(c) for c in classes], quotient, tuple(class_of))
 
 
 @dataclass
@@ -187,9 +158,6 @@ def is_tukey_map(f: Sequence[int], a: FinitePreorder, b: FinitePreorder) -> MapV
     witness.  An image f(S) is bounded by y iff S lies in the region
     D_y = {x : f(x) <= y}, and a superset of an unbounded set is unbounded,
     so f fails iff some D_y is unbounded."""
-    if a.size > SUBSET_CAP:
-        raise ValidationError("size_cap_exceeded", f"Tukey check capped at {SUBSET_CAP} elements",
-                              cap=SUBSET_CAP, size=a.size)
     _check_map(f, a, b)
     above, full = _above_masks(a), (1 << a.size) - 1
 
@@ -208,9 +176,6 @@ def is_cofinal_map(g: Sequence[int], dom: FinitePreorder, cod: FinitePreorder) -
     dual argument: g(S) misses y iff S lies in E_y = {x : not y <= g(x)},
     and a superset of a cofinal set is cofinal, so g fails iff some E_y is
     cofinal."""
-    if dom.size > SUBSET_CAP:
-        raise ValidationError("size_cap_exceeded", f"cofinal check capped at {SUBSET_CAP} elements",
-                              cap=SUBSET_CAP, size=dom.size)
     _check_map(g, dom, cod)
     below, full = _below_masks(dom), (1 << dom.size) - 1
 

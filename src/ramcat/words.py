@@ -22,14 +22,16 @@ variables (1-based index) and 1 for letters (0-based index into the
 alphabet); the neutral exponent is 0.  Tuple order gives the canonical token
 order used by enumeration: variables before letters, then index, then the
 exponent's position in the group's element order.  A word is a tuple-backed
-value (a ``NamedTuple`` of context, tokens and ``m``), so it is built,
-hashed and compared in C.
+value (a ``NamedTuple`` of tokens and ``m``), so it is built, hashed and
+compared in C.  A word does not hold its alphabet and group: the context is
+held once, by the fragment's composition rule and by the parser, validator,
+enumerator and printer that are given it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import ValidationError
@@ -52,15 +54,6 @@ class WordContext:
     """The alphabet/group pair (via a right action) words are read against."""
 
     action: RightAction
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self):
-        # every word embeds its context, so hashing a word must not walk the
-        # group and action tables again
-        object.__setattr__(self, "_hash", hash(self.action))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def group(self):
@@ -81,16 +74,12 @@ class DecoratedWord(NamedTuple):
     in C.  Like any tuple it equals a plain tuple with the same items, so
     ``n`` is its length in tokens, not ``len(word)``."""
 
-    context: WordContext
     tokens: tuple[tuple[int, int, int], ...]
     m: int
 
     @property
     def n(self) -> int:
         return len(self.tokens)
-
-    def __str__(self) -> str:
-        return format_word(self)
 
 
 def validate_word(tokens, m: int, context: WordContext) -> DecoratedWord:
@@ -145,26 +134,23 @@ def validate_word(tokens, m: int, context: WordContext) -> DecoratedWord:
                 f"x{k + 1} first occurs before x{k}",
                 k=k, l=k + 1,
             )
-    return DecoratedWord(context, tokens, m)
+    return DecoratedWord(tokens, m)
 
 
-def identity_word(n: int, context: WordContext) -> DecoratedWord:
+def identity_word(n: int) -> DecoratedWord:
     if n < 1:
         raise ValidationError("parameter_range", f"identity word arity must be positive, got {n}", n=n)
-    return DecoratedWord(context, tuple(param(i) for i in range(1, n + 1)), n)
+    return DecoratedWord(tuple(param(i) for i in range(1, n + 1)), n)
 
 
-def substitute(u: DecoratedWord, v: DecoratedWord) -> DecoratedWord:
-    """Compose two words: the result replaces each ``xi`` occurrence of ``u``
-    by the i-th token of ``v`` and resolves exponents through the group and
-    the action.  Requires ``v.n == u.m`` and a shared context.
+def substitute(context: WordContext, u: DecoratedWord, v: DecoratedWord) -> DecoratedWord:
+    """Compose two words of ``context``: the result replaces each ``xi``
+    occurrence of ``u`` by the i-th token of ``v`` and resolves exponents
+    through the group and the action.  Requires ``v.n == u.m``.
 
     The loop reads the group and action tables directly, unchecked: every
     exponent and letter index of a word is bounded when the word is validated
-    or built, and ``validate_action`` bounded the tables."""
-    context = u.context
-    if context is not v.context and context != v.context:
-        raise ValidationError("context_mismatch", "words come from different contexts")
+    or built in ``context``, and ``validate_action`` bounded the tables."""
     vtokens = v.tokens
     if len(vtokens) != u.m:
         raise ValidationError(
@@ -183,7 +169,7 @@ def substitute(u: DecoratedWord, v: DecoratedWord) -> DecoratedWord:
         vkind, vidx, vexp = vtokens[idx - 1]
         exp = mul[vexp][occ_exp]
         out.append((PARAM, vidx, exp) if vkind == PARAM else (LETTER, act[vidx][exp], 0))
-    return DecoratedWord(context, tuple(out), v.m)
+    return DecoratedWord(tuple(out), v.m)
 
 
 def enumerate_words(m: int, n: int, context: WordContext) -> Iterator[DecoratedWord]:
@@ -215,7 +201,7 @@ def enumerate_words(m: int, n: int, context: WordContext) -> Iterator[DecoratedW
     for prefix, seen in level:
         for token, after in options[seen]:
             if after == m:
-                yield DecoratedWord(context, prefix + (token,), m)
+                yield DecoratedWord(prefix + (token,), m)
 
 
 # --- notation -------------------------------------------------------------
@@ -223,9 +209,9 @@ def enumerate_words(m: int, n: int, context: WordContext) -> Iterator[DecoratedW
 _PARAM_RE = re.compile(r"^x([1-9][0-9]*)$")
 
 
-def format_word(word: DecoratedWord) -> str:
-    group = word.context.group
-    alphabet = word.context.alphabet
+def format_word(word: DecoratedWord, context: WordContext) -> str:
+    group = context.group
+    alphabet = context.alphabet
     parts = []
     for kind, idx, exp in word.tokens:
         sym = f"x{idx}" if kind == PARAM else alphabet[idx]

@@ -6,8 +6,11 @@ import pytest
 from ramcat import (
     ResourceBound,
     ValidationError,
+    WordContext,
     chain_preorder,
     check_fragment_isomorphism,
+    cycle_action,
+    cyclic_group,
     dram_fragment,
     dram_op_fragment,
     dramop_word_functor,
@@ -218,6 +221,17 @@ def test_vec_accepts_explicit_field_tables():
     assert rep.all_mono and rep.hom_self_is_identity
 
 
+def test_gr_fragments_of_equal_contexts_are_equal():
+    """A word holds no context, so two separately built but equal contexts
+    give equal fragments."""
+    def swap():
+        return WordContext(cycle_action(cyclic_group(2), "ab", [1, 0]))
+
+    first, second = swap(), swap()
+    assert first == second and first is not second
+    assert fragment_equal(gr_fragment(first, 4), gr_fragment(second, 4))
+
+
 def test_opposite_involution_and_counts():
     d = dram_fragment(4)
     op = opposite(d)
@@ -305,7 +319,7 @@ def test_in_hom_refuses_a_value_equal_to_a_member(fragment, a, b, impostor):
 @pytest.mark.parametrize("value, field", [
     (Morphism(1, 2, (2,)), "cod"),
     (RigidSurjection(2, 1, (1, 1)), "image"),
-    (identity_word(2, plain_context()), "m"),
+    (identity_word(2), "m"),
 ])
 def test_values_are_immutable(value, field):
     with pytest.raises(AttributeError):

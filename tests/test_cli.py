@@ -566,6 +566,22 @@ def test_preadj_verify_rejects_bounds_the_instance_does_not_read(runner, instanc
     assert f"bounds key {key!r} is not read" in result.output
 
 
+def test_objects_means_one_thing(runner):
+    """``objects`` sizes both sides of a single instance; a composition
+    sizes its factors by ``chains`` and picks its sources by ``src``, so it
+    refuses ``objects`` and names the keys it reads instead."""
+    def verify(instance, bounds):
+        return runner.invoke(main, ["preadj", "verify", "--instance", instance, "--bounds", bounds])
+
+    single = verify("identity", "objects<=2")
+    assert single.exit_code == 0 and json.loads(single.output)["instances_checked"] == 6
+    composed = verify("composed:identity,identity", "objects<=2")
+    assert composed.exit_code == 2
+    assert "it reads chains, src, tgt" in composed.output
+    by_src = verify("composed:identity,identity", "src<=2")
+    assert by_src.exit_code == 0 and json.loads(by_src.output)["instances_checked"] == 126
+
+
 def _commands(group=main, path=()):
     for name, cmd in sorted(group.commands.items()):
         if isinstance(cmd, click.Group):

@@ -16,6 +16,7 @@ from ramcat import (
     dram_op_fragment,
     dual,
     format_word,
+    fragment_equal,
     identity_pa,
     pa_from_functor,
     pa_from_monotone_tukey,
@@ -25,6 +26,7 @@ from ramcat import (
     pa_omega_to_nonthin,
     pa_ram_to_dramop,
     parse_word,
+    plain_context,
     ram_fragment,
     recheck_failures,
     skeleton,
@@ -183,7 +185,7 @@ def test_plain_to_decorated_phi_strips(swap_context):
     pa = pa_gr_plain_to_decorated(swap_context, 3)
     u = parse_word("a x1 b x1^g", swap_context)
     stripped = pa.phi(1, 4, Morphism(1, 4, u))
-    assert format_word(stripped.payload) == "x1 x1 x1 x1"
+    assert format_word(stripped.payload, plain_context()) == "x1 x1 x1 x1"
 
 
 def test_plain_to_decorated_strip_is_identity_on_plain_words():
@@ -348,6 +350,18 @@ def test_compose_three_reductions(one_letter_context_z2=None):
     full = compose_pa(chain2, pa3)
     report = verify_pa(full, [1, 2], list(range(1, 7)))
     assert report.ok and report.instances > 50
+
+
+def test_compose_compares_interfaces_not_composition_rules(swap_context):
+    """gr(swap, 5) and gr(trivial Z2 on "ab", 5) list the same words and
+    identities but compose them differently, so ``compose_pa`` accepts them
+    as a middle fragment; ``verify_pa`` then checks the composite itself."""
+    trivial_ab = WordContext(trivial_action(cyclic_group(2), "ab"))
+    pa1 = pa_gr_plain_to_decorated(swap_context, 5)
+    pa2 = pa_gr_decorated_to_plain(trivial_ab, 5)
+    assert not fragment_equal(pa1.target, pa2.source)
+    report = verify_pa(compose_pa(pa1, pa2), [1, 2], [1, 2, 3, 4, 5])
+    assert (report.ok, report.instances, report.suggested_hits) == (True, 155, 155)
 
 
 def test_compose_fragment_mismatch(swap_context):

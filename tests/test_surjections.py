@@ -111,7 +111,7 @@ def test_substitution_reverses_composition():
                 for u in enumerate_words(m, n, pc):
                     fu = word_to_rsurj(u)
                     for v in enumerate_words(k, m, pc):
-                        assert word_to_rsurj(substitute(u, v)) == compose_rigid(word_to_rsurj(v), fu)
+                        assert word_to_rsurj(substitute(pc, u, v)) == compose_rigid(word_to_rsurj(v), fu)
 
 
 def test_dual_examples():

@@ -86,12 +86,8 @@ def per_subset_cofinal(g, dom, cod):
     return MapVerdict(True)
 
 
-def per_subset_predicates(p):
-    masks = range(1, 1 << p.size)
-    bounded = [elements(m, p.size) for m in masks if subset_bounded(p, m)]
-    cofinal = [elements(m, p.size) for m in masks if subset_cofinal(p, m)]
-    directed = all(subset_bounded(p, 1 << a | 1 << b) for a in range(p.size) for b in range(a, p.size))
-    return directed, bounded, cofinal
+def per_subset_directed(p):
+    return all(subset_bounded(p, 1 << a | 1 << b) for a in range(p.size) for b in range(a, p.size))
 
 
 @st.composite
@@ -120,16 +116,13 @@ def test_validate_preorder():
 def test_antichain_predicates():
     rep = preorder_predicates(antichain_preorder(2))
     assert not rep.directed
-    assert (0, 1) not in rep.bounded_subsets
-    assert (0,) in rep.bounded_subsets
+    assert len(rep.equivalence_classes) == 2
 
 
 def test_chain_predicates():
     p = chain_preorder(3)
     rep = preorder_predicates(p)
     assert rep.directed
-    assert len(rep.bounded_subsets) == 7  # every nonempty subset
-    assert all(2 in s for s in rep.cofinal_subsets)
     assert len(rep.equivalence_classes) == 3
 
 
@@ -144,19 +137,16 @@ def test_quotient_collapses_equivalent_elements():
     assert not any(q.le(a, b) and q.le(b, a) and a != b for a in range(2) for b in range(2))
 
 
-def test_predicates_agree_with_brute_force():
-    p = preorder_from_pairs(4, [(0, 1), (0, 2), (1, 3)])
-    rep = preorder_predicates(p)
-    for mask in range(1, 16):
-        subset = tuple(x for x in range(4) if mask >> x & 1)
-        assert (subset in rep.bounded_subsets) == brute_bounded(p, subset)
-        assert (subset in rep.cofinal_subsets) == brute_cofinal(p, subset)
-
-
-def test_size_cap():
-    with pytest.raises(ValidationError) as err:
-        preorder_predicates(chain_preorder(16))
-    assert err.value.code == "size_cap_exceeded"
+def test_checks_run_past_fifteen_elements():
+    """No subset scan bounds the size: these forty-element checks each
+    read one region per codomain element."""
+    verdict = is_tukey_map([0] * 40, antichain_preorder(40), chain_preorder(1))
+    assert not verdict.ok and verdict.witness == (0, 1)
+    chain = chain_preorder(40)
+    assert is_tukey_map(list(range(40)), chain, chain) == MapVerdict(True)
+    assert is_cofinal_map(list(range(40)), chain, chain) == MapVerdict(True)
+    assert is_cofinal_map([0] * 40, chain, chain) == MapVerdict(False, (39,))
+    assert preorder_predicates(chain).directed and not preorder_predicates(antichain_preorder(40)).directed
 
 
 def test_tukey_collapse_of_antichain_fails():
@@ -306,8 +296,7 @@ def test_subset_helpers_match_definitions():
 @settings(max_examples=150, deadline=None)
 @given(preorders())
 def test_predicates_match_per_subset_definitions(p):
-    rep = preorder_predicates(p)
-    assert (rep.directed, rep.bounded_subsets, rep.cofinal_subsets) == per_subset_predicates(p)
+    assert preorder_predicates(p).directed == per_subset_directed(p)
 
 
 @settings(max_examples=300, deadline=None)

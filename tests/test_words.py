@@ -1,3 +1,4 @@
+import functools
 import inspect
 from itertools import product
 
@@ -58,9 +59,17 @@ def test_golden_word_is_valid(z3_context):
 
 
 def test_identity_word_is_valid(z3_context):
-    w = identity_word(3, z3_context)
-    assert format_word(w) == "x1 x2 x3"
+    w = identity_word(3)
+    assert format_word(w, z3_context) == "x1 x2 x3"
     assert validate_word(w.tokens, 3, z3_context) == w
+
+
+def test_a_word_is_its_tokens_and_m(z3_context, swap_context):
+    word = parse_word("x1 a x1^g", swap_context)
+    assert word == DecoratedWord(((PARAM, 1, 0), (LETTER, 0, 0), (PARAM, 1, 1)), 1)
+    assert DecoratedWord._fields == ("tokens", "m")
+    # the same tokens read against another context are the same word
+    assert parse_word("x1 a x1^g", z3_context) == word
 
 
 def test_first_occurrence_order_violation(z3_context):
@@ -90,12 +99,12 @@ def test_missing_parameter(z3_context):
 def test_golden_substitution(z3_context):
     u = parse_word(GOLDEN_WORD, z3_context)
     v = parse_word(GOLDEN_V, z3_context)
-    assert format_word(substitute(u, v)) == GOLDEN_RESULT
+    assert format_word(substitute(z3_context, u, v), z3_context) == GOLDEN_RESULT
 
 
 def test_substitution_right_identity(z3_context):
     u = parse_word(GOLDEN_WORD, z3_context)
-    assert substitute(u, identity_word(u.m, z3_context)) == u
+    assert substitute(z3_context, u, identity_word(u.m)) == u
 
 
 def test_substitution_left_identity_exhaustive():
@@ -103,25 +112,23 @@ def test_substitution_left_identity_exhaustive():
     for n in range(1, 5):
         for k in range(1, n + 1):
             for v in enumerate_words(k, n, pc):
-                assert substitute(identity_word(n, pc), v) == v
+                assert substitute(pc, identity_word(n), v) == v
 
 
 def test_plain_substitution_example():
     pc = plain_context()
     u = parse_word("x1 x2 x1", pc)
     v = parse_word("x1 x1", pc)
-    assert format_word(substitute(u, v)) == "x1 x1 x1"
+    assert format_word(substitute(pc, u, v), pc) == "x1 x1 x1"
 
 
-def method_call_substitute(u, v):
+def method_call_substitute(context, u, v):
     """Substitution through ``FiniteGroup.multiply`` and the checked
     ``RightAction.act``, one call per token: the oracle for ``substitute``,
     which reads their tables directly."""
-    if u.context != v.context:
-        raise ValidationError("context_mismatch", "words come from different contexts")
     if v.n != u.m:
         raise ValidationError("arity_mismatch", f"cannot substitute a {v.n}-letter word for {u.m} parameters")
-    group, action = u.context.group, u.context.action
+    group, action = context.group, context.action
     out = []
     for kind, idx, occ_exp in u.tokens:
         if kind == LETTER:
@@ -130,7 +137,7 @@ def method_call_substitute(u, v):
         vkind, vidx, vexp = v.tokens[idx - 1]
         exp = group.multiply(vexp, occ_exp)
         out.append((PARAM, vidx, exp) if vkind == PARAM else (LETTER, action.act(vidx, exp), 0))
-    return DecoratedWord(u.context, tuple(out), v.m)
+    return DecoratedWord(tuple(out), v.m)
 
 
 def test_substitution_matches_the_method_call_oracle(swap_context, z3_context):
@@ -144,20 +151,17 @@ def test_substitution_matches_the_method_call_oracle(swap_context, z3_context):
                 vs = [v for k in range(m + 1) for v in enumerate_words(k, m, ctx)]
                 for u in enumerate_words(m, n, ctx):
                     for v in vs:
-                        w = substitute(u, v)
-                        assert type(w) is DecoratedWord and w == method_call_substitute(u, v), (u, v)
+                        w = substitute(ctx, u, v)
+                        assert type(w) is DecoratedWord and w == method_call_substitute(ctx, u, v), (u, v)
                         pairs += 1
         assert pairs == expected_pairs
 
 
-def test_substitution_arity_and_context_mismatch(z3_context, swap_context):
+def test_substitution_arity_mismatch(z3_context):
     u = parse_word("x1 x2", z3_context)
     with pytest.raises(ValidationError) as err:
-        substitute(u, parse_word("x1", z3_context))
+        substitute(z3_context, u, parse_word("x1", z3_context))
     assert err.value.code == "arity_mismatch"
-    with pytest.raises(ValidationError) as err:
-        substitute(u, parse_word("x1 x2", swap_context))
-    assert err.value.code == "context_mismatch"
 
 
 def test_enumeration_against_brute_force(swap_context, one_letter_context):
@@ -192,7 +196,7 @@ def recursive_words(m, n, context):
     def rec(pos, seen):
         if pos == n:
             if seen == m:
-                yield DecoratedWord(context, tuple(prefix), m)
+                yield DecoratedWord(tuple(prefix), m)
             return
         for token in candidates(seen):
             new_seen = seen + 1 if token[0] == PARAM and token[1] == seen + 1 else seen
@@ -241,12 +245,12 @@ def test_enumeration_empty_iff_m_exceeds_n(one_letter_context):
 
 
 def test_single_letter_alphabet_counts(one_letter_context):
-    words = [format_word(w) for w in enumerate_words(1, 2, one_letter_context)]
+    words = [format_word(w, one_letter_context) for w in enumerate_words(1, 2, one_letter_context)]
     assert words == ["x1 x1", "x1 a", "a x1"]
 
 
 def test_gr_z2_hom_1_2(plain_z2_context):
-    words = [format_word(w) for w in enumerate_words(1, 2, plain_z2_context)]
+    words = [format_word(w, plain_z2_context) for w in enumerate_words(1, 2, plain_z2_context)]
     assert words == ["x1 x1", "x1 x1^g"]
 
 
@@ -256,7 +260,7 @@ def test_substitution_outputs_validate(swap_context):
             for u in enumerate_words(m, n, swap_context):
                 for k in range(1, m + 1):
                     for v in enumerate_words(k, m, swap_context):
-                        w = substitute(u, v)
+                        w = substitute(swap_context, u, v)
                         assert validate_word(w.tokens, w.m, swap_context) == w
 
 
@@ -268,13 +272,13 @@ def test_substitution_associativity_trivial_group(one_letter_context, plain_z2_c
                     for u in enumerate_words(m, n, ctx):
                         for v in enumerate_words(k, m, ctx):
                             vw_pairs = [
-                                (w, substitute(v, w))
+                                (w, substitute(ctx, v, w))
                                 for ell in range(0 if ctx.alphabet else 1, k + 1)
                                 for w in enumerate_words(ell, k, ctx)
                             ]
-                            uv = substitute(u, v)
+                            uv = substitute(ctx, u, v)
                             for w, vw in vw_pairs:
-                                assert substitute(uv, w) == substitute(u, vw)
+                                assert substitute(ctx, uv, w) == substitute(ctx, u, vw)
 
 
 def test_substitution_associativity_non_abelian(s3_context):
@@ -285,20 +289,20 @@ def test_substitution_associativity_non_abelian(s3_context):
     ws = list(enumerate_words(0, 1, s3_context)) + list(enumerate_words(1, 1, s3_context))
     for u in us:
         for v in vs:
-            uv = substitute(u, v)
+            uv = substitute(s3_context, u, v)
             for w in ws:
-                assert substitute(uv, w) == substitute(u, substitute(v, w))
+                assert substitute(s3_context, uv, w) == substitute(s3_context, u, substitute(s3_context, v, w))
 
 
 def test_parse_format_round_trip(z3_context):
     for text in [GOLDEN_WORD, "x1", "x1 x2 x3", "a b x1 x1^g"]:
         word = parse_word(text, z3_context)
-        assert format_word(word) == text
-        assert parse_word(format_word(word), z3_context) == word
+        assert format_word(word, z3_context) == text
+        assert parse_word(format_word(word, z3_context), z3_context) == word
 
 
 def test_parse_canonicalizes_spacing(z3_context):
-    assert format_word(parse_word("x1  x2", z3_context)) == "x1 x2"
+    assert format_word(parse_word("x1  x2", z3_context), z3_context) == "x1 x2"
 
 
 def test_parse_errors(z3_context):
@@ -320,7 +324,7 @@ def test_round_trip_on_enumerated_words(swap_context, data):
     m = data.draw(st.integers(min_value=1, max_value=n))
     words = list(enumerate_words(m, n, swap_context))
     word = data.draw(st.sampled_from(words))
-    assert parse_word(format_word(word), swap_context, m=m) == word
+    assert parse_word(format_word(word, swap_context), swap_context, m=m) == word
 
 
 @settings(max_examples=40, deadline=None)
@@ -336,4 +340,5 @@ def test_random_triple_associativity(swap_context, data):
     if not ws:
         return
     w = data.draw(st.sampled_from(ws))
-    assert substitute(substitute(u, v), w) == substitute(u, substitute(v, w))
+    sub = functools.partial(substitute, swap_context)
+    assert sub(sub(u, v), w) == sub(u, sub(v, w))

@@ -16,11 +16,16 @@ these reports with ``--output``:
   ``anti``/``one`` example; a 15-element order of the benchmark's drawn
   shape (two incomparable maximal elements, no top) under a permutation onto
   a relabelled copy, a constant map, and a map whose first Tukey witness has
-  three elements; and the 0-element domain.
+  three elements; and the 0-element domain;
+* ``ramcat words validate``, ``compose`` and ``enumerate`` over README's
+  context file ``z3.json`` (Z3 acting on a, b, c, d), on README's words and
+  one word that fails validation;
+* ``ramcat category check`` on a ``gr`` builder spec over ``z3.json``.
 
-It then compares each report and its exit code between the two sides, prints
-one line per report that differs and a summary line, and exits 1 when any
-differs.  The golden command's text output carries timings and is not
+It then compares each report, its exit code and the text the command prints
+between the two sides, prints one line per report that differs and a summary
+line, and exits 1 when any differs.  The text is where ``words enumerate``
+prints its words.  The golden command's text carries timings and is not
 compared; its report does not.  Runs are sequential and single-process; the
 script needs only the standard library.
 """
@@ -53,6 +58,18 @@ PREORDERS = {
     "drawn.json": {"size": 15, "pairs": DRAWN_15},
     "relabelled.json": {"size": 15, "pairs": [[SIGMA[a], SIGMA[b]] for a, b in DRAWN_15]},
 }
+# README's context file: Z3 acting on a, b, c, d by a -> b -> c -> a, d fixed
+Z3_CONTEXT = {"order": 3, "table": [0, 1, 2, 1, 2, 0, 2, 0, 1], "element_names": ["e", "g", "g2"],
+              "alphabet": ["a", "b", "c", "d"], "action_table": [0, 1, 2, 1, 2, 0, 2, 0, 1, 3, 3, 3]}
+WORD_FILES = {"u.txt": "c a x1 a x1^g2 x2 d x3 x2^g2 x1^g a x3^g\n", "v.txt": "b x1 x1^g2\n"}
+GR_SPEC = {"builder": "gr", "params": {"n": 3}}
+WORDS = [
+    ["validate", "--context", "z3.json", "x1 x2 x1^g"],
+    ["validate", "--context", "z3.json", WORD_FILES["u.txt"].strip()],
+    ["validate", "--context", "z3.json", "x1^g x1"],  # first occurrence under g: exit 1
+    ["compose", "--context", "z3.json", "u.txt", "v.txt"],
+    ["enumerate", "--context", "z3.json", "-m", "2", "-n", "3"],
+]
 TUKEY = [
     ("anti.json", "one.json", [0, 0]),
     ("drawn.json", "relabelled.json", SIGMA),
@@ -79,14 +96,20 @@ def commands() -> dict[str, list[str]]:
         for kind in ("tukey", "cofinal"):
             out[f"{kind}-{i}.json"] = ["tukey", "check", "--kind", kind, "--dom", dom, "--cod", cod,
                                        "--map", json.dumps(f)]
+    for i, args in enumerate(WORDS):
+        out[f"words-{i}.json"] = ["words", *args]
+    out["category-gr.json"] = ["category", "check", "--spec", "gr.json", "--context", "z3.json"]
     return out
 
 
-def run_side(checkout: Path, workdir: Path, runs: dict[str, list[str]]) -> dict[str, tuple[int, bytes]]:
-    """(exit code, report bytes) of each run, with ``checkout/src`` first on
-    the module path and ``workdir`` as the working directory."""
-    for name, payload in {"z2.json": Z2_GROUP, **PREORDERS}.items():
+def run_side(checkout: Path, workdir: Path, runs: dict[str, list[str]]) -> dict[str, tuple[int, bytes, bytes]]:
+    """(exit code, report bytes, text printed) of each run, with
+    ``checkout/src`` first on the module path and ``workdir`` as the working
+    directory."""
+    for name, payload in {"z2.json": Z2_GROUP, "z3.json": Z3_CONTEXT, "gr.json": GR_SPEC, **PREORDERS}.items():
         (workdir / name).write_text(json.dumps(payload), encoding="utf-8")
+    for name, text in WORD_FILES.items():
+        (workdir / name).write_text(text, encoding="utf-8")
     path = [str(checkout.resolve() / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     results = {}
@@ -94,7 +117,8 @@ def run_side(checkout: Path, workdir: Path, runs: dict[str, list[str]]) -> dict[
         done = subprocess.run([sys.executable, "-m", "ramcat.cli", *args, "--output", name],
                               cwd=workdir, env=env, capture_output=True)
         report = workdir / name
-        results[name] = (done.returncode, report.read_bytes() if report.exists() else b"")
+        text = b"" if name == "golden.json" else done.stdout
+        results[name] = (done.returncode, report.read_bytes() if report.exists() else b"", text)
     return results
 
 
@@ -120,7 +144,7 @@ def main() -> int:
         print(f"no report: {name} (exit {parent[name][0]} on the parent side)")
     print(f"{len(runs) - len(differ)} of {len(runs)} reports byte-identical "
           f"(golden, {len(criterion_4_grid())} ramsey check, {len(PREADJ)} preadj verify, "
-          f"{2 * len(TUKEY)} tukey check)")
+          f"{2 * len(TUKEY)} tukey check, {len(WORDS)} words, 1 category check)")
     return 1 if differ or missing else 0
 
 
