@@ -19,12 +19,13 @@ Both engines canonicalize colors by first use, which quotients out the k!
 color permutations without affecting the verdict: a position takes only
 the colors used before it plus one new color, since unused colors are
 interchangeable.  Copies are listed as index sets over hom(A, C) once per
-(fragment, A, B, C), from the fragment's payload rule: within one hom-set
-the payload names the morphism, so no morphism is built per pair.  They are
-kept with the fragment, so both engines share them and the search never
-composes morphisms.  ``certify_bad_coloring`` is the independent re-check:
-it composes afresh through ``CategoryFragment.compose`` and stops each copy
-at its second color.
+(fragment, A, B, C), from the fragment's payload rule and its index of
+hom(A, C) (``CategoryFragment.hom_index``): within one hom-set the payload
+names the morphism, so no morphism is built per pair.  They are kept with
+the fragment, so both engines share them and the search never composes
+morphisms.  ``certify_bad_coloring`` is the independent re-check: it
+composes afresh through ``CategoryFragment.compose``, finds each composite
+in the same index, and stops each copy at its second color.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .category import CategoryFragment, Morphism
+from .category import CategoryFragment
 from .errors import BudgetExceeded, ValidationError
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -58,9 +59,7 @@ class ArrowVerdict:
 
 @dataclass
 class _Copies:
-    hom_ac: tuple[Morphism, ...]
-    sets: list[tuple[int, ...]]          # deduplicated index sets
-    representatives: list[Morphism]      # one w per distinct set
+    sets: list[tuple[int, ...]]  # deduplicated index sets over hom(A, C), in listing order
 
 
 def _prepare(fragment: CategoryFragment, a, b, c) -> _Copies:
@@ -69,21 +68,12 @@ def _prepare(fragment: CategoryFragment, a, b, c) -> _Copies:
     if not hom_ab or not hom_bc:
         raise ValidationError("precondition_arrow_missing",
                               f"need nonempty hom({a},{b}) and hom({b},{c})", A=a, B=b, C=c)
-    hom_ac = fragment.hom(a, c)
-    index = {m.payload: i for i, m in enumerate(hom_ac)}  # one hom-set: the payload names the morphism
+    index = fragment.hom_index(a, c)
     rule = fragment.rule
     payloads = [w.payload for w in hom_bc]
     columns = [[index[rule(g, f.payload)] for g in payloads] for f in hom_ab]
-    sets: list[tuple[int, ...]] = []
-    reps: list[Morphism] = []
-    seen: set[tuple[int, ...]] = set()
-    for w, row in zip(hom_bc, zip(*columns)):
-        copy = tuple(sorted(set(row)))
-        if copy not in seen:
-            seen.add(copy)
-            sets.append(copy)
-            reps.append(w)
-    return _Copies(hom_ac, sets, reps)
+    sets = dict.fromkeys(tuple(sorted(set(row))) for row in zip(*columns))
+    return _Copies(list(sets))
 
 
 def _copies(fragment: CategoryFragment, a, b, c) -> _Copies:
@@ -128,7 +118,7 @@ def check_arrow_exhaustive(fragment: CategoryFragment, a, b, c, k: int,
     if k < 1:
         raise ValidationError("bad_colors", f"need at least one color, got {k}")
     copies = _copies(fragment, a, b, c)
-    h = len(copies.hom_ac)
+    h = fragment.hom_size(a, c)
     sizes = {"hom_ac": h, "copies": len(copies.sets)}
     if k ** h > coloring_budget:
         raise BudgetExceeded("colorings", coloring_budget,
@@ -221,7 +211,7 @@ def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
         if stats_out is not None:
             stats_out.update(nodes=0, forced=0)
         return None
-    h = len(copies.hom_ac)
+    h = fragment.hom_size(a, c)
     through: list[list[int]] = [[] for _ in range(h)]  # the masks of the copies through each position
     for copy in copies.sets:
         mask = 0
@@ -321,10 +311,10 @@ def certify_bad_coloring(fragment: CategoryFragment, a, b, c, coloring: Coloring
     """Re-check a counterexample by direct enumeration: every w gets a copy
     showing at least two colors.  Each copy is composed through
     ``fragment.compose`` until it shows its second color."""
-    index = {m: i for i, m in enumerate(fragment.hom(a, c))}
+    index = fragment.hom_index(a, c)
     hom_ab = fragment.hom(a, b)
     for w in fragment.hom(b, c):
-        colors = (coloring.colors[index[fragment.compose(w, f)]] for f in hom_ab)
+        colors = (coloring.colors[index[fragment.compose(w, f).payload]] for f in hom_ab)
         first = next(colors, None)
         if all(color == first for color in colors):
             return False

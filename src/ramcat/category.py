@@ -8,7 +8,10 @@ g after f, and the rule never sees a domain or codomain.
 and types the composite as ``f.dom -> g.cod``.  Morphisms, like the words
 and surjections they carry, are tuple-backed values: a morphism equals a plain
 tuple, or a value of another class, with the same items, so
-``CategoryFragment.in_hom`` is the type check for hom-set membership.
+``CategoryFragment.in_hom`` is the type check for hom-set membership.  Each
+hom-set has one index, ``hom_index``, from payload to position in the
+listing; membership, the arrow copy listing, re-certification and the law
+check all read it.
 
 Builders are provided for the categories this package cares about:
 
@@ -89,7 +92,7 @@ class CategoryFragment:
         self._hom = {pair: ms if isinstance(ms, LazyHom) else tuple(ms) for pair, ms in hom.items()}
         self._identity = dict(identity)
         self.rule = rule
-        self._hom_sets: dict = {}  # filled per pair by the first membership test
+        self._index: dict = {}  # (a, b) -> hom(a, b)'s index, filled on the first lookup
         self.copies: dict = {}  # the arrow copies of each (A, B, C), filled by ramcat.arrows
 
     def __repr__(self):
@@ -117,22 +120,24 @@ class CategoryFragment:
                                   f"cannot compose {g.dom}->{g.cod} after {f.dom}->{f.cod}")
         return Morphism(f.dom, g.cod, self.rule(g.payload, f.payload))
 
-    def contains_morphism(self, m: Morphism) -> bool:
-        """Whether ``m`` is listed in hom(m.dom, m.cod).  Tuple equality
-        ignores classes, so the member equal to ``m`` must also carry a
-        payload of the class of m's payload."""
-        pair = (m.dom, m.cod)
-        members = self._hom_sets.get(pair)
-        if members is None:
-            if pair not in self._hom:
-                return False
-            members = self._hom_sets[pair] = {f: type(f.payload) for f in self.hom(*pair)}
-        return members.get(m) is type(m.payload)
+    def hom_index(self, a, b) -> dict:
+        """hom(a, b)'s index: each payload to its morphism's position in the
+        listing.  Within one hom-set the payload names the morphism.  Built
+        on the first lookup and kept, as listings are."""
+        index = self._index.get((a, b))
+        if index is None:
+            index = self._index[a, b] = {m.payload: i for i, m in enumerate(self.hom(a, b))}
+        return index
 
     def in_hom(self, m, a, b) -> bool:
         """Whether ``m`` is a morphism of hom(a, b) in this fragment: a
-        ``Morphism``, not merely a tuple equal to one."""
-        return isinstance(m, Morphism) and m.dom == a and m.cod == b and self.contains_morphism(m)
+        ``Morphism``, not merely a tuple equal to one, whose payload has the
+        class of the listed payload it equals, since tuple equality ignores
+        classes."""
+        if not (isinstance(m, Morphism) and m.dom == a and m.cod == b):
+            return False
+        i = self.hom_index(a, b).get(m.payload)
+        return i is not None and type(self._hom[a, b][i].payload) is type(m.payload)
 
     def morphisms(self) -> Iterator[Morphism]:
         for pair in sorted(self._hom, key=lambda p: (self.objects.index(p[0]), self.objects.index(p[1]))):
@@ -378,18 +383,23 @@ def opposite(fragment: CategoryFragment) -> CategoryFragment:
     return CategoryFragment(name, fragment.objects, hom, identity, lambda g, f: rule(f, g))
 
 
-def fragment_equal(f: CategoryFragment, g: CategoryFragment) -> bool:
-    """Structural equality: objects, ordered hom-sets, identities and the
-    composition evaluated on every composable pair."""
+def same_interface(f: CategoryFragment, g: CategoryFragment) -> bool:
+    """Whether two fragments list the same objects, ordered hom-sets and
+    identities; their composition is not compared."""
+    if f is g:
+        return True
     if f.objects != g.objects:
         return False
-    for a in f.objects:
-        for b in f.objects:
-            if f.hom(a, b) != g.hom(a, b):
-                return False
-    for a in f.objects:
-        if f.identity(a) != g.identity(a):
-            return False
+    return all(f.hom(a, b) == g.hom(a, b) for a in f.objects for b in f.objects) and all(
+        f.identity(a) == g.identity(a) for a in f.objects
+    )
+
+
+def fragment_equal(f: CategoryFragment, g: CategoryFragment) -> bool:
+    """Structural equality: the same interface (``same_interface``) and the
+    composition evaluated on every composable pair."""
+    if not same_interface(f, g):
+        return False
     for a, b, c in product(f.objects, repeat=3):
         for x in f.hom(a, b):
             for y in f.hom(b, c):
@@ -447,12 +457,13 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
     the associativity loop reads h(gf) and (hg)f from that table whenever
     the inner composite is a member; ``compose`` runs again only on a
     composite outside the fragment.  So ``compose`` must be a function of
-    its arguments: equal morphisms in, equal composite out."""
+    its arguments: equal morphisms in, equal composite out.  A member's id
+    is read from the fragment's hom-set index, and membership from
+    ``in_hom``."""
     report = FragmentLawReport()
     objs = fragment.objects
     for a in objs:
-        ida = fragment.identity(a)
-        if ida.dom != a or ida.cod != a or not fragment.contains_morphism(ida):
+        if not fragment.in_hom(fragment.identity(a), a, a):
             report.identity_violations.append({"object": a, "reason": "identity missing from hom-set"})
     for a in objs:
         for b in objs:
@@ -463,29 +474,28 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
                     report.identity_violations.append({"morphism": f, "left": left, "right": right})
                     if len(report.identity_violations) >= max_violations:
                         return report
-    ids: dict = {}  # equal morphisms share an id
-    homs = {(a, b): [(m, ids.setdefault(m, len(ids))) for m in fragment.hom(a, b)]
-            for a, b in product(objs, repeat=2)}
-    members = {i: (m, i) for m, i in ids.items()}
-    # (id of g, id of f) -> (g∘f, its id): the member's own entry when g∘f is
-    # a member, else (g∘f, None)
-    composite: dict = {}
+    # a member's id is its position offset by the sizes of the hom-sets
+    # before it; members[id] is its (member, id) entry
+    members: list = []
+    offset, homs = {}, {}
+    for a, b in product(objs, repeat=2):
+        offset[a, b] = start = len(members)
+        members += ((m, start + i) for i, m in enumerate(fragment.hom(a, b)))
+        homs[a, b] = members[start:]
 
-    def composed(g, gi, f, fi):
-        known = composite.get((gi, fi))
-        if known is None:
-            gf = fragment.compose(g, f)
-            return gf, ids.get(gf)
-        return known
+    def entry(m, a, b):
+        """m's (member, id) entry when m is a morphism of hom(a, b), else (m, None)."""
+        if fragment.in_hom(m, a, b):
+            return members[offset[a, b] + fragment.hom_index(a, b)[m.payload]]
+        return m, None
 
+    composite: dict = {}  # (id of g, id of f) -> the entry of g∘f
     for a, b in product(objs, repeat=2):
         for f, fi in homs[a, b]:
             for c in objs:
                 for g, gi in homs[b, c]:
-                    gf = fragment.compose(g, f)
-                    gfi = ids.get(gf)
-                    composite[gi, fi] = (gf, None) if gfi is None else members[gfi]
-                    if not fragment.contains_morphism(gf):
+                    gf, gfi = composite[gi, fi] = entry(fragment.compose(g, f), a, c)
+                    if gfi is None:
                         report.closure_violations.append({"g": g, "f": f, "composite": gf})
                         if len(report.closure_violations) >= max_violations:
                             return report
@@ -497,10 +507,11 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
                     for d in objs:
                         for h, hi in homs[c, d]:
                             hg, hgi = composite[hi, gi]
-                            left, li = composed(h, hi, gf, gfi)
-                            right, ri = composed(hg, hgi, f, fi)
-                            # equal ids are equal members; values decide only between non-members
-                            if li != ri or (li is None and left != right):
+                            # a composite outside the fragment has no id and is composed afresh
+                            left, li = composite.get((hi, gfi)) or entry(fragment.compose(h, gf), a, d)
+                            right, ri = composite.get((hgi, fi)) or entry(fragment.compose(hg, f), a, d)
+                            # the same member on both sides is equal; values decide otherwise
+                            if (li != ri or li is None) and left != right:
                                 report.associativity_violations.append({"h": h, "g": g, "f": f})
                                 if len(report.associativity_violations) >= max_violations:
                                     return report

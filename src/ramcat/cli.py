@@ -376,9 +376,9 @@ def ramsey():
 @click.option("-A", "a", type=int, required=True)
 @click.option("-B", "b", type=int, required=True)
 @click.option("-C", "c", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
-@click.option("--budget-nodes", default=DEFAULT_NODE_BUDGET, show_default=True, type=int)
-@click.option("--budget-colorings", default=DEFAULT_COLORING_BUDGET, show_default=True, type=int,
+@click.option("-k", "k", type=click.IntRange(min=1), required=True)
+@click.option("--budget-nodes", default=DEFAULT_NODE_BUDGET, show_default=True, type=click.IntRange(min=0))
+@click.option("--budget-colorings", default=DEFAULT_COLORING_BUDGET, show_default=True, type=click.IntRange(min=0),
               help="the exhaustive oracle runs when k^|hom(A,C)| is at most this")
 @reported
 def ramsey_check(family, context_path, a, b, c, k, budget_nodes, budget_colorings):
@@ -410,9 +410,9 @@ def ramsey_check(family, context_path, a, b, c, k, budget_nodes, budget_coloring
 @click.option("--context", "context_path", default=None)
 @click.option("-A", "a", type=int, required=True)
 @click.option("-B", "b", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
+@click.option("-k", "k", type=click.IntRange(min=1), required=True)
 @click.option("--max-n", type=int, required=True)
-@click.option("--budget-nodes", default=DEFAULT_NODE_BUDGET, show_default=True, type=int)
+@click.option("--budget-nodes", default=DEFAULT_NODE_BUDGET, show_default=True, type=click.IntRange(min=0))
 @reported
 def ramsey_search(family, context_path, a, b, k, max_n, budget_nodes):
     family_fn = _family(family, _load_context(context_path))

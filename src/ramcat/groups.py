@@ -23,7 +23,6 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] = field(compare=False, default=())
     element_order: tuple[int, ...] = ()
-    inverses: tuple[int, ...] = field(init=False, compare=False, default=())
     order_pos: tuple[int, ...] = field(init=False, compare=False, default=())
 
     def __post_init__(self):
@@ -32,11 +31,6 @@ class FiniteGroup:
             object.__setattr__(self, "names", default_element_names(t))
         if not self.element_order:
             object.__setattr__(self, "element_order", tuple(range(t)))
-        inv = []
-        for g in range(t):
-            h = next((h for h in range(t) if self.table[g][h] == 0 and self.table[h][g] == 0), None)
-            inv.append(h if h is not None else -1)
-        object.__setattr__(self, "inverses", tuple(inv))
         pos = [0] * t
         for p, g in enumerate(self.element_order):
             pos[g] = p
@@ -52,9 +46,6 @@ class FiniteGroup:
 
     def multiply(self, g: int, h: int) -> int:
         return self.table[g][h]
-
-    def inverse(self, g: int) -> int:
-        return self.inverses[g]
 
     def elements(self):
         return range(self.order)

@@ -31,6 +31,7 @@ from .category import (
     is_mono,
     omega_truncation,
     ram_fragment,
+    same_interface,
     thin_from_preorder,
 )
 from .errors import BudgetExceeded, ValidationError
@@ -192,16 +193,6 @@ def identity_pa(fragment: CategoryFragment) -> PreAdjunction:
     )
 
 
-def _same_interface(f: CategoryFragment, g: CategoryFragment) -> bool:
-    if f is g:
-        return True
-    if f.objects != g.objects:
-        return False
-    return all(f.hom(a, b) == g.hom(a, b) for a in f.objects for b in f.objects) and all(
-        f.identity(a) == g.identity(a) for a in f.objects
-    )
-
-
 def compose_pa(first: PreAdjunction, second: PreAdjunction, name: str | None = None) -> PreAdjunction:
     """Compose two pre-adjunctions along a shared middle fragment; the
     morphism family threads through the middle hom-sets.
@@ -211,7 +202,7 @@ def compose_pa(first: PreAdjunction, second: PreAdjunction, name: str | None = N
     same words and are accepted, as are explicit fragments that differ only
     in their compose tables.  No verdict is unsound for it: ``verify_pa``
     checks the composite's own transport condition."""
-    if not _same_interface(first.target, second.source):
+    if not same_interface(first.target, second.source):
         raise ValidationError("fragment_mismatch",
                               "the first target fragment must equal the second source fragment")
 

@@ -38,7 +38,7 @@ def dfs_find_bad_coloring(fragment, a, b, c, k):
     copies = _prepare(fragment, a, b, c)
     if k == 1:
         return None
-    h = len(copies.hom_ac)
+    h = fragment.hom_size(a, c)
     closing = [[] for _ in range(h)]  # other positions of each copy ending here
     for copy in copies.sets:
         closing[copy[-1]].append(sum(1 << i for i in copy[:-1]))
@@ -76,7 +76,7 @@ def enumerating_check_arrow(fragment, a, b, c, k):
     last kept in front.  Returns (holds, counterexample, stats) as
     ``check_arrow_exhaustive`` reports them."""
     copies = _prepare(fragment, a, b, c)
-    h = len(copies.hom_ac)
+    h = fragment.hom_size(a, c)
     colors = [0] * h
 
     def canonical(pos, used):
@@ -118,16 +118,15 @@ def brute_force_arrow(fragment, a, b, c, k):
 def composing_prepare(fragment, a, b, c):
     """Oracle: the copy listing that composed every pair through
     ``fragment.compose`` and looked the typed composite up in hom(A, C).
-    Returns (sets, representatives) as ``_prepare`` lists them."""
+    Returns the index sets as ``_prepare`` lists them, in order."""
     index = {m: i for i, m in enumerate(fragment.hom(a, c))}
-    sets, reps, seen = [], [], set()
+    sets, seen = [], set()
     for w in fragment.hom(b, c):
         copy = tuple(sorted({index[fragment.compose(w, f)] for f in fragment.hom(a, b)}))
         if copy not in seen:
             seen.add(copy)
             sets.append(copy)
-            reps.append(w)
-    return sets, reps
+    return sets
 
 
 def all_pairs_certify(fragment, a, b, c, coloring):
@@ -501,7 +500,7 @@ def test_payload_copies_match_the_composing_oracle():
         for a, b, c in product(f.objects, repeat=3):
             if f.arrow(a, b) and f.arrow(b, c):
                 copies = _prepare(f, a, b, c)
-                assert (copies.sets, copies.representatives) == composing_prepare(f, a, b, c), (f, a, b, c)
+                assert copies.sets == composing_prepare(f, a, b, c), (f, a, b, c)
                 instances += 1
     assert instances == 240 + 20 + 20  # the six builders, then the skeleton and dram(4), four objects each
 
@@ -512,7 +511,7 @@ def test_payload_copies_build_no_morphism(monkeypatch):
     expected = composing_prepare(f, 2, 3, 6)
     monkeypatch.setattr(CategoryFragment, "compose", None)
     copies = _prepare(f, 2, 3, 6)
-    assert (copies.sets, copies.representatives) == expected
+    assert copies.sets == expected
 
 
 def test_certify_agrees_with_all_pairs_oracle_on_every_coloring():

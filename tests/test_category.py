@@ -28,10 +28,16 @@ from ramcat import (
     validate_fragment,
     vec_fragment,
 )
+from ramcat.arrows import certify_bad_coloring, find_bad_coloring
 from ramcat.category import CategoryFragment, FragmentLawReport, Morphism
 from ramcat.surjections import RigidSurjection, word_to_rsurj
 from ramcat.words import identity_word
 from conftest import stirling, tabulate
+
+
+# one morphism a -> b besides the identities; payloads are the integer ids
+INT_IDS = explicit_fragment(["a", "b"], {0: ("a", "a"), 1: ("b", "b"), 2: ("a", "b")}, {"a": 0, "b": 1},
+                            {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2}, name="int-ids")
 
 
 def twin_fragment():
@@ -308,12 +314,38 @@ def test_thin_from_preorder():
     (ram_fragment(3), 2, 3, lambda m: RigidSurjection(*m)),  # a value of another class
     (dram_fragment(3), 3, 2, lambda m: Morphism(m.dom, m.cod, tuple(m.payload))),  # another payload class
     (gr_fragment(plain_context(), 3), 2, 3, lambda m: Morphism(m.dom, m.cod, tuple(m.payload))),
+    (opposite(dram_fragment(3)), 2, 3, lambda m: Morphism(m.dom, m.cod, tuple(m.payload))),
+    (vec_fragment(2, 3), 2, 3, tuple),
+    (thin_from_preorder(chain_preorder(3)), 0, 2, tuple),
+    (INT_IDS, "a", "b", lambda m: Morphism(m.dom, m.cod, float(m.payload))),  # 2.0 == 2
+    # a listed morphism of another hom-set whose payload hom(a, b) also lists
+    (thin_from_preorder(chain_preorder(3)), 0, 2, lambda m: Morphism(0, 1, m.payload)),
+    (thin_from_preorder(chain_preorder(3)), 1, 2, lambda m: Morphism(0, 2, m.payload)),
 ])
 def test_in_hom_refuses_a_value_equal_to_a_member(fragment, a, b, impostor):
     for m in fragment.hom(a, b):
         value = impostor(m)
-        assert value == m and hash(value) == hash(m)  # tuple equality ignores the class
+        # equal payloads, so the value finds m's position in hom(a, b)'s index
+        assert value[2] == m.payload and hash(value[2]) == hash(m.payload)
         assert fragment.in_hom(m, a, b) and not fragment.in_hom(value, a, b)
+
+
+def test_hom_index_is_the_listing_position_and_is_kept():
+    for frag in (ram_fragment(4), dram_fragment(4), dram_op_fragment(4), gr_fragment(plain_context(), 3),
+                 vec_fragment(2, 3), thin_from_preorder(chain_preorder(3)), INT_IDS,
+                 explicit_fragment(range(1, 4), *tabulate(dram_fragment(3)))):
+        for a, b in product(frag.objects, repeat=2):
+            ms = frag.hom(a, b)
+            assert frag.hom_index(a, b) == {m.payload: ms.index(m) for m in ms}, (frag.name, a, b)
+    # the copy listing, the re-check and the law check read one index per pair
+    frag = ram_fragment(5)
+    bad = find_bad_coloring(frag, 2, 3, 5, 2)
+    assert frag.copies and bad is not None
+    kept = dict(frag._index)
+    assert certify_bad_coloring(frag, 2, 3, 5, bad) and validate_fragment(frag).ok
+    assert set(frag._index) <= set(product(frag.objects, repeat=2))
+    assert all(frag._index[pair] is index for pair, index in kept.items())
+    assert all(frag.hom_index(*pair) is index for pair, index in frag._index.items())
 
 
 @pytest.mark.parametrize("value, field", [
@@ -356,8 +388,7 @@ def triple_loop_validate(fragment, max_violations=5):
     report = FragmentLawReport()
     objs = fragment.objects
     for a in objs:
-        ida = fragment.identity(a)
-        if ida.dom != a or ida.cod != a or not fragment.contains_morphism(ida):
+        if not fragment.in_hom(fragment.identity(a), a, a):
             report.identity_violations.append({"object": a, "reason": "identity missing from hom-set"})
     for a in objs:
         for b in objs:
@@ -373,7 +404,7 @@ def triple_loop_validate(fragment, max_violations=5):
             for c in objs:
                 for g in fragment.hom(b, c):
                     gf = fragment.compose(g, f)
-                    if not fragment.contains_morphism(gf):
+                    if not fragment.in_hom(gf, a, c):
                         report.closure_violations.append({"g": g, "f": f, "composite": gf})
                         if len(report.closure_violations) >= max_violations:
                             return report

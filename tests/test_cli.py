@@ -532,6 +532,16 @@ ONE = {"leq": [[True]]}
                  id="spec-composite-not-listed"),
     pytest.param(["rsurj", "compose", "(1,2)", "()"], {}, id="compose-empty-map"),
     pytest.param(["rsurj", "dual", "()"], {}, id="dual-empty-map"),
+    pytest.param(["ramsey", "check", "--family", "ram", "-A", "1", "-B", "2", "-C", "3", "-k", "0"], {},
+                 id="check-no-colors"),
+    pytest.param(["ramsey", "check", "--family", "ram", "-A", "1", "-B", "2", "-C", "3", "-k", "2",
+                  "--budget-nodes", "-1"], {}, id="check-negative-node-budget"),
+    pytest.param(["ramsey", "check", "--family", "ram", "-A", "1", "-B", "2", "-C", "3", "-k", "2",
+                  "--budget-colorings", "-1"], {}, id="check-negative-coloring-budget"),
+    pytest.param(["ramsey", "search", "--family", "ram", "-A", "1", "-B", "2", "-k", "0", "--max-n", "4"], {},
+                 id="search-no-colors"),
+    pytest.param(["ramsey", "search", "--family", "ram", "-A", "1", "-B", "2", "-k", "2", "--max-n", "4",
+                  "--budget-nodes", "-1"], {}, id="search-negative-node-budget"),
 ])
 def test_malformed_input_is_usage_error(runner, tmp_path, args, files):
     paths = {name: write(tmp_path, name + ".json", payload) for name, payload in files.items()}

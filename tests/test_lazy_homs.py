@@ -169,7 +169,7 @@ def test_reading_one_hom_set_lists_only_that_pair(monkeypatch, swap_context):
     assert calls == [] and items == [0]
     ms = frag.hom(1, 2)
     assert calls == [(1, 2)] and items == [len(ms)] == [frag.hom_size(1, 2)]
-    assert frag.hom(1, 2) is ms and frag.contains_morphism(ms[0])
+    assert frag.hom(1, 2) is ms and frag.in_hom(ms[0], 1, 2)
     assert calls == [(1, 2)]
 
 

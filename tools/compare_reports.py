@@ -20,7 +20,10 @@ these reports with ``--output``:
 * ``ramcat words validate``, ``compose`` and ``enumerate`` over README's
   context file ``z3.json`` (Z3 acting on a, b, c, d), on README's words and
   one word that fails validation;
-* ``ramcat category check`` on a ``gr`` builder spec over ``z3.json``.
+* ``ramcat category check`` on a ``gr`` builder spec over ``z3.json``, on a
+  spec for each other builder (ram, dram, dram-op, vec, thin-chain), and on
+  two explicit tables: one whose composition is not associative, and one
+  missing a composite, so it is not closed.
 
 It then compares each report, its exit code and the text the command prints
 between the two sides, prints one line per report that differs and a summary
@@ -62,7 +65,24 @@ PREORDERS = {
 Z3_CONTEXT = {"order": 3, "table": [0, 1, 2, 1, 2, 0, 2, 0, 1], "element_names": ["e", "g", "g2"],
               "alphabet": ["a", "b", "c", "d"], "action_table": [0, 1, 2, 1, 2, 0, 2, 0, 1, 3, 3, 3]}
 WORD_FILES = {"u.txt": "c a x1 a x1^g2 x2 d x3 x2^g2 x1^g a x3^g\n", "v.txt": "b x1 x1^g2\n"}
-GR_SPEC = {"builder": "gr", "params": {"n": 3}}
+# objects a, b; x and y on a compose like a non-associative magma with identity id_a
+MAGMA = {"objects": ["a", "b"],
+         "morphisms": {m: {"dom": d, "cod": c} for m, d, c in [("id_a", "a", "a"), ("x", "a", "a"), ("y", "a", "a"),
+                                                              ("id_b", "b", "b"), ("f", "a", "b")]},
+         "identities": {"a": "id_a", "b": "id_b"},
+         "compose": [["id_a", m, m] for m in ("id_a", "x", "y")] + [[m, "id_a", m] for m in ("x", "y")]
+         + [["x", "x", "y"], ["x", "y", "x"], ["y", "x", "y"], ["y", "y", "x"], ["id_b", "id_b", "id_b"],
+            ["id_b", "f", "f"], ["f", "id_a", "f"], ["f", "x", "f"], ["f", "y", "f"]]}
+CATEGORY_SPECS = {
+    "gr.json": {"builder": "gr", "params": {"n": 3}},
+    "ram.json": {"builder": "ram", "params": {"n": 5}},
+    "dram.json": {"builder": "dram", "params": {"n": 5}},
+    "dram-op.json": {"builder": "dram-op", "params": {"n": 5}},
+    "vec.json": {"builder": "vec", "params": {"q": 2, "n": 3}},
+    "thin-chain.json": {"builder": "thin-chain", "params": {"n": 4}},
+    "magma.json": MAGMA,
+    "open.json": {**MAGMA, "compose": MAGMA["compose"][:-1]},  # f after y is missing
+}
 WORDS = [
     ["validate", "--context", "z3.json", "x1 x2 x1^g"],
     ["validate", "--context", "z3.json", WORD_FILES["u.txt"].strip()],
@@ -98,7 +118,8 @@ def commands() -> dict[str, list[str]]:
                                        "--map", json.dumps(f)]
     for i, args in enumerate(WORDS):
         out[f"words-{i}.json"] = ["words", *args]
-    out["category-gr.json"] = ["category", "check", "--spec", "gr.json", "--context", "z3.json"]
+    for spec in CATEGORY_SPECS:
+        out["category-" + spec] = ["category", "check", "--spec", spec, "--context", "z3.json"]
     return out
 
 
@@ -106,7 +127,7 @@ def run_side(checkout: Path, workdir: Path, runs: dict[str, list[str]]) -> dict[
     """(exit code, report bytes, text printed) of each run, with
     ``checkout/src`` first on the module path and ``workdir`` as the working
     directory."""
-    for name, payload in {"z2.json": Z2_GROUP, "z3.json": Z3_CONTEXT, "gr.json": GR_SPEC, **PREORDERS}.items():
+    for name, payload in {"z2.json": Z2_GROUP, "z3.json": Z3_CONTEXT, **CATEGORY_SPECS, **PREORDERS}.items():
         (workdir / name).write_text(json.dumps(payload), encoding="utf-8")
     for name, text in WORD_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
@@ -144,7 +165,7 @@ def main() -> int:
         print(f"no report: {name} (exit {parent[name][0]} on the parent side)")
     print(f"{len(runs) - len(differ)} of {len(runs)} reports byte-identical "
           f"(golden, {len(criterion_4_grid())} ramsey check, {len(PREADJ)} preadj verify, "
-          f"{2 * len(TUKEY)} tukey check, {len(WORDS)} words, 1 category check)")
+          f"{2 * len(TUKEY)} tukey check, {len(WORDS)} words, {len(CATEGORY_SPECS)} category check)")
     return 1 if differ or missing else 0
 
 
