@@ -453,13 +453,18 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
     """Check the identity, closure and associativity laws exhaustively,
     stopping once one kind has ``max_violations`` entries.
 
-    Each composable pair g, f is composed once, in the closure loop, and
-    the associativity loop reads h(gf) and (hg)f from that table whenever
-    the inner composite is a member; ``compose`` runs again only on a
-    composite outside the fragment.  So ``compose`` must be a function of
-    its arguments: equal morphisms in, equal composite out.  A member's id
-    is read from the fragment's hom-set index, and membership from
-    ``in_hom``."""
+    ``out[a]`` lists the members with domain a, hom(a, d) for each d in
+    ``fragment.objects`` in turn.  The closure loop composes each composable
+    pair g, f once and records, for each f: a -> b, the row of positions in
+    ``out[a]`` of g∘f for g in ``out[b]``; a member's position is read from
+    the fragment's hom-set index, and membership from ``in_hom``.  In a
+    closed fragment h(gf) = (hg)f holds for every h at once when the row of
+    g∘f equals the row of g read through the row of f, one comparison in C
+    per pair; where the rows differ, the h are walked in order.  A composite
+    outside the fragment has no position, so when the closure loop found
+    one, the h are walked for every pair and such a composite is composed
+    afresh.  So ``compose`` must be a function of its arguments: equal
+    morphisms in, equal composite out."""
     report = FragmentLawReport()
     objs = fragment.objects
     for a in objs:
@@ -474,47 +479,66 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
                     report.identity_violations.append({"morphism": f, "left": left, "right": right})
                     if len(report.identity_violations) >= max_violations:
                         return report
-    # a member's id is its position offset by the sizes of the hom-sets
-    # before it; members[id] is its (member, id) entry
-    members: list = []
-    offset, homs = {}, {}
-    for a, b in product(objs, repeat=2):
-        offset[a, b] = start = len(members)
-        members += ((m, start + i) for i, m in enumerate(fragment.hom(a, b)))
-        homs[a, b] = members[start:]
+    out: dict = {a: [] for a in objs}  # a -> the members with domain a
+    cods: dict = {a: [] for a in objs}  # a -> the codomain of each member of out[a]
+    start: dict = {}  # (a, d) -> the position in out[a] of hom(a, d)'s first member
+    for a, d in product(objs, repeat=2):
+        start[a, d] = len(out[a])
+        ms = fragment.hom(a, d)
+        out[a] += ms
+        cods[a] += [d] * len(ms)
 
-    def entry(m, a, b):
-        """m's (member, id) entry when m is a morphism of hom(a, b), else (m, None)."""
-        if fragment.in_hom(m, a, b):
-            return members[offset[a, b] + fragment.hom_index(a, b)[m.payload]]
-        return m, None
+    def position(m, a, d):
+        """m's position in out[a] when m is a morphism of hom(a, d), else None."""
+        if fragment.in_hom(m, a, d):
+            return start[a, d] + fragment.hom_index(a, d)[m.payload]
+        return None
 
-    composite: dict = {}  # (id of g, id of f) -> the entry of g∘f
-    for a, b in product(objs, repeat=2):
-        for f, fi in homs[a, b]:
-            for c in objs:
-                for g, gi in homs[b, c]:
-                    gf, gfi = composite[gi, fi] = entry(fragment.compose(g, f), a, c)
-                    if gfi is None:
-                        report.closure_violations.append({"g": g, "f": f, "composite": gf})
-                        if len(report.closure_violations) >= max_violations:
+    rows: dict = {a: [] for a in objs}  # rows[a][i]: the row of out[a][i]
+    outside: dict = {}  # (a, position of f, position of g) -> g∘f, a composite outside the fragment
+    for a in objs:
+        for i, (f, b) in enumerate(zip(out[a], cods[a])):
+            row = []
+            for j, (g, c) in enumerate(zip(out[b], cods[b])):
+                gf = fragment.compose(g, f)
+                p = position(gf, a, c)
+                if p is None:
+                    outside[a, i, j] = gf
+                    report.closure_violations.append({"g": g, "f": f, "composite": gf})
+                    if len(report.closure_violations) >= max_violations:
+                        return report
+                row.append(p)
+            rows[a].append(row)
+    closed = not outside
+    for a in objs:
+        members, ra = out[a], rows[a]
+        for i, (f, b) in enumerate(zip(members, cods[a])):
+            rf = ra[i]
+            for j, (g, c) in enumerate(zip(out[b], cods[b])):
+                gf_at, rg = rf[j], rows[b][j]
+                # rows are lists: a tuple built from a map is resized as it
+                # fills, and the freed ones pile up in the tuple free lists
+                if closed and ra[gf_at] == list(map(rf.__getitem__, rg)):
+                    continue
+                for k, (h, d) in enumerate(zip(out[c], cods[c])):
+                    if gf_at is None:
+                        left = fragment.compose(h, outside[a, i, j])
+                        li = position(left, a, d)
+                    else:
+                        li = ra[gf_at][k]
+                        left = outside[a, gf_at, k] if li is None else members[li]
+                    hg_at = rg[k]
+                    if hg_at is None:
+                        right = fragment.compose(outside[b, j, k], f)
+                        ri = position(right, a, d)
+                    else:
+                        ri = rf[hg_at]
+                        right = outside[a, i, hg_at] if ri is None else members[ri]
+                    # the same member on both sides is equal; values decide otherwise
+                    if (li != ri or li is None) and left != right:
+                        report.associativity_violations.append({"h": h, "g": g, "f": f})
+                        if len(report.associativity_violations) >= max_violations:
                             return report
-    for a, b in product(objs, repeat=2):
-        for f, fi in homs[a, b]:
-            for c in objs:
-                for g, gi in homs[b, c]:
-                    gf, gfi = composite[gi, fi]
-                    for d in objs:
-                        for h, hi in homs[c, d]:
-                            hg, hgi = composite[hi, gi]
-                            # a composite outside the fragment has no id and is composed afresh
-                            left, li = composite.get((hi, gfi)) or entry(fragment.compose(h, gf), a, d)
-                            right, ri = composite.get((hgi, fi)) or entry(fragment.compose(hg, f), a, d)
-                            # the same member on both sides is equal; values decide otherwise
-                            if (li != ri or li is None) and left != right:
-                                report.associativity_violations.append({"h": h, "g": g, "f": f})
-                                if len(report.associativity_violations) >= max_violations:
-                                    return report
     return report
 
 

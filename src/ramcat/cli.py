@@ -157,8 +157,11 @@ def _load_context(path: str | None) -> WordContext:
 
 
 def _load_fragment(spec_path: str, context_path: str | None):
+    """The fragment of a spec file.  Only a ``gr`` builder has a context, so
+    the context file is read for that spec alone."""
     spec = _load_json(spec_path)
-    context = _load_context(context_path) if context_path else None
+    is_gr = isinstance(spec, dict) and spec.get("builder") == "gr"
+    context = _load_context(context_path) if context_path and is_gr else None
     try:
         return fragment_from_spec(spec, context)
     except (LookupError, TypeError, ValueError) as exc:
@@ -305,7 +308,8 @@ def category():
 
 @category.command("build")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
-@click.option("--context", "context_path", default=None)
+@click.option("--context", "context_path", default=None,
+              help="group/action config file, read only for a gr builder spec")
 @click.option("--check", is_flag=True, help="also run the law checks")
 @reported
 def category_build(spec_path, context_path, check):
@@ -323,7 +327,8 @@ def category_build(spec_path, context_path, check):
 
 @category.command("check")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
-@click.option("--context", "context_path", default=None)
+@click.option("--context", "context_path", default=None,
+              help="group/action config file, read only for a gr builder spec")
 @reported
 def category_check(spec_path, context_path):
     frag = _load_fragment(spec_path, context_path)
@@ -342,7 +347,8 @@ def category_check(spec_path, context_path):
 
 @category.command("skeleton")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
-@click.option("--context", "context_path", default=None)
+@click.option("--context", "context_path", default=None,
+              help="group/action config file, read only for a gr builder spec")
 @reported
 def category_skeleton(spec_path, context_path):
     result = skeleton(_load_fragment(spec_path, context_path))

@@ -117,41 +117,56 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
     in canonical order, with any construction-suggested candidate tried
     first and its success tracked.  ``pa.phi`` is evaluated once per
     distinct ``(X, Y, u)`` within a call, so it must be a function of its
-    arguments; ``recheck_failures`` evaluates it afresh."""
+    arguments; ``recheck_failures`` evaluates it afresh.  Whether phi(B, C,
+    u) lands in hom(B, H(C)) is checked once per (B, C, u), and the
+    suggested v is drawn and checked against hom(F(A), F(B)) once per (A, B,
+    f)."""
     report = PAReport(pa.name, list(source_objects), list(target_objects))
     src, tgt = pa.source, pa.target
     phi = _memoised(pa.phi)
-    suggested_v = None if pa.suggested_v is None else _memoised(pa.suggested_v)
 
     for b_obj in source_objects:
         fb = pa.F(b_obj)
-        for ai, a_obj in enumerate(source_objects):
+        # C -> phi(B, C, u) for each u of hom(F(B), C) in turn, or None where
+        # it lands outside hom(B, H(C)); filled on the first A
+        landed: dict = {}
+        for a_obj in source_objects:
             fa = pa.F(a_obj)
             candidates = tgt.hom(fa, fb)
+            fs = src.hom(a_obj, b_obj)
+            # the suggested v of each f in turn, or None where it is not in
+            # hom(F(A), F(B)); filled on the first (C, u) whose phi lands
+            suggested: list = []
             for c_obj in target_objects:
                 hc = pa.H(c_obj)
-                for u in tgt.hom(fb, c_obj):
-                    phi_u = phi(b_obj, c_obj, u)
-                    if not src.in_hom(phi_u, b_obj, hc):
-                        if ai == 0:  # phi_u does not depend on A: record it on the first A only
-                            report.phi_landing_failures.append(
-                                {"X": b_obj, "Y": c_obj, "u": u, "phi": phi_u})
+                phis = landed.setdefault(c_obj, [])
+                for ui, u in enumerate(tgt.hom(fb, c_obj)):
+                    if ui == len(phis):
+                        phi_u = phi(b_obj, c_obj, u)
+                        if not src.in_hom(phi_u, b_obj, hc):
+                            report.phi_landing_failures.append({"X": b_obj, "Y": c_obj, "u": u, "phi": phi_u})
+                            phi_u = None
+                        phis.append(phi_u)
+                    phi_u = phis[ui]
+                    if phi_u is None:
                         continue
-                    for f in src.hom(a_obj, b_obj):
+                    for fi, f in enumerate(fs):
                         report.instances += 1
                         if report.instances > max_instances:
                             raise BudgetExceeded("pa_instances", max_instances)
                         lhs = src.compose(phi_u, f)
                         witness = None
                         used_suggested = False
-                        if suggested_v is not None:
+                        if pa.suggested_v is not None:
                             report.suggested_tried += 1
-                            v = suggested_v(a_obj, b_obj, f)
-                            if tgt.in_hom(v, fa, fb):
-                                if phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
-                                    witness = v
-                                    used_suggested = True
-                                    report.suggested_hits += 1
+                            if fi == len(suggested):
+                                v = pa.suggested_v(a_obj, b_obj, f)
+                                suggested.append(v if tgt.in_hom(v, fa, fb) else None)
+                            v = suggested[fi]
+                            if v is not None and phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
+                                witness = v
+                                used_suggested = True
+                                report.suggested_hits += 1
                         if witness is None:
                             for v in candidates:
                                 if phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:

@@ -33,7 +33,14 @@ class RigidSurjection(NamedTuple):
 
 
 def validate_rigid(dom: int, cod: int, image) -> RigidSurjection:
+    """``image`` as a rigid surjection ``dom -> cod``.  It is one exactly
+    when it has ``dom`` entries and the values in order of first occurrence
+    are 1..cod: each value then lies in 1..cod, each of 1..cod is attained,
+    and the minima of the preimages increase.  That test runs in C; an image
+    that fails it is checked value by value to say why."""
     image = tuple(image)
+    if len(image) == dom and tuple(dict.fromkeys(image)) == tuple(range(1, cod + 1)):
+        return RigidSurjection(dom, cod, image)
     if len(image) != dom:
         raise ValidationError("map_shape", f"map has {len(image)} entries for a {dom}-chain")
     for i, v in enumerate(image, start=1):
@@ -60,11 +67,12 @@ def identity_rigid(n: int) -> RigidSurjection:
 
 
 def compose_rigid(g: RigidSurjection, f: RigidSurjection) -> RigidSurjection:
-    """Standard function composition ``g`` after ``f``; closure under
-    rigidity is re-checked, not assumed."""
+    """Standard function composition ``g`` after ``f``, read in C through
+    ``g``'s image with a 0 in front, so value v of f indexes g(v).  Closure
+    under rigidity is re-checked by ``validate_rigid``, not assumed."""
     if f.cod != g.dom:
         raise ValidationError("chain_mismatch", f"cannot compose {g.dom}->{g.cod} after {f.dom}->{f.cod}")
-    return validate_rigid(f.dom, g.cod, tuple(g.image[v - 1] for v in f.image))
+    return validate_rigid(f.dom, g.cod, tuple(map(((0,) + g.image).__getitem__, f.image)))
 
 
 def enumerate_rsurj(dom: int, cod: int) -> Iterator[RigidSurjection]:

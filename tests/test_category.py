@@ -376,6 +376,23 @@ def mutated_ram4():
     return explicit_fragment([1, 2, 3, 4], morphisms, identities, compose, name="mutated")
 
 
+def mutated_dram5():
+    """dram(5) as explicit tables with two differing 5->3 composites of a
+    4->3 after a 5->4 swapped: later composition with some 3->2 morphism then
+    separates the two association orders.  dram(4) has no such pair: its one
+    chain of three morphisms that are not identities, 4->3->2->1, lands in
+    hom(4, 1), which has one member."""
+    morphisms, identities, compose = tabulate(dram_fragment(5))
+    keys = [k for k in compose if morphisms[k[1]] == (5, 4) and morphisms[k[0]] == (4, 3)]
+    k1, k2 = next(
+        (k1, k2)
+        for i, k1 in enumerate(keys) for k2 in keys[i + 1:]
+        if compose[k1] != compose[k2]
+    )
+    compose[k1], compose[k2] = compose[k2], compose[k1]
+    return explicit_fragment([1, 2, 3, 4, 5], morphisms, identities, compose, name="mutated-dram")
+
+
 def test_mutated_compose_table_fails_laws():
     report = validate_fragment(mutated_ram4())
     assert not report.ok
@@ -492,6 +509,12 @@ def law_fragments():
                           {("id_a", "id_a"): "id_a", ("f", "id_a"): "f", ("id_a", "f"): "f"}),
         twin_fragment(),
         ram_fragment(4),
+        dram_fragment(4),
+        dram_op_fragment(4),
+        gr_fragment(WordContext(cycle_action(cyclic_group(2), "ab", [1, 0])), 3),
+        vec_fragment(2, 3),
+        thin_from_preorder(chain_preorder(4)),
+        mutated_dram5(),
     ]
 
 
@@ -508,6 +531,12 @@ def test_validate_fragment_matches_triple_loops():
     # the closure report is cut at five before any associativity is checked
     cut = validate_fragment(law_fragments()[1])
     assert len(cut.closure_violations) == 5 and not cut.associativity_violations
+
+
+def test_mutated_dram_table_fails_associativity_alone():
+    report = triple_loop_validate(mutated_dram5(), 10**6)
+    assert report.associativity_violations
+    assert not report.identity_violations and not report.closure_violations
 
 
 def test_validate_fragment_raises_like_triple_loops():

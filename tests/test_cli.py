@@ -144,6 +144,18 @@ def test_category_check_refuses_a_composite_in_another_hom_set(runner, tmp_path)
     assert report["code"] == "not_closed" and "is not in hom(a, b)" in report["error"]
 
 
+def test_category_context_is_read_only_for_gr_specs(runner, tmp_path):
+    bad = write(tmp_path, "bad.json", {"order": 2})
+    gr = write(tmp_path, "gr.json", {"builder": "gr", "params": {"n": 2}})
+    refused = runner.invoke(main, ["category", "check", "--spec", gr, "--context", bad])
+    assert refused.exit_code == 2, refused.output
+    for command in ("build", "check", "skeleton"):
+        spec = write(tmp_path, "frag.json", {"builder": "dram", "params": {"n": 3}})
+        alone = runner.invoke(main, ["category", command, "--spec", spec])
+        ignored = runner.invoke(main, ["category", command, "--spec", spec, "--context", bad])
+        assert alone.exit_code == ignored.exit_code == 0 and ignored.output == alone.output, command
+
+
 def test_category_skeleton(runner, tmp_path):
     spec = write(tmp_path, "frag.json", {"builder": "dram", "params": {"n": 3}})
     result = runner.invoke(main, ["category", "skeleton", "--spec", spec])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ramcat import (
     ValidationError,
     compose_rigid,
+    dram_fragment,
     dual,
     enumerate_rsurj,
     enumerate_words,
@@ -18,6 +19,7 @@ from ramcat import (
     validate_rigid,
     word_to_rsurj,
 )
+from ramcat.surjections import RigidSurjection
 from conftest import stirling
 
 
@@ -46,6 +48,61 @@ def test_validate_accepts_and_rejects():
         validate_rigid(3, 3, (1, 2, 2))
     assert err.value.code == "not_surjective"
     assert validate_rigid(4, 4, (1, 2, 3, 4)).image == (1, 2, 3, 4)
+
+
+def rigid_verdict(dom, cod, image):
+    """What ``validate_rigid`` decides, read off the definition: None for a
+    rigid surjection dom -> cod, else the error code.  Values compare by
+    ==, as tuples do, so 1.0 and True stand for 1, and ordering "1" against
+    an integer raises TypeError."""
+    if len(image) != dom or not all(1 <= v <= cod for v in image):
+        return "map_shape"
+    if not all(b in image for b in range(1, cod + 1)):
+        return "not_surjective"
+    firsts = [image.index(b) for b in range(1, cod + 1)]
+    if any(x >= y for x, y in zip(firsts, firsts[1:])):
+        return "min_preimage_order"
+    return None
+
+
+def rigid_outcome(check, dom, cod, image):
+    try:
+        return check(dom, cod, image)
+    except ValidationError as exc:
+        return exc.code
+    except TypeError:
+        return TypeError
+
+
+def test_validate_rigid_accepts_exactly_the_rigid_surjections():
+    images = [image for n in range(6) for image in product(range(-1, 5), repeat=n)]
+    images += [image for n in range(1, 4) for image in product((1, 2, 1.0, True, "1"), repeat=n)]
+    accepted = 0
+    for image, cod in product(images, range(5)):
+        for dom in (len(image) - 1, len(image), len(image) + 1):
+            expected = rigid_outcome(rigid_verdict, dom, cod, image)
+            got = rigid_outcome(validate_rigid, dom, cod, image)
+            if expected is None:
+                assert type(got) is RigidSurjection and got == (dom, cod, image), (dom, cod, image)
+                accepted += 1
+            else:
+                assert got == expected, (dom, cod, image)
+    # the rigid surjections with values in 1..4 up to length 5, and those over
+    # 1, 2, 1.0 and True up to length 3: 1.0, True and 1 each stand for 1
+    over_one_two = [image for n in range(1, 4) for image in product((1, 2), repeat=n)
+                    if rigid_verdict(n, max(image), image) is None]
+    assert accepted == (sum(stirling(n, m) for n in range(6) for m in range(5))
+                        + sum(3 ** image.count(1) for image in over_one_two))
+
+
+def test_compose_rigid_is_composition_of_images():
+    frag = dram_fragment(5)
+    for a, b, c in product(frag.objects, repeat=3):
+        for f in frag.hom(a, b):
+            for g in frag.hom(b, c):
+                h = compose_rigid(g.payload, f.payload)
+                naive = tuple(g.payload.image[v - 1] for v in f.payload.image)
+                assert type(h) is RigidSurjection and h == (a, c, naive)
 
 
 def test_compose_examples():
