@@ -36,16 +36,21 @@ def validate_rigid(dom: int, cod: int, image) -> RigidSurjection:
     """``image`` as a rigid surjection ``dom -> cod``.  It is one exactly
     when it has ``dom`` entries and the values in order of first occurrence
     are 1..cod: each value then lies in 1..cod, each of 1..cod is attained,
-    and the minima of the preimages increase.  That test runs in C; an image
-    that fails it is checked value by value to say why."""
+    and the minima of the preimages increase.  That test runs in C and is
+    the only way in; it builds 1..cod only when there are exactly cod
+    distinct values, so a huge cod costs nothing.  An image that fails it is
+    checked value by value to say why, and is always refused."""
     image = tuple(image)
-    if len(image) == dom and tuple(dict.fromkeys(image)) == tuple(range(1, cod + 1)):
+    firsts = tuple(dict.fromkeys(image))
+    if len(image) == dom and len(firsts) == cod and firsts == tuple(range(1, cod + 1)):
         return RigidSurjection(dom, cod, image)
     if len(image) != dom:
         raise ValidationError("map_shape", f"map has {len(image)} entries for a {dom}-chain")
     for i, v in enumerate(image, start=1):
         if not (1 <= v <= cod):
             raise ValidationError("map_shape", f"value {v} at position {i} outside 1..{cod}", pos=i, value=v)
+        if v != int(v):
+            raise ValidationError("map_shape", f"value {v} at position {i} is not an integer", pos=i, value=v)
     mins: dict[int, int] = {}
     for i, v in enumerate(image, start=1):
         mins.setdefault(v, i)
@@ -59,7 +64,7 @@ def validate_rigid(dom: int, cod: int, image) -> RigidSurjection:
                 f"min preimage of {b} does not precede min preimage of {b + 1}",
                 b=b, b_next=b + 1,
             )
-    return RigidSurjection(dom, cod, image)
+    raise ValidationError("map_shape", f"values in order of first occurrence are not 1..{cod}")
 
 
 def identity_rigid(n: int) -> RigidSurjection:

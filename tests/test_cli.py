@@ -117,6 +117,17 @@ def test_rsurj_commands(runner):
     assert d.output.strip() == "(1,3,5)"
 
 
+@pytest.mark.parametrize("args", [
+    ["rsurj", "validate", "(1,1)", "--cod", str(10 ** 12)],
+    ["rsurj", "compose", "(1,1)", "(1,1)", "--cod", str(10 ** 12)],
+    ["rsurj", "dual", "(1,1)", "--cod", str(10 ** 12)],
+])
+def test_rsurj_huge_cod_is_not_surjective(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output)["code"] == "not_surjective"
+
+
 def test_category_build_and_check(runner, tmp_path):
     spec = write(tmp_path, "frag.json", {"builder": "ram", "params": {"n": 3}})
     built = runner.invoke(main, ["category", "build", "--spec", spec, "--check"])

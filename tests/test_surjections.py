@@ -53,9 +53,9 @@ def test_validate_accepts_and_rejects():
 def rigid_verdict(dom, cod, image):
     """What ``validate_rigid`` decides, read off the definition: None for a
     rigid surjection dom -> cod, else the error code.  Values compare by
-    ==, as tuples do, so 1.0 and True stand for 1, and ordering "1" against
-    an integer raises TypeError."""
-    if len(image) != dom or not all(1 <= v <= cod for v in image):
+    ==, as tuples do, so 1.0 and True stand for 1, 1.5 is no value of a
+    chain, and ordering "1" against an integer raises TypeError."""
+    if len(image) != dom or not all(1 <= v <= cod and v == int(v) for v in image):
         return "map_shape"
     if not all(b in image for b in range(1, cod + 1)):
         return "not_surjective"
@@ -76,7 +76,7 @@ def rigid_outcome(check, dom, cod, image):
 
 def test_validate_rigid_accepts_exactly_the_rigid_surjections():
     images = [image for n in range(6) for image in product(range(-1, 5), repeat=n)]
-    images += [image for n in range(1, 4) for image in product((1, 2, 1.0, True, "1"), repeat=n)]
+    images += [image for n in range(1, 4) for image in product((1, 2, 1.0, True, 1.5, "1"), repeat=n)]
     accepted = 0
     for image, cod in product(images, range(5)):
         for dom in (len(image) - 1, len(image), len(image) + 1):
@@ -88,7 +88,8 @@ def test_validate_rigid_accepts_exactly_the_rigid_surjections():
             else:
                 assert got == expected, (dom, cod, image)
     # the rigid surjections with values in 1..4 up to length 5, and those over
-    # 1, 2, 1.0 and True up to length 3: 1.0, True and 1 each stand for 1
+    # 1, 2, 1.0 and True up to length 3: 1.0, True and 1 each stand for 1,
+    # and no image with 1.5 is accepted
     over_one_two = [image for n in range(1, 4) for image in product((1, 2), repeat=n)
                     if rigid_verdict(n, max(image), image) is None]
     assert accepted == (sum(stirling(n, m) for n in range(6) for m in range(5))
