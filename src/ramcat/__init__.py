@@ -74,7 +74,6 @@ from .preadjunction import (
     check_card_inequality,
     compose_pa,
     identity_pa,
-    pa_from_functor,
     pa_from_monotone_tukey,
     pa_gr_decorated_to_plain,
     pa_gr_plain_to_decorated,

@@ -574,7 +574,6 @@ class StructuralReport:
     iso_homs_match: bool
     fan_in: dict = field(default_factory=dict)  # object -> morphisms with that codomain
     non_mono_witness: Morphism | None = None
-    self_hom_witness: object | None = None
     # existential/ambient properties a finite fragment cannot certify
     fragment_relative: tuple[str, ...] = ("is_directed", "fan_in")
 
@@ -602,11 +601,7 @@ def structural_checks(fragment: CategoryFragment) -> StructuralReport:
         if not is_mono(fragment, m):
             non_mono = m
             break
-    self_ok, self_witness = True, None
-    for a in objs:
-        if tuple(fragment.hom(a, a)) != (fragment.identity(a),):
-            self_ok, self_witness = False, a
-            break
+    self_ok = all(tuple(fragment.hom(a, a)) == (fragment.identity(a),) for a in objs)
     iso_ok = True
     for a in objs:
         for b in objs:
@@ -615,7 +610,7 @@ def structural_checks(fragment: CategoryFragment) -> StructuralReport:
                 iso_ok = False
     fan_in = {b: sum(fragment.hom_size(a, b) for a in objs) for b in objs}
     return StructuralReport(thin, directed, non_mono is None, self_ok, iso_ok, fan_in=fan_in,
-                            non_mono_witness=non_mono, self_hom_witness=self_witness)
+                            non_mono_witness=non_mono)
 
 
 @dataclass

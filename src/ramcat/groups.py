@@ -40,10 +40,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def multiply(self, g: int, h: int) -> int:
         return self.table[g][h]
 

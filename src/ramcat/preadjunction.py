@@ -246,66 +246,6 @@ def compose_pa(first: PreAdjunction, second: PreAdjunction, name: str | None = N
     )
 
 
-def pa_from_functor(source: CategoryFragment, target: CategoryFragment,
-                    h_ob: dict, h_mor: Callable[[Morphism], Morphism],
-                    name: str = "from-functor") -> PreAdjunction:
-    """Build the pre-adjunction induced by a full, isomorphism-dense functor
-    from the target fragment to the source fragment: pick for every source
-    object an isomorphic functor image and conjugate through the chosen
-    isomorphisms.  Fullness, isomorphism-density, functor laws and the
-    invertibility of the chosen isomorphisms are all checked exhaustively."""
-    from .category import iso_pairs
-
-    for x in target.objects:
-        if h_mor(target.identity(x)) != source.identity(h_ob[x]):
-            raise ValidationError("not_functor", f"identity of {x} is not preserved", x=x)
-    for x in target.objects:
-        for y in target.objects:
-            for u in target.hom(x, y):
-                img = h_mor(u)
-                if not source.in_hom(img, h_ob[x], h_ob[y]):
-                    raise ValidationError("not_functor", "morphism image lands outside its hom-set", u=u)
-            for z in target.objects:
-                for u in target.hom(x, y):
-                    for w in target.hom(y, z):
-                        if h_mor(target.compose(w, u)) != source.compose(h_mor(w), h_mor(u)):
-                            raise ValidationError("not_functor", "composition is not preserved", u=u, w=w)
-    for x in target.objects:
-        for y in target.objects:
-            image = {h_mor(u) for u in target.hom(x, y)}
-            for g in source.hom(h_ob[x], h_ob[y]):
-                if g not in image:
-                    raise ValidationError("not_full", f"{g} has no preimage on ({x},{y})",
-                                          g=g, pair=(x, y))
-    f_map: dict = {}
-    eta: dict = {}
-    eta_inv: dict = {}
-    for b in source.objects:
-        found = False
-        for x in target.objects:
-            pairs = iso_pairs(source, b, h_ob[x])
-            if pairs:
-                f_map[b] = x
-                eta[b], eta_inv[b] = pairs[0]
-                found = True
-                break
-        if not found:
-            raise ValidationError("not_iso_dense", f"no functor image is isomorphic to {b}", b=b)
-
-    def phi(b, x, u):
-        return source.compose(h_mor(u), eta[b])
-
-    def suggested(a, b, f):
-        want = source.compose(source.compose(eta[b], f), eta_inv[a])
-        for v in target.hom(f_map[a], f_map[b]):
-            if h_mor(v) == want:
-                return v
-        return None
-
-    return PreAdjunction(name, source, target, lambda b: f_map[b], lambda x: h_ob[x],
-                         phi, suggested_v=suggested)
-
-
 # --- parameter-word reductions ----------------------------------------------
 
 def pa_gr_plain_to_decorated(context: WordContext, n: int,

@@ -10,10 +10,11 @@ taking minima of preimages.  A surjection is a tuple-backed value (a
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .errors import ValidationError
-from .words import PARAM, DecoratedWord, param, plain_context, validate_word
+from .words import PARAM, DecoratedWord, enumerate_words, param, plain_context, validate_word
 
 
 class RigidSurjection(NamedTuple):
@@ -24,9 +25,6 @@ class RigidSurjection(NamedTuple):
     dom: int
     cod: int
     image: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.image[i - 1]
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.image) + ")"
@@ -82,26 +80,11 @@ def compose_rigid(g: RigidSurjection, f: RigidSurjection) -> RigidSurjection:
 
 def enumerate_rsurj(dom: int, cod: int) -> Iterator[RigidSurjection]:
     """All rigid surjections ``dom -> cod`` in lexicographic order of their
-    image tuples; empty when ``dom < cod``."""
-    if dom < cod or cod < 1:
-        return
-    image: list[int] = []
-
-    def rec(pos: int, used: int):
-        if pos == dom:
-            if used == cod:
-                yield RigidSurjection(dom, cod, tuple(image))
-            return
-        remaining = dom - pos
-        for v in range(1, min(used + 1, cod) + 1):
-            new_used = used + 1 if v == used + 1 else used
-            if cod - new_used > remaining - 1:
-                continue
-            image.append(v)
-            yield from rec(pos + 1, new_used)
-            image.pop()
-
-    yield from rec(0, 0)
+    image tuples; empty when ``dom < cod``.  They are the plain words with
+    ``cod`` parameters and ``dom`` tokens, listed in the same order."""
+    index = itemgetter(1)
+    for tokens, _ in enumerate_words(cod, dom, plain_context()):
+        yield RigidSurjection(dom, cod, tuple(map(index, tokens)))
 
 
 def stirling2(n: int, m: int) -> int:

@@ -235,10 +235,9 @@ def omega_squared() -> GeneratedPreorder:
 @dataclass
 class CompanionResult:
     """A prefix-certified cofinal companion: ``g`` on the enumerated codomain
-    prefix together with the checked implication f(a) <= b  =>  a <= g(b)."""
+    prefix, where f(a) <= b  =>  a <= g(b) holds on all ``checked_pairs``."""
 
     g: list[Any]
-    implication_ok: bool
     checked_pairs: int
     warnings: list[str] = field(default_factory=list)
 
@@ -277,7 +276,7 @@ def cofinal_companion(f: Callable[[Any], Any], a: GeneratedPreorder, b: Generate
                 if not a.leq(x, g[j]):
                     raise ValidationError("implication_fails",
                                           f"f({x!r}) <= {bv!r} but not {x!r} <= g({bv!r})", x=x, y=bv)
-    return CompanionResult(g, True, checked, warnings)
+    return CompanionResult(g, checked, warnings)
 
 
 @dataclass
@@ -285,15 +284,13 @@ class MonotonizationTrace:
     """The data produced by the monotonization rounds.
 
     ``s`` is the strictly increasing spine, ``big_s[i]`` the block of prefix
-    elements assigned at round ``i``, ``j`` the indices of the enumeration
-    elements that seeded each round, ``b`` the non-decreasing image spine and
+    elements assigned at round ``i``, ``b`` the non-decreasing image spine and
     ``fhat`` the resulting block-constant map on the processed prefix.
     """
 
     prefix: list[Any]
     s: list[Any]
     big_s: list[tuple[Any, ...]]
-    j: list[int]
     b: list[Any]
     fhat: dict[Any, Any]
     rounds: int
@@ -312,7 +309,6 @@ def monotonize(f: Callable[[Any], Any], a: GeneratedPreorder, b: GeneratedPreord
     assigned: dict[int, int] = {}  # prefix position -> round index
     s: list[Any] = []
     big_s: list[tuple[Any, ...]] = []
-    j: list[int] = []
     b_spine: list[Any] = []
     fhat: dict[Any, Any] = {}
 
@@ -320,7 +316,6 @@ def monotonize(f: Callable[[Any], Any], a: GeneratedPreorder, b: GeneratedPreord
         jn = next((i for i in range(len(prefix)) if i not in assigned), None)
         if jn is None:
             break
-        j.append(jn)
         if n == 0:
             sn = prefix[jn]
         else:
@@ -337,7 +332,7 @@ def monotonize(f: Callable[[Any], Any], a: GeneratedPreorder, b: GeneratedPreord
         b_spine.append(bn)
         for i in block:
             fhat[prefix[i]] = bn
-    return MonotonizationTrace(prefix, s, big_s, j, b_spine, fhat, len(s))
+    return MonotonizationTrace(prefix, s, big_s, b_spine, fhat, len(s))
 
 
 @dataclass

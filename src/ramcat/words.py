@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, NamedTuple
 
 from .errors import ValidationError
@@ -64,8 +65,10 @@ class WordContext:
         return self.action.alphabet
 
 
+@cache
 def plain_context() -> WordContext:
-    """Empty alphabet, trivial group: undecorated parameter words."""
+    """Empty alphabet, trivial group: undecorated parameter words.  A context
+    is immutable, so every caller shares one."""
     return WordContext(trivial_action(trivial_group()))
 
 

@@ -530,6 +530,10 @@ ONE = {"leq": [[True]]}
                  {"g": {"order": 2, "table": [0, 1, 1, 0]}}, id="alphabet-reserved-letter"),
     pytest.param(["preadj", "verify", "--instance", "gr-plain-to-decorated", "--group", "{g}", "--alphabet", "a,a"],
                  {"g": {"order": 2, "table": [0, 1, 1, 0]}}, id="alphabet-repeated-letter"),
+    pytest.param(["preadj", "verify", "--instance", "gr-plain-to-decorated", "--alphabet", "a,b"], {},
+                 id="alphabet-without-group"),
+    pytest.param(["preadj", "verify", "--instance", "gr-to-dram-op", "--group", "{g}", "--context", "{c}"],
+                 {"g": Z2_GROUP, "c": Z3_CONTEXT}, id="group-beside-context"),
     pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
                  {"p": NON_REFLEXIVE, "q": ONE}, id="non-reflexive-dom"),
     pytest.param(["tukey", "companion", "--preorder", "{p}", "--map", "v", "-n", "2"],
@@ -553,6 +557,7 @@ ONE = {"leq": [[True]]}
                  {"s": {"objects": ["a"], "morphisms": {"id_a": {"dom": "a", "cod": "a"}},
                         "identities": {"a": "id_a"}, "compose": [["id_a", "id_a", "h"]]}},
                  id="spec-composite-not-listed"),
+    pytest.param(["rsurj", "validate", "()"], {}, id="validate-empty-map"),
     pytest.param(["rsurj", "compose", "(1,2)", "()"], {}, id="compose-empty-map"),
     pytest.param(["rsurj", "dual", "()"], {}, id="dual-empty-map"),
     pytest.param(["ramsey", "check", "--family", "ram", "-A", "1", "-B", "2", "-C", "3", "-k", "0"], {},

@@ -13,12 +13,10 @@ from ramcat import (
     compose_pa,
     cyclic_group,
     dram_fragment,
-    dram_op_fragment,
     dual,
     format_word,
     fragment_equal,
     identity_pa,
-    pa_from_functor,
     pa_from_monotone_tukey,
     pa_gr_decorated_to_plain,
     pa_gr_plain_to_decorated,
@@ -29,24 +27,12 @@ from ramcat import (
     plain_context,
     ram_fragment,
     recheck_failures,
-    skeleton,
     thin_from_preorder,
     trivial_action,
     validate_word,
     verify_pa,
 )
 from ramcat.category import explicit_fragment
-
-
-def twin_fragment():
-    morphs = {"id_a": ("a", "a"), "id_b": ("b", "b"), "f": ("a", "b"), "g": ("b", "a")}
-    compose = {
-        ("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
-        ("f", "id_a"): "f", ("id_b", "f"): "f",
-        ("g", "id_b"): "g", ("id_a", "g"): "g",
-        ("g", "f"): "id_a", ("f", "g"): "id_b",
-    }
-    return explicit_fragment(["a", "b"], morphs, {"a": "id_a", "b": "id_b"}, compose, name="twin")
 
 
 def broken_phi_pa():
@@ -370,66 +356,6 @@ def test_compose_fragment_mismatch(swap_context):
     with pytest.raises(ValidationError) as err:
         compose_pa(pa1, pa2)
     assert err.value.code == "fragment_mismatch"
-
-
-# --- functor-induced pre-adjunctions --------------------------------------------------
-
-def test_identity_functor_gives_identity_like_pa():
-    f3 = ram_fragment(3)
-    pa = pa_from_functor(f3, f3, {x: x for x in f3.objects}, lambda m: m)
-    report = verify_pa(pa, [1, 2, 3], [1, 2, 3])
-    assert report.ok
-
-
-def test_skeleton_inclusion_functor():
-    frag = twin_fragment()
-    sk = skeleton(frag)
-    pa = pa_from_functor(frag, sk.fragment, {x: x for x in sk.fragment.objects}, lambda m: m)
-    report = verify_pa(pa, ["a", "b"], list(sk.fragment.objects))
-    assert report.ok and report.instances > 0
-
-
-def test_minima_functor_is_not_full():
-    """Reading minima of preimages always fixes the first point, so the
-    point-shifting injections have no preimage; the identity-on-objects
-    route is rejected and the shifted construction is the honest fix."""
-    dop = dram_op_fragment(3)
-    ram3 = ram_fragment(3)
-
-    def dmor(m):
-        return Morphism(m.dom, m.cod, dual(m.payload))
-
-    with pytest.raises(ValidationError) as err:
-        pa_from_functor(ram3, dop, {x: x for x in dop.objects}, dmor)
-    assert err.value.code == "not_full"
-    # the cardinality obstruction confirms no identity-object-map family exists
-    bad = PreAdjunction("raw", ram3, dop, lambda x: x, lambda y: y,
-                        lambda x, y, u: Morphism(x, y, dual(u.payload)))
-    card = check_card_inequality(bad, [1, 2])
-    assert not card.ok
-
-
-def test_non_functor_rejected():
-    f3 = ram_fragment(3)
-    swapped = {f3.hom(1, 3)[0]: f3.hom(1, 3)[1], f3.hom(1, 3)[1]: f3.hom(1, 3)[0]}
-
-    def transpose(m):
-        return swapped.get(m, m)
-
-    with pytest.raises(ValidationError) as err:
-        pa_from_functor(f3, f3, {x: x for x in f3.objects}, transpose)
-    assert err.value.code == "not_functor"
-
-
-def test_collapse_functor_is_lawful_but_not_full():
-    f3 = ram_fragment(3)
-
-    def collapse(m):
-        return f3.identity(m.dom) if m.dom == m.cod else f3.hom(m.dom, m.cod)[0]
-
-    with pytest.raises(ValidationError) as err:
-        pa_from_functor(f3, f3, {x: x for x in f3.objects}, collapse)
-    assert err.value.code == "not_full"
 
 
 # --- thin sources ---------------------------------------------------------------------

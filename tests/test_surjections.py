@@ -1,3 +1,4 @@
+import gc
 from itertools import product
 
 import pytest
@@ -136,6 +137,16 @@ def test_enumeration_matches_brute_force_and_stirling():
     for n in range(1, 6):
         assert [f.image for f in enumerate_rsurj(n, n)] == [tuple(range(1, n + 1))]
     assert list(enumerate_rsurj(2, 3)) == []
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(enumerate_rsurj(5, 2))) == 15
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_word_surjection_bijection_round_trip():

@@ -198,7 +198,6 @@ def test_companion_identity():
     om = omega()
     res = cofinal_companion(lambda n: n, om, om, 10)
     assert res.g == list(range(10))
-    assert res.implication_ok
 
 
 def test_companion_doubling():
@@ -211,7 +210,6 @@ def test_companion_doubling():
 def test_companion_constant_map_warns():
     om = omega()
     res = cofinal_companion(lambda n: 0, om, om, 10)
-    assert res.implication_ok
     assert res.g == [9] * 10
     assert any("untestable" in w for w in res.warnings)
 

@@ -17,18 +17,22 @@ these reports with ``--output``:
   shape (two incomparable maximal elements, no top) under a permutation onto
   a relabelled copy, a constant map, and a map whose first Tukey witness has
   three elements; and the 0-element domain;
+* ``ramcat tukey companion`` and ``tukey monotonize`` on README's examples;
 * ``ramcat words validate``, ``compose`` and ``enumerate`` over README's
   context file ``z3.json`` (Z3 acting on a, b, c, d), on README's words and
   one word that fails validation;
+* ``ramcat rsurj validate``, ``compose`` and ``dual`` on README's maps, and
+  ``rsurj enumerate -n 6 -m 3``;
 * ``ramcat category check`` on a ``gr`` builder spec over ``z3.json``, on a
   spec for each other builder (ram, dram, dram-op, vec, thin-chain), and on
   two explicit tables: one whose composition is not associative, and one
-  missing a composite, so it is not closed.
+  missing a composite, so it is not closed;
+* ``ramcat category skeleton`` on each builder spec.
 
 It then compares each report, its exit code and the text the command prints
 between the two sides, prints one line per report that differs and a summary
 line, and exits 1 when any differs.  The text is where ``words enumerate``
-prints its words.  The golden command's text carries timings and is not
+and ``rsurj enumerate`` print their lists.  The golden command's text carries timings and is not
 compared; its report does not.  Runs are sequential and single-process; the
 script needs only the standard library.
 """
@@ -83,12 +87,23 @@ CATEGORY_SPECS = {
     "magma.json": MAGMA,
     "open.json": {**MAGMA, "compose": MAGMA["compose"][:-1]},  # f after y is missing
 }
+BUILDER_SPECS = [name for name, spec in CATEGORY_SPECS.items() if "builder" in spec]
 WORDS = [
     ["validate", "--context", "z3.json", "x1 x2 x1^g"],
     ["validate", "--context", "z3.json", WORD_FILES["u.txt"].strip()],
     ["validate", "--context", "z3.json", "x1^g x1"],  # first occurrence under g: exit 1
     ["compose", "--context", "z3.json", "u.txt", "v.txt"],
     ["enumerate", "--context", "z3.json", "-m", "2", "-n", "3"],
+]
+RSURJ = [
+    ["validate", "(1,2,1)"],
+    ["compose", "(1,2,3,2)", "(1,1,2)"],
+    ["dual", "(1,1,2,1,3)"],
+    ["enumerate", "-n", "6", "-m", "3"],
+]
+GENERATED = [
+    ["companion", "--map", "2*v", "-n", "20"],
+    ["monotonize", "--map", "v + 10 if v % 2 == 0 else v // 2", "--steps", "30", "--prefix", "30"],
 ]
 TUKEY = [
     ("anti.json", "one.json", [0, 0]),
@@ -116,10 +131,16 @@ def commands() -> dict[str, list[str]]:
         for kind in ("tukey", "cofinal"):
             out[f"{kind}-{i}.json"] = ["tukey", "check", "--kind", kind, "--dom", dom, "--cod", cod,
                                        "--map", json.dumps(f)]
+    for args in GENERATED:
+        out[f"tukey-{args[0]}.json"] = ["tukey", *args]
     for i, args in enumerate(WORDS):
         out[f"words-{i}.json"] = ["words", *args]
+    for i, args in enumerate(RSURJ):
+        out[f"rsurj-{i}.json"] = ["rsurj", *args]
     for spec in CATEGORY_SPECS:
         out["category-" + spec] = ["category", "check", "--spec", spec, "--context", "z3.json"]
+    for spec in BUILDER_SPECS:
+        out["skeleton-" + spec] = ["category", "skeleton", "--spec", spec, "--context", "z3.json"]
     return out
 
 
@@ -165,7 +186,8 @@ def main() -> int:
         print(f"no report: {name} (exit {parent[name][0]} on the parent side)")
     print(f"{len(runs) - len(differ)} of {len(runs)} reports byte-identical "
           f"(golden, {len(criterion_4_grid())} ramsey check, {len(PREADJ)} preadj verify, "
-          f"{2 * len(TUKEY)} tukey check, {len(WORDS)} words, {len(CATEGORY_SPECS)} category check)")
+          f"{2 * len(TUKEY)} tukey check, {len(GENERATED)} tukey companion/monotonize, {len(WORDS)} words, "
+          f"{len(RSURJ)} rsurj, {len(CATEGORY_SPECS)} category check, {len(BUILDER_SPECS)} category skeleton)")
     return 1 if differ or missing else 0
 
 
