@@ -67,16 +67,9 @@ from .tukey import (
 )
 from .words import WordContext, enumerate_words, format_word, parse_word, plain_context, substitute
 
-# each named pre-adjunction with the --bounds keys it reads
-PA_INSTANCES = {
-    "identity": {"objects", "src"},
-    "gr-plain-to-decorated": {"objects", "src"},
-    "gr-decorated-to-plain": {"src", "objects", "chains", "tgt"},
-    "gr-to-dram-op": {"src", "objects", "chains", "tgt"},
-    "ram-to-dram-op": {"src", "chains", "tgt"},
-    "omega-to-fragment": {"omega", "chains"},
-    "from-monotone-tukey": {"src", "tgt"},
-}
+# the named pre-adjunctions; each reads the --bounds keys src and tgt
+PA_INSTANCES = ["identity", "gr-plain-to-decorated", "gr-decorated-to-plain", "gr-to-dram-op",
+                "ram-to-dram-op", "omega-to-fragment", "from-monotone-tukey"]
 
 
 def _emit(report: dict, output: str | None):
@@ -178,13 +171,11 @@ def _parse_map_text(text: str) -> tuple[int, ...]:
         raise click.UsageError(f"cannot parse map {text!r}; expected like (1,2,1)")
 
 
-def _cod(image: tuple[int, ...], cod: int | None = None) -> int:
-    """``cod`` if given, else the largest value of ``image``."""
-    if cod is not None:
-        return cod
-    if not image:
-        raise click.UsageError("the codomain of the empty map () cannot be inferred")
-    return max(image)
+def _rigid(text: str):
+    """The rigid surjection written as ``text``.  Its codomain is its largest
+    value, the only one a rigid surjection can have (0 for the empty map)."""
+    image = _parse_map_text(text)
+    return validate_rigid(len(image), max(image, default=0), image)
 
 
 @click.group()
@@ -202,11 +193,10 @@ def words():
 @words.command("validate")
 @click.argument("text")
 @click.option("--context", "context_path", default=None, help="group/action config file")
-@click.option("-m", "m", type=int, default=None, help="declared parameter count (default: inferred)")
 @reported
-def words_validate(text, context_path, m):
+def words_validate(text, context_path):
     context = _load_context(context_path)
-    word = parse_word(text, context, m=m)
+    word = parse_word(text, context)
     return {"ok": True, "word": format_word(word, context), "m": word.m, "n": word.n}
 
 
@@ -256,25 +246,19 @@ def rsurj():
 
 @rsurj.command("validate")
 @click.argument("map_text")
-@click.option("--cod", type=int, default=None, help="codomain size (default: max value)")
 @reported
-def rsurj_validate(map_text, cod):
-    image = _parse_map_text(map_text)
-    f = validate_rigid(len(image), _cod(image, cod), image)
+def rsurj_validate(map_text):
+    f = _rigid(map_text)
     return {"ok": True, "map": str(f), "dom": f.dom, "cod": f.cod}
 
 
 @rsurj.command("compose")
 @click.argument("f_text")
 @click.argument("g_text")
-@click.option("--cod", type=int, default=None, help="codomain size of g")
 @reported
-def rsurj_compose(f_text, g_text, cod):
-    fi = _parse_map_text(f_text)
-    gi = _parse_map_text(g_text)
-    f = validate_rigid(len(fi), _cod(fi), fi)
-    g = validate_rigid(len(gi), _cod(gi, cod), gi)
-    h = str(compose_rigid(g, f))
+def rsurj_compose(f_text, g_text):
+    f = _rigid(f_text)
+    h = str(compose_rigid(_rigid(g_text), f))
     return [h], {"ok": True, "result": h}
 
 
@@ -291,11 +275,9 @@ def rsurj_enumerate(n, m, quiet):
 
 @rsurj.command("dual")
 @click.argument("map_text")
-@click.option("--cod", type=int, default=None)
 @reported
-def rsurj_dual(map_text, cod):
-    image = _parse_map_text(map_text)
-    d = dual(validate_rigid(len(image), _cod(image, cod), image))
+def rsurj_dual(map_text):
+    d = dual(_rigid(map_text))
     return ["(" + ",".join(str(v) for v in d) + ")"], {"ok": True, "dual": list(d)}
 
 
@@ -310,19 +292,15 @@ def category():
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--context", "context_path", default=None,
               help="group/action config file, read only for a gr builder spec")
-@click.option("--check", is_flag=True, help="also run the law checks")
 @reported
-def category_build(spec_path, context_path, check):
+def category_build(spec_path, context_path):
     frag = _load_fragment(spec_path, context_path)
-    report = {
+    return {
         "ok": True,
         "name": frag.name,
         "objects": [str(o) for o in frag.objects],
         "morphisms": frag.total_morphisms(),
     }
-    if check:
-        report["laws_ok"] = report["ok"] = validate_fragment(frag).ok
-    return report
 
 
 @category.command("check")
@@ -428,71 +406,68 @@ def ramsey_search(family, context_path, a, b, k, max_n, budget_nodes):
 
 # --- pre-adjunctions -------------------------------------------------------------
 
-def _parse_bounds(spec: str | None, keys: set) -> dict:
-    """Clauses like src<=2, each naming one of ``keys``, the keys the instance reads."""
+def _parse_bounds(spec: str | None) -> dict:
+    """Clauses like src<=2; ``src`` and ``tgt`` are the only keys."""
     bounds = {}
-    if not spec:
-        return bounds
-    for clause in spec.split(","):
+    for clause in (spec or "").split(","):
         clause = clause.strip()
         if not clause:
             continue
         key, sep, value = clause.partition("<=")
         if not sep:
             raise click.UsageError(f"bad bounds clause {clause!r}; expected like src<=2")
-        key = key.strip()
-        if key not in keys:
-            raise click.UsageError(f"bounds key {key!r} is not read by this instance; "
-                                   f"it reads {', '.join(sorted(keys))}")
         try:
-            bounds[key] = int(value)
+            bounds[key.strip()] = int(value)
         except ValueError:
             raise click.UsageError(f"bad bound value in {clause!r}")
+    unknown = sorted(bounds.keys() - {"src", "tgt"})
+    if unknown:
+        raise click.UsageError(f"bounds key not src or tgt: {', '.join(map(repr, unknown))}")
     return bounds
 
 
 def _build_instance(name: str, context: WordContext, bounds: dict, gr=gr_fragment):
-    """The named pre-adjunction with its source and target objects.  Its
-    word fragments come from ``gr(context, n)``: the factors of a composed
-    instance share one memoised builder, so a factor's source is the very
-    fragment its predecessor built as target whenever the two are equal, and
+    """The named pre-adjunction with its source and target objects: ``src``
+    bounds the source objects, ``tgt`` the target objects and the target's
+    size, each with the instance's own default.  Its word fragments come
+    from ``gr(context, n)``: the factors of a composed instance share one
+    memoised builder, so a factor's source is the very fragment its
+    predecessor built as target whenever the two are equal, and
     ``compose_pa`` need not list them to compare."""
-    src = bounds.get("src", bounds.get("objects", 2))
-    chains = bounds.get("chains", bounds.get("tgt", 6))
-    if name == "identity":
-        n = bounds.get("objects", bounds.get("src", 3))
-        pa = identity_pa(ram_fragment(n))
-        return pa, list(range(1, n + 1)), list(range(1, n + 1))
-    if name == "gr-plain-to-decorated":
-        n = bounds.get("objects", bounds.get("src", 3))
-        pa = pa_gr_plain_to_decorated(context, n, source=gr(plain_context(), n), target=gr(context, n))
-        return pa, list(range(1, n + 1)), list(range(1, n + 1))
-    plain_g = context if not context.alphabet else WordContext(trivial_action(context.group))
-    if name == "gr-decorated-to-plain":
-        pa = pa_gr_decorated_to_plain(context, chains, source=gr(context, chains), target=gr(plain_g, chains))
-        return pa, list(range(1, src + 1)), list(range(1, chains + 1))
-    if name == "gr-to-dram-op":
-        pa = pa_gr_to_dramop(plain_g, chains, chains, source=gr(plain_g, chains))
-        return pa, list(range(1, src + 1)), list(range(1, chains + 1))
-    if name == "ram-to-dram-op":
-        n = bounds.get("src", max(chains - 1, 1))
-        pa = pa_ram_to_dramop(max(n, chains - 1))
-        return pa, list(range(1, n + 1)), list(range(1, chains + 1))
+    if name in ("identity", "gr-plain-to-decorated"):
+        # one fragment holds both sides; each bound defaults to the other
+        src = bounds.get("src", bounds.get("tgt", 3))
+        tgt = bounds.get("tgt", src)
+        n = max(src, tgt)
+        if name == "identity":
+            pa = identity_pa(ram_fragment(n))
+        else:
+            pa = pa_gr_plain_to_decorated(context, n, source=gr(plain_context(), n), target=gr(context, n))
+        return pa, list(range(1, src + 1)), list(range(1, tgt + 1))
     if name == "omega-to-fragment":
-        n = bounds.get("omega", 4)
-        frag = ram_fragment(bounds.get("chains", n + 2))
-        seq = [i + 2 for i in range(n + 1)]
-        pa = pa_omega_to_nonthin(frag, seq)
-        return pa, list(range(n + 1)), list(frag.objects)
+        src = bounds.get("src", 4)
+        frag = ram_fragment(bounds.get("tgt", src + 2))
+        pa = pa_omega_to_nonthin(frag, [i + 2 for i in range(src + 1)])
+        return pa, list(range(src + 1)), list(frag.objects)
     if name == "from-monotone-tukey":
-        a_top = bounds.get("src", 10)
-        b_top = bounds.get("tgt", 2 * a_top)
-        p = chain_preorder(a_top + 1)
-        q = chain_preorder(b_top + 1)
-        f = [min(2 * x, b_top) for x in range(a_top + 1)]
-        g = [min(y // 2, a_top) for y in range(b_top + 1)]
-        pa = pa_from_monotone_tukey(p, q, f, g)
-        return pa, list(range(a_top + 1)), list(range(b_top + 1))
+        src = bounds.get("src", 10)
+        tgt = bounds.get("tgt", 2 * src)
+        f = [min(2 * x, tgt) for x in range(src + 1)]
+        g = [min(y // 2, src) for y in range(tgt + 1)]
+        pa = pa_from_monotone_tukey(chain_preorder(src + 1), chain_preorder(tgt + 1), f, g)
+        return pa, list(range(src + 1)), list(range(tgt + 1))
+    tgt = bounds.get("tgt", 6)
+    if name == "ram-to-dram-op":
+        src = bounds.get("src", max(tgt - 1, 1))
+        pa = pa_ram_to_dramop(max(src, tgt - 1))
+    else:
+        src = bounds.get("src", 2)
+        plain_g = context if not context.alphabet else WordContext(trivial_action(context.group))
+        if name == "gr-decorated-to-plain":
+            pa = pa_gr_decorated_to_plain(context, tgt, source=gr(context, tgt), target=gr(plain_g, tgt))
+        else:
+            pa = pa_gr_to_dramop(plain_g, tgt, tgt, source=gr(plain_g, tgt))
+    return pa, list(range(1, src + 1)), list(range(1, tgt + 1))
 
 
 @main.group()
@@ -509,46 +484,23 @@ def preadj_list():
 
 @preadj.command("verify")
 @click.option("--instance", required=True)
-@click.option("--group", "group_path", default=None, help="group config file (letters from --alphabet)")
-@click.option("--context", "context_path", default=None, help="full group/action config file; not with --group")
-@click.option("--alphabet", default=None, help="letters for a trivial action over --group; needs --group")
-@click.option("--bounds", default=None, help="like src<=2,chains<=6")
-@click.option("--card-check/--no-card-check", default=True, show_default=True)
+@click.option("--context", "context_path", default=None,
+              help="group/action config file; a group-only file gives the empty alphabet")
+@click.option("--bounds", default=None, help="like src<=2,tgt<=6")
 @reported
-def preadj_verify(instance, group_path, context_path, alphabet, bounds, card_check):
-    if alphabet is not None and group_path is None:
-        raise click.UsageError("--alphabet needs --group: it names the letters of the group's context")
-    if group_path is not None and context_path is not None:
-        raise click.UsageError("--group and --context each give the whole context; give one of them")
-    if group_path is not None:
-        letters = tuple(alphabet.split(",")) if alphabet else ()
-
-        def group_context(data):
-            return WordContext(trivial_action(action_from_dict(data).group, letters))
-
-        context = _read(group_path, group_context, "group")
-    else:
-        context = _load_context(context_path)
+def preadj_verify(instance, context_path, bounds):
+    context = _load_context(context_path)
     composed = instance.startswith("composed:")
     names = [nm.strip() for nm in instance.split(":", 1)[1].split(",")] if composed else [instance]
     for nm in names:
         if nm not in PA_INSTANCES:
             raise click.UsageError(f"unknown instance {nm!r}; see `ramcat preadj list`")
-    keys = set().union(*(PA_INSTANCES[nm] for nm in names))
+    parsed = _parse_bounds(bounds)
     if composed:
-        # a composition reads the keys that size its factors and pick its
-        # source objects; it sizes every factor's objects itself
-        keys = (keys | {"src", "chains", "tgt"}) - {"objects"}
-    parsed = _parse_bounds(bounds, keys)
-    if composed:
-        # size every factor's fragments alike so adjacent interfaces match
-        forced = dict(parsed)
-        forced["objects"] = forced.get("chains", forced.get("tgt", 6))
+        # every factor is sized by tgt, so adjacent interfaces match
         gr = functools.cache(gr_fragment)
-        parts = [_build_instance(nm, context, forced, gr) for nm in names]
-        pa = parts[0][0]
-        for nxt, _, _ in parts[1:]:
-            pa = compose_pa(pa, nxt)
+        parts = [_build_instance(nm, context, {"tgt": parsed.get("tgt", 6)}, gr) for nm in names]
+        pa = functools.reduce(compose_pa, [part[0] for part in parts])
         src_objs = list(range(1, parsed.get("src", 2) + 1))
         tgt_objs = parts[-1][2]
     else:
@@ -573,14 +525,13 @@ def preadj_verify(instance, group_path, context_path, alphabet, bounds, card_che
         "suggested_tried": report.suggested_tried,
         "suggested_hits": report.suggested_hits,
     }
-    if card_check:
-        try:
-            card = check_card_inequality(pa, src_objs)
-            out["cardinality_ok"] = card.ok
-            out["cardinality_violations"] = card.violations
-        except ValidationError as exc:
-            out["cardinality_ok"] = None
-            out["cardinality_note"] = str(exc)
+    try:
+        card = check_card_inequality(pa, src_objs)
+        out["cardinality_ok"] = card.ok
+        out["cardinality_violations"] = card.violations
+    except ValidationError as exc:
+        out["cardinality_ok"] = None
+        out["cardinality_note"] = str(exc)
     return out
 
 

@@ -20,6 +20,7 @@ into any fragment carrying a strictly growing object sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Sequence
 
 from .arrows import find_bad_coloring
@@ -95,20 +96,6 @@ class PAReport:
         return not self.failures and not self.phi_landing_failures
 
 
-def _memoised(fn: Callable) -> Callable:
-    """``fn`` evaluated once per distinct argument tuple."""
-    values: dict = {}
-
-    def memo(*args):
-        try:
-            return values[args]
-        except KeyError:
-            value = values[args] = fn(*args)
-            return value
-
-    return memo
-
-
 def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Sequence,
               max_instances: int = 2_000_000) -> PAReport:
     """Exhaustively check the transport condition over the given object
@@ -123,7 +110,7 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
     f)."""
     report = PAReport(pa.name, list(source_objects), list(target_objects))
     src, tgt = pa.source, pa.target
-    phi = _memoised(pa.phi)
+    phi = cache(pa.phi)
 
     for b_obj in source_objects:
         fb = pa.F(b_obj)

@@ -51,6 +51,13 @@ def test_validate_accepts_and_rejects():
     assert validate_rigid(4, 4, (1, 2, 3, 4)).image == (1, 2, 3, 4)
 
 
+def test_validate_rigid_refuses_a_huge_codomain():
+    # 1..cod is never built for a map with fewer than cod distinct values
+    with pytest.raises(ValidationError) as err:
+        validate_rigid(2, 10 ** 12, (1, 1))
+    assert err.value.code == "not_surjective"
+
+
 def rigid_verdict(dom, cod, image):
     """What ``validate_rigid`` decides, read off the definition: None for a
     rigid surjection dom -> cod, else the error code.  Values compare by

@@ -10,8 +10,8 @@ these reports with ``--output``:
 * ``ramcat ramsey check --family ram -A a -B b -C c -k 2`` for each of the 98
   instances (A, B, C) that golden criterion 4 runs on ram(10): every
   1 <= A <= B <= C <= 10 with C(C, A) <= 16;
-* ``ramcat preadj verify --group z2.json --alphabet a`` for every named
-  pre-adjunction, and README's composed example;
+* ``ramcat preadj verify --context z2a.json`` (Z2 fixing the one letter a)
+  for every named pre-adjunction, and README's composed example;
 * ``ramcat tukey check`` of both kinds on fixed preorder files: README's
   ``anti``/``one`` example; a 15-element order of the benchmark's drawn
   shape (two incomparable maximal elements, no top) under a permutation onto
@@ -48,10 +48,11 @@ import tempfile
 from math import comb
 from pathlib import Path
 
-Z2_GROUP = {"order": 2, "table": [0, 1, 1, 0], "element_names": ["e", "g"]}
+Z2_ONE_LETTER = {"order": 2, "table": [0, 1, 1, 0], "element_names": ["e", "g"], "alphabet": ["a"],
+                 "action_table": [0, 0]}
 PREADJ = [[name] for name in ("identity", "gr-plain-to-decorated", "gr-decorated-to-plain", "gr-to-dram-op",
                                "ram-to-dram-op", "omega-to-fragment", "from-monotone-tukey")]
-PREADJ.append(["composed:gr-plain-to-decorated,gr-decorated-to-plain", "--bounds", "src<=2,chains<=5"])
+PREADJ.append(["composed:gr-plain-to-decorated,gr-decorated-to-plain", "--bounds", "src<=2,tgt<=5"])
 
 # a partial order on 0..14 drawn like the benchmark's: a < b with chance 0.2
 # for a < 13 and a < b, so 13 and 14 are maximal and incomparable
@@ -126,7 +127,7 @@ def commands() -> dict[str, list[str]]:
         out[f"ramsey-{a}-{b}-{c}.json"] = ["ramsey", "check", "--family", "ram", "-A", str(a), "-B", str(b),
                                            "-C", str(c), "-k", "2"]
     for i, args in enumerate(PREADJ):
-        out[f"preadj-{i}.json"] = ["preadj", "verify", "--group", "z2.json", "--alphabet", "a", "--instance", *args]
+        out[f"preadj-{i}.json"] = ["preadj", "verify", "--context", "z2a.json", "--instance", *args]
     for i, (dom, cod, f) in enumerate(TUKEY):
         for kind in ("tukey", "cofinal"):
             out[f"{kind}-{i}.json"] = ["tukey", "check", "--kind", kind, "--dom", dom, "--cod", cod,
@@ -148,7 +149,7 @@ def run_side(checkout: Path, workdir: Path, runs: dict[str, list[str]]) -> dict[
     """(exit code, report bytes, text printed) of each run, with
     ``checkout/src`` first on the module path and ``workdir`` as the working
     directory."""
-    for name, payload in {"z2.json": Z2_GROUP, "z3.json": Z3_CONTEXT, **CATEGORY_SPECS, **PREORDERS}.items():
+    for name, payload in {"z2a.json": Z2_ONE_LETTER, "z3.json": Z3_CONTEXT, **CATEGORY_SPECS, **PREORDERS}.items():
         (workdir / name).write_text(json.dumps(payload), encoding="utf-8")
     for name, text in WORD_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
