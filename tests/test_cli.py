@@ -118,12 +118,22 @@ def test_rsurj_commands(runner):
     assert json.loads(count.output)["count"] == 7
     d = runner.invoke(main, ["rsurj", "dual", "(1,1,2,1,3)"])
     assert d.output.strip() == "(1,3,5)"
-    # a map's codomain is its largest value, so () is the empty map 0 -> 0
-    empty = runner.invoke(main, ["rsurj", "validate", "()"])
-    assert empty.exit_code == 0 and json.loads(empty.output) == {"ok": True, "map": "()", "dom": 0, "cod": 0}
-    assert runner.invoke(main, ["rsurj", "dual", "()"]).output.strip() == "()"
-    mismatch = runner.invoke(main, ["rsurj", "compose", "(1,2)", "()"])
-    assert mismatch.exit_code == 1 and json.loads(mismatch.output)["code"] == "chain_mismatch"
+
+
+# a map's codomain is its largest value, so () is the empty map 0 -> 0
+@pytest.mark.parametrize("args,exit_code,check", [
+    pytest.param(["rsurj", "validate", "()"], 0,
+                 lambda out: json.loads(out) == {"ok": True, "map": "()", "dom": 0, "cod": 0},
+                 id="validate-empty-map"),
+    pytest.param(["rsurj", "compose", "(1,2)", "()"], 1,
+                 lambda out: json.loads(out)["code"] == "chain_mismatch",
+                 id="compose-empty-map"),
+    pytest.param(["rsurj", "dual", "()"], 0, lambda out: out.strip() == "()", id="dual-empty-map"),
+])
+def test_empty_map_is_zero_to_zero(runner, args, exit_code, check):
+    result = runner.invoke(main, args)
+    assert result.exit_code == exit_code, result.output
+    assert check(result.output), result.output
 
 
 @pytest.mark.parametrize("args", [
