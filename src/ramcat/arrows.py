@@ -19,19 +19,24 @@ Both engines canonicalize colors by first use, which quotients out the k!
 color permutations without affecting the verdict: a position takes only
 the colors used before it plus one new color, since unused colors are
 interchangeable.  Copies are listed as index sets over hom(A, C) once per
-(fragment, A, B, C), from the fragment's payload rule and its index of
-hom(A, C) (``CategoryFragment.hom_index``): within one hom-set the payload
-names the morphism, so no morphism is built per pair.  They are kept with
-the fragment, so both engines share them and the search never composes
-morphisms.  ``certify_bad_coloring`` is the independent re-check: it
-composes afresh through ``CategoryFragment.compose``, finds each composite
-in the same index, and stops each copy at its second color.
+(fragment, A, B, C), and no morphism is built per pair: within one hom-set
+the payload names the morphism.  Where the builder gives a spelling
+(``CategoryFragment.spelling``: ``gr`` and ``dram-op``) the composites are
+read by character substitution on spelled payloads and looked up by
+spelling; otherwise they come from the payload rule and the index of
+hom(A, C) (``CategoryFragment.hom_index``).  They are kept with the
+fragment, so both engines share them and the search never composes
+morphisms.  ``certify_bad_coloring`` is the independent re-check, whatever
+the listing read: it composes afresh through ``CategoryFragment.compose``,
+finds each composite in the index of hom(A, C), and stops each copy at its
+second color.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 from .category import CategoryFragment
@@ -63,15 +68,28 @@ class _Copies:
 
 
 def _prepare(fragment: CategoryFragment, a, b, c) -> _Copies:
+    """The copies of (A, B, C): for each w in hom(B, C), the positions in
+    hom(A, C) of w after each f in hom(A, B).  Each f's column is one
+    ``map`` over hom(B, C) in C: of the rule on payloads, looked up in
+    ``hom_index``, or, when the fragment has a spelling, of
+    ``str.translate`` by f's table on the spelled members, looked up in an
+    index of hom(A, C) by spelling."""
     hom_ab = fragment.hom(a, b)
     hom_bc = fragment.hom(b, c)
     if not hom_ab or not hom_bc:
         raise ValidationError("precondition_arrow_missing",
                               f"need nonempty hom({a},{b}) and hom({b},{c})", A=a, B=b, C=c)
-    index = fragment.hom_index(a, c)
-    rule = fragment.rule
-    payloads = [w.payload for w in hom_bc]
-    columns = [[index[rule(g, f.payload)] for g in payloads] for f in hom_ab]
+    if fragment.spelling is None:
+        index = fragment.hom_index(a, c)
+        names = [w.payload for w in hom_bc]
+        step, by = fragment.rule, [f.payload for f in hom_ab]
+    else:
+        spell, substitution = fragment.spelling
+        index = {spell(m.payload): i for i, m in enumerate(fragment.hom(a, c))}
+        names = [spell(w.payload) for w in hom_bc]
+        step, by = str.translate, [substitution(f.payload) for f in hom_ab]
+    find = index.__getitem__
+    columns = [list(map(find, map(step, names, repeat(x)))) for x in by]
     sets = dict.fromkeys(tuple(sorted(set(row))) for row in zip(*columns))
     return _Copies(list(sets))
 

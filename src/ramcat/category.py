@@ -11,7 +11,10 @@ tuple, or a value of another class, with the same items, so
 ``CategoryFragment.in_hom`` is the type check for hom-set membership.  Each
 hom-set has one index, ``hom_index``, from payload to position in the
 listing; membership, the arrow copy listing, re-certification and the law
-check all read it.
+check all read it.  The ``gr`` and ``dram-op`` builders also give a
+spelling (see ``CategoryFragment``), from which the arrow copy listing reads
+composites by character substitution; every other fragment's copies come
+from its rule, and re-certification always composes through ``compose``.
 
 Builders are provided for the categories this package cares about:
 
@@ -37,9 +40,10 @@ from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ResourceBound, ValidationError
-from .surjections import compose_rigid, enumerate_rsurj, identity_rigid, stirling2, word_to_rsurj
+from .surjections import (compose_rigid, enumerate_rsurj, identity_rigid, rigid_substitution, spell_rigid,
+                          stirling2, word_to_rsurj)
 from .tukey import FinitePreorder
-from .words import WordContext, enumerate_words, identity_word, substitute
+from .words import WordContext, enumerate_words, identity_word, substitute, word_spelling
 
 DEFAULT_HOM_CAP = 1_000_000
 
@@ -82,16 +86,26 @@ class CategoryFragment:
     ``LazyHom``.  A lazy hom-set is listed the first time ``hom(a, b)`` reads
     it and kept from then on; its size is known before that, so
     ``hom_size``, ``arrow``, ``total_morphisms`` and ``repr`` build
-    nothing."""
+    nothing.
+
+    ``spelling``, when a builder gives one, is a pair ``(spell,
+    substitution)``: ``spell(payload)`` writes a payload as a string with
+    one character per token or value, naming it within its hom-set, and
+    ``substitution(f)`` is a ``str.translate`` table with
+    ``spell(rule(g, f)) == spell(g).translate(substitution(f))``.  Only the
+    arrow copy listing reads it, to list the copies without calling the
+    rule; where it is None the copies come from the rule.  Composition,
+    re-certification and the law check always go through ``compose``."""
 
     def __init__(self, name: str, objects, hom: dict, identity: dict,
-                 rule: Callable[[object, object], object]):
+                 rule: Callable[[object, object], object], spelling: tuple | None = None):
         self.name = name
         self.objects = tuple(objects)
         self._object_set = set(self.objects)
         self._hom = {pair: ms if isinstance(ms, LazyHom) else tuple(ms) for pair, ms in hom.items()}
         self._identity = dict(identity)
         self.rule = rule
+        self.spelling = spelling
         self._index: dict = {}  # (a, b) -> hom(a, b)'s index, filled on the first lookup
         self.copies: dict = {}  # the arrow copies of each (A, B, C), filled by ramcat.arrows
 
@@ -203,7 +217,11 @@ def dram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
 
 
 def dram_op_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
-    return opposite(dram_fragment(n, hom_cap))
+    """The opposite of ``dram_fragment(n)``, spelled by image values: g
+    after f replaces each value of g by its image under f."""
+    fragment = opposite(dram_fragment(n, hom_cap))
+    fragment.spelling = (spell_rigid, rigid_substitution)
+    return fragment
 
 
 def _word_counts(n: int, context: WordContext) -> Iterator[tuple[tuple[int, int], int]]:
@@ -231,7 +249,7 @@ def gr_fragment(context: WordContext, n: int, hom_cap: int = DEFAULT_HOM_CAP) ->
     identity = {k: Morphism(k, k, identity_word(k)) for k in objects}
     alpha = "".join(context.alphabet) or "0"
     return CategoryFragment(f"gr({alpha},|G|={context.group.order},{n})", objects, hom, identity,
-                            partial(substitute, context))
+                            partial(substitute, context), word_spelling(context, n))
 
 
 @dataclass(frozen=True)
@@ -371,7 +389,9 @@ def opposite(fragment: CategoryFragment) -> CategoryFragment:
     """Same objects, arrows reversed, composition flipped: g after f in the
     opposite has the payload of f after g in the base.  Payloads are
     preserved, so opposite(opposite(F)) is structurally equal to F.  A hom-set
-    of the opposite is listed from the base hom-set when first read."""
+    of the opposite is listed from the base hom-set when first read.  The
+    base's spelling does not carry over, as the flipped rule breaks its
+    contract."""
 
     def build(b, a):
         return (Morphism(b, a, m.payload) for m in fragment.hom(a, b))
@@ -464,7 +484,13 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
     outside the fragment has no position, so when the closure loop found
     one, the h are walked for every pair and such a composite is composed
     afresh.  So ``compose`` must be a function of its arguments: equal
-    morphisms in, equal composite out."""
+    morphisms in, equal composite out.
+
+    A pair whose composite the fragment does not record (its rule raises
+    ``not_closed``, as an explicit table does for a missing composite or one
+    recorded in another hom-set) is a closure violation with composite None,
+    and fails the identity law when an identity is one factor.  Then no
+    associativity is checked: the walk would compose through the gap."""
     report = FragmentLawReport()
     objs = fragment.objects
     for a in objs:
@@ -473,8 +499,8 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
     for a in objs:
         for b in objs:
             for f in fragment.hom(a, b):
-                left = fragment.compose(fragment.identity(b), f)
-                right = fragment.compose(f, fragment.identity(a))
+                left = _recorded(fragment, fragment.identity(b), f)
+                right = _recorded(fragment, f, fragment.identity(a))
                 if left != f or right != f:
                     report.identity_violations.append({"morphism": f, "left": left, "right": right})
                     if len(report.identity_violations) >= max_violations:
@@ -500,7 +526,7 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
         for i, (f, b) in enumerate(zip(out[a], cods[a])):
             row = []
             for j, (g, c) in enumerate(zip(out[b], cods[b])):
-                gf = fragment.compose(g, f)
+                gf = _recorded(fragment, g, f)
                 p = position(gf, a, c)
                 if p is None:
                     outside[a, i, j] = gf
@@ -509,6 +535,8 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
                         return report
                 row.append(p)
             rows[a].append(row)
+    if None in outside.values():
+        return report
     closed = not outside
     for a in objs:
         members, ra = out[a], rows[a]
@@ -540,6 +568,16 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
                         if len(report.associativity_violations) >= max_violations:
                             return report
     return report
+
+
+def _recorded(fragment: CategoryFragment, g: Morphism, f: Morphism) -> Morphism | None:
+    """g after f, or None when the fragment records no composite for them."""
+    try:
+        return fragment.compose(g, f)
+    except ValidationError as exc:
+        if exc.code != "not_closed":
+            raise
+        return None
 
 
 def is_mono(fragment: CategoryFragment, f: Morphism) -> bool:
@@ -647,7 +685,7 @@ def skeleton(fragment: CategoryFragment) -> SkeletonResult:
         for a in chosen for b in chosen if fragment.arrow(a, b)
     }
     identity = {a: fragment.identity(a) for a in chosen}
-    sub = CategoryFragment(fragment.name + ".skel", chosen, hom, identity, fragment.rule)
+    sub = CategoryFragment(fragment.name + ".skel", chosen, hom, identity, fragment.rule, fragment.spelling)
     return SkeletonResult(sub, reps, eta, eta_inv)
 
 

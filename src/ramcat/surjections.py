@@ -78,6 +78,20 @@ def compose_rigid(g: RigidSurjection, f: RigidSurjection) -> RigidSurjection:
     return validate_rigid(f.dom, g.cod, tuple(map(((0,) + g.image).__getitem__, f.image)))
 
 
+def spell_rigid(f: RigidSurjection) -> str:
+    """f's image as a string, ``chr(v)`` for each value v; within one
+    hom-set the spelling names the surjection."""
+    return "".join(map(chr, f.image))
+
+
+def rigid_substitution(f: RigidSurjection) -> dict[int, int]:
+    """The ``str.translate`` table ``{v: f(v)}``, so
+    ``spell_rigid(compose_rigid(f, g))`` is
+    ``spell_rigid(g).translate(rigid_substitution(f))``: the opposite's g
+    after f, one value at a time."""
+    return dict(enumerate(f.image, 1))
+
+
 def enumerate_rsurj(dom: int, cod: int) -> Iterator[RigidSurjection]:
     """All rigid surjections ``dom -> cod`` in lexicographic order of their
     image tuples; empty when ``dom < cod``.  They are the plain words with

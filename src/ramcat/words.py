@@ -175,6 +175,36 @@ def substitute(context: WordContext, u: DecoratedWord, v: DecoratedWord) -> Deco
     return DecoratedWord(tuple(out), v.m)
 
 
+def word_spelling(context: WordContext, n: int):
+    """``(spell, substitution)`` for the words of ``context`` with at most
+    ``n`` parameters.  ``spell(u)`` writes u with one character per token:
+    letter l as ``chr(l)`` and ``x_i^h`` as ``chr(|A| + (i - 1)|G| + h)``,
+    so within one hom-set the spelling names the word.  ``substitution(v)``
+    is the ``str.translate`` table that sends each ``x_i^h`` to the token
+    ``substitute`` writes there, v's i-th token twisted by h, and keeps
+    letters, so ``spell(substitute(context, u, v))`` is
+    ``spell(u).translate(substitution(v))``."""
+    letters, order = len(context.alphabet), context.group.order
+    mul, act = context.action.group.table, context.action.table
+    codes = {(LETTER, idx, 0): chr(idx) for idx in range(letters)}
+    codes.update({(PARAM, i, h): chr(letters + (i - 1) * order + h)
+                  for i in range(1, n + 1) for h in range(order)})
+
+    def spell(word: DecoratedWord) -> str:
+        return "".join(map(codes.__getitem__, word.tokens))
+
+    def substitution(v: DecoratedWord) -> dict[int, str]:
+        table = {}
+        for i, (kind, idx, vexp) in enumerate(v.tokens):
+            for h in range(order):
+                exp = mul[vexp][h]
+                token = (PARAM, idx, exp) if kind == PARAM else (LETTER, act[idx][exp], 0)
+                table[letters + i * order + h] = codes[token]
+        return table
+
+    return spell, substitution
+
+
 def enumerate_words(m: int, n: int, context: WordContext) -> Iterator[DecoratedWord]:
     """All valid words with ``m`` parameters and ``n`` tokens, in the
     canonical lexicographic order over token sequences (empty iff m > n,
@@ -245,6 +275,9 @@ def parse_word(text: str, context: WordContext, m: int | None = None) -> Decorat
             continue
         match = _PARAM_RE.match(sym)
         if match:
+            if len(match.group(1)) > 18:  # no word has 10**18 tokens; int() refuses 4,301 digits
+                raise ValidationError("parameter_range", f"variable index at position {pos} is too large",
+                                      position=pos)
             idx = int(match.group(1))
             max_param = max(max_param, idx)
             tokens.append((PARAM, idx, exp))

@@ -495,6 +495,9 @@ def _payload_fragments():
 
 
 def test_payload_copies_match_the_composing_oracle():
+    # gr, dram-op and a gr skeleton list by spelling; the rest by the rule
+    spelled = [f.spelling is not None for f in _payload_fragments()]
+    assert spelled == [False, True, True, True, False, False, True, False]
     instances = 0
     for f in _payload_fragments():
         for a, b, c in product(f.objects, repeat=3):
@@ -512,6 +515,43 @@ def test_payload_copies_build_no_morphism(monkeypatch):
     monkeypatch.setattr(CategoryFragment, "compose", None)
     copies = _prepare(f, 2, 3, 6)
     assert copies.sets == expected
+
+
+def _spelled_fragments():
+    z3 = WordContext(trivial_action(cyclic_group(3)))
+    swap = WordContext(cycle_action(cyclic_group(2), "ab", [1, 0]))
+    plain_z2 = WordContext(trivial_action(cyclic_group(2)))
+    return [gr_fragment(z3, 5), gr_fragment(swap, 5), gr_fragment(plain_z2, 5), dram_op_fragment(6)]
+
+
+def test_spelling_follows_the_rule():
+    pairs = 0
+    for f in _spelled_fragments():
+        spell, substitution = f.spelling
+        for a, b in product(f.objects, repeat=2):
+            hom = f.hom(a, b)
+            assert len({spell(m.payload) for m in hom}) == len(hom), (f, a, b)  # injective
+            for x in hom:
+                table = substitution(x.payload)
+                for c in f.objects:
+                    for y in f.hom(b, c):
+                        assert spell(f.rule(y.payload, x.payload)) == spell(y.payload).translate(table), (x, y)
+                        pairs += 1
+    assert pairs == 10790 + 26981 + 3025 + 2905
+
+
+def test_spelled_copies_compose_nothing(monkeypatch):
+    # neither the rule nor compose is called when the fragment has a spelling
+    def refuse(g, f):
+        raise AssertionError("the spelled listing called the rule")
+
+    z3 = WordContext(trivial_action(cyclic_group(3)))
+    for f, (a, b, c) in [(gr_fragment(z3, 6), (1, 3, 6)), (dram_op_fragment(7), (2, 4, 7))]:
+        expected = composing_prepare(f, a, b, c)
+        f.rule = refuse
+        with monkeypatch.context() as patched:
+            patched.setattr(CategoryFragment, "compose", None)
+            assert _prepare(f, a, b, c).sets == expected
 
 
 def test_certify_agrees_with_all_pairs_oracle_on_every_coloring():

@@ -172,7 +172,27 @@ def test_category_check_refuses_a_composite_in_another_hom_set(runner, tmp_path)
     result = runner.invoke(main, ["category", "check", "--spec", spec])
     assert result.exit_code == 1, result.output
     report = json.loads(result.output)
-    assert report["code"] == "not_closed" and "is not in hom(a, b)" in report["error"]
+    assert not report["ok"] and report["structure"] is None
+    assert report["laws"]["closure_violations"] == [
+        "{'g': Morphism(dom='b', cod='b', payload='id_b'), 'f': Morphism(dom='a', cod='b', payload='f'), "
+        "'composite': None}"]
+
+
+def test_category_check_reports_missing_composites(runner, tmp_path):
+    # f1..f5 on one object with no composite recorded but id_a after id_a:
+    # five identity violations cut the law check before closure, and the
+    # structural checks meet a missing composite
+    spec = write(tmp_path, "frag.json", {
+        "objects": ["a"],
+        "morphisms": {m: {"dom": "a", "cod": "a"} for m in ("id_a", "f1", "f2", "f3", "f4", "f5")},
+        "identities": {"a": "id_a"},
+        "compose": [["id_a", "id_a", "id_a"]],
+    })
+    result = runner.invoke(main, ["category", "check", "--spec", spec])
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.output)
+    assert report["structure"] is None and len(report["laws"]["identity_violations"]) == 5
+    assert not report["laws"]["closure_violations"]
 
 
 def test_category_context_is_read_only_for_gr_specs(runner, tmp_path):

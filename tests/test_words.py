@@ -3,7 +3,7 @@ import inspect
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramcat import (
@@ -20,7 +20,7 @@ from ramcat import (
     validate_word,
 )
 from conftest import stirling
-from ramcat.words import LETTER, PARAM, DecoratedWord, letter, param
+from ramcat.words import LETTER, PARAM, DecoratedWord, letter, param, word_spelling
 
 GOLDEN_WORD = "c a x1 a x1^g2 x2 d x3 x2^g2 x1^g a x3^g"
 GOLDEN_V = "b x1 x1^g2"
@@ -342,3 +342,48 @@ def test_random_triple_associativity(swap_context, data):
     w = data.draw(st.sampled_from(ws))
     sub = functools.partial(substitute, swap_context)
     assert sub(sub(u, v), w) == sub(u, sub(v, w))
+
+
+@st.composite
+def drawn_words(draw, context, n, min_m=0):
+    """A valid word of ``n`` tokens over ``context``, drawn position by
+    position: a new variable, a variable seen before under any exponent, or
+    a letter, with new variables forced once every position left must open
+    one."""
+    m = draw(st.integers(min_m, n))
+    tokens, seen = [], 0
+    for pos in range(n):
+        if n - pos == m - seen:
+            kinds = ["new"]
+        else:
+            kinds = ["new"] * (seen < m) + ["old"] * (seen > 0) + ["letter"] * bool(context.alphabet)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "new":
+            seen += 1
+            tokens.append(param(seen))
+        elif kind == "old":
+            tokens.append(param(draw(st.integers(1, seen)), draw(st.integers(0, context.group.order - 1))))
+        else:
+            tokens.append(letter(draw(st.integers(0, len(context.alphabet) - 1))))
+    return validate_word(tokens, m, context)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_spelled_substitution_equals_substitute(z3_context, data):
+    u = data.draw(drawn_words(z3_context, data.draw(st.integers(1, 9)), min_m=1))
+    v = data.draw(drawn_words(z3_context, u.m))
+    spell, substitution = word_spelling(z3_context, max(u.n, v.n))
+    assert spell(substitute(z3_context, u, v)) == spell(u).translate(substitution(v))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.text("abcdxeg0123456789^ \t", max_size=40)),
+       st.none() | st.integers(-1, 6))
+@example("x" + "1" * 5000, None)  # an index int() refuses to read
+def test_parse_word_returns_a_word_or_refuses(z3_context, text, m):
+    try:
+        word = parse_word(text, z3_context, m)
+    except ValidationError:
+        return
+    assert validate_word(word.tokens, word.m, z3_context) == word

@@ -10,6 +10,10 @@ these reports with ``--output``:
 * ``ramcat ramsey check --family ram -A a -B b -C c -k 2`` for each of the 98
   instances (A, B, C) that golden criterion 4 runs on ram(10): every
   1 <= A <= B <= C <= 10 with C(C, A) <= 16;
+* ``ramcat ramsey check -k 2`` on 11 instances whose copies are listed by
+  character substitution: ``--family gr`` over the group-only files
+  ``z2plain.json`` and ``z3plain.json`` (Z2 and Z3 on the empty alphabet),
+  and ``--family dram-op``;
 * ``ramcat preadj verify --context z2a.json`` (Z2 fixing the one letter a)
   for every named pre-adjunction, and README's composed example;
 * ``ramcat tukey check`` of both kinds on fixed preorder files: README's
@@ -66,6 +70,14 @@ PREORDERS = {
     "drawn.json": {"size": 15, "pairs": DRAWN_15},
     "relabelled.json": {"size": 15, "pairs": [[SIGMA[a], SIGMA[b]] for a, b in DRAWN_15]},
 }
+# (family, context file, A, B, C) of the spelled ramsey checks: holding and
+# failing instances, with and without the exhaustive oracle
+SPELLED_CHECKS = [("gr", "z2plain.json", 1, 2, 3), ("gr", "z2plain.json", 1, 3, 5), ("gr", "z2plain.json", 2, 3, 4),
+                  ("gr", "z2plain.json", 1, 3, 6), ("gr", "z3plain.json", 1, 2, 5), ("gr", "z3plain.json", 1, 3, 6),
+                  ("gr", "z3plain.json", 2, 3, 4), ("dram-op", None, 2, 3, 5), ("dram-op", None, 2, 3, 7),
+                  ("dram-op", None, 2, 4, 7), ("dram-op", None, 3, 4, 6)]
+GROUPS = {"z2plain.json": {"order": 2, "table": [0, 1, 1, 0], "element_names": ["e", "g"]},
+          "z3plain.json": {"order": 3, "table": [0, 1, 2, 1, 2, 0, 2, 0, 1], "element_names": ["e", "g", "g2"]}}
 # README's context file: Z3 acting on a, b, c, d by a -> b -> c -> a, d fixed
 Z3_CONTEXT = {"order": 3, "table": [0, 1, 2, 1, 2, 0, 2, 0, 1], "element_names": ["e", "g", "g2"],
               "alphabet": ["a", "b", "c", "d"], "action_table": [0, 1, 2, 1, 2, 0, 2, 0, 1, 3, 3, 3]}
@@ -126,6 +138,11 @@ def commands() -> dict[str, list[str]]:
     for a, b, c in criterion_4_grid():
         out[f"ramsey-{a}-{b}-{c}.json"] = ["ramsey", "check", "--family", "ram", "-A", str(a), "-B", str(b),
                                            "-C", str(c), "-k", "2"]
+    for family, context, a, b, c in SPELLED_CHECKS:
+        name = family if context is None else family + "-" + context.removesuffix(".json")
+        out[f"ramsey-{name}-{a}-{b}-{c}.json"] = ["ramsey", "check", "--family", family,
+                                                  *(["--context", context] if context else []),
+                                                  "-A", str(a), "-B", str(b), "-C", str(c), "-k", "2"]
     for i, args in enumerate(PREADJ):
         out[f"preadj-{i}.json"] = ["preadj", "verify", "--context", "z2a.json", "--instance", *args]
     for i, (dom, cod, f) in enumerate(TUKEY):
@@ -149,7 +166,8 @@ def run_side(checkout: Path, workdir: Path, runs: dict[str, list[str]]) -> dict[
     """(exit code, report bytes, text printed) of each run, with
     ``checkout/src`` first on the module path and ``workdir`` as the working
     directory."""
-    for name, payload in {"z2a.json": Z2_ONE_LETTER, "z3.json": Z3_CONTEXT, **CATEGORY_SPECS, **PREORDERS}.items():
+    files = {"z2a.json": Z2_ONE_LETTER, "z3.json": Z3_CONTEXT, **GROUPS, **CATEGORY_SPECS, **PREORDERS}
+    for name, payload in files.items():
         (workdir / name).write_text(json.dumps(payload), encoding="utf-8")
     for name, text in WORD_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
@@ -186,7 +204,7 @@ def main() -> int:
     for name in missing:
         print(f"no report: {name} (exit {parent[name][0]} on the parent side)")
     print(f"{len(runs) - len(differ)} of {len(runs)} reports byte-identical "
-          f"(golden, {len(criterion_4_grid())} ramsey check, {len(PREADJ)} preadj verify, "
+          f"(golden, {len(criterion_4_grid()) + len(SPELLED_CHECKS)} ramsey check, {len(PREADJ)} preadj verify, "
           f"{2 * len(TUKEY)} tukey check, {len(GENERATED)} tukey companion/monotonize, {len(WORDS)} words, "
           f"{len(RSURJ)} rsurj, {len(CATEGORY_SPECS)} category check, {len(BUILDER_SPECS)} category skeleton)")
     return 1 if differ or missing else 0
