@@ -164,13 +164,14 @@ class CategoryFragment:
         return self.hom_size(a, b) > 0
 
 
-def _lazy_homs(sizes: Iterable[tuple[tuple, int]], build: Callable, cap: int, name: str) -> dict:
+def _lazy_homs(sizes: Iterable[tuple[tuple, int]], build: Callable, name: str) -> dict:
     """Lazy hom-sets for the pairs of ``sizes`` that have morphisms, listed
-    by ``build(a, b)``.  The running total is checked against ``cap`` pair by
-    pair, so an oversized fragment is refused after sizing no more pairs
-    than it takes to exceed the cap."""
+    by ``build(a, b)``.  The running total is checked against
+    ``DEFAULT_HOM_CAP`` pair by pair, so an oversized fragment is refused
+    after sizing no more pairs than it takes to exceed the cap."""
     hom: dict = {}
     total = 0
+    cap = DEFAULT_HOM_CAP
     for (a, b), size in sizes:
         if size:
             total += size
@@ -182,10 +183,11 @@ def _lazy_homs(sizes: Iterable[tuple[tuple, int]], build: Callable, cap: int, na
 
 # --- builders ---------------------------------------------------------------
 #
-# Each builder sizes its hom-sets in closed form, checks the cap on those
-# sizes, and lists a hom-set only when it is first read.
+# Each builder sizes its hom-sets in closed form, checks the fixed cap
+# ``DEFAULT_HOM_CAP`` on those sizes, and lists a hom-set only when it is
+# first read.
 
-def ram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
+def ram_fragment(n: int) -> CategoryFragment:
     """Chains 1..n with injective monotone maps as image tuples; hom(a, b)
     has C(b, a) of them."""
     objects = range(1, n + 1)
@@ -194,7 +196,7 @@ def ram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
         return (Morphism(a, b, c) for c in combinations(range(1, b + 1), a))
 
     sizes = (((a, b), comb(b, a)) for b in objects for a in range(1, b + 1))
-    hom = _lazy_homs(sizes, build, hom_cap, "ram")
+    hom = _lazy_homs(sizes, build, "ram")
     identity = {a: Morphism(a, a, tuple(range(1, a + 1))) for a in objects}
 
     def rule(g: tuple, f: tuple) -> tuple:
@@ -203,7 +205,7 @@ def ram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
     return CategoryFragment(f"ram({n})", objects, hom, identity, rule)
 
 
-def dram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
+def dram_fragment(n: int) -> CategoryFragment:
     """Chains 1..n with rigid surjections; hom(a, b) has S(a, b) of them."""
     objects = range(1, n + 1)
 
@@ -211,15 +213,15 @@ def dram_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
         return (Morphism(a, b, r) for r in enumerate_rsurj(a, b))
 
     sizes = (((a, b), stirling2(a, b)) for a in objects for b in range(1, a + 1))
-    hom = _lazy_homs(sizes, build, hom_cap, "dram")
+    hom = _lazy_homs(sizes, build, "dram")
     identity = {a: Morphism(a, a, identity_rigid(a)) for a in objects}
     return CategoryFragment(f"dram({n})", objects, hom, identity, compose_rigid)
 
 
-def dram_op_fragment(n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
+def dram_op_fragment(n: int) -> CategoryFragment:
     """The opposite of ``dram_fragment(n)``, spelled by image values: g
     after f replaces each value of g by its image under f."""
-    fragment = opposite(dram_fragment(n, hom_cap))
+    fragment = opposite(dram_fragment(n))
     fragment.spelling = (spell_rigid, rigid_substitution)
     return fragment
 
@@ -238,14 +240,14 @@ def _word_counts(n: int, context: WordContext) -> Iterator[tuple[tuple[int, int]
             yield (k, m), row[k]
 
 
-def gr_fragment(context: WordContext, n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
+def gr_fragment(context: WordContext, n: int) -> CategoryFragment:
     """Positive integers 1..n with hom(k, n) the k-parameter n-letter words."""
     objects = range(1, n + 1)
 
     def build(k, m):
         return (Morphism(k, m, w) for w in enumerate_words(k, m, context))
 
-    hom = _lazy_homs(_word_counts(n, context), build, hom_cap, f"gr over {context.alphabet}")
+    hom = _lazy_homs(_word_counts(n, context), build, f"gr over {context.alphabet}")
     identity = {k: Morphism(k, k, identity_word(k)) for k in objects}
     alpha = "".join(context.alphabet) or "0"
     return CategoryFragment(f"gr({alpha},|G|={context.group.order},{n})", objects, hom, identity,
@@ -255,7 +257,8 @@ def gr_fragment(context: WordContext, n: int, hom_cap: int = DEFAULT_HOM_CAP) ->
 @dataclass(frozen=True)
 class OrderedField:
     """A finite field with a fixed linear order on its elements; element 0 is
-    the additive zero and is least."""
+    the additive zero and is least, and element 1 is the multiplicative
+    one."""
 
     size: int
     add: tuple[tuple[int, ...], ...]
@@ -263,6 +266,14 @@ class OrderedField:
 
 
 def gf(p: int) -> OrderedField:
+    """F_p with its elements in their natural order.  Its tables hold p^2
+    entries, so a p whose square is over ``DEFAULT_HOM_CAP`` is refused
+    before any primality test or table."""
+    if p < 2:
+        raise ValidationError("not_prime", f"built-in fields require a prime size, got {p}", q=p)
+    if p * p > DEFAULT_HOM_CAP:
+        raise ResourceBound(f"the tables of F_{p} would hold {p * p} entries, more than the cap of "
+                            f"{DEFAULT_HOM_CAP}", DEFAULT_HOM_CAP)
     for d in range(2, p):
         if p % d == 0:
             raise ValidationError("not_prime", f"built-in fields require a prime size, got {p}", q=p)
@@ -271,72 +282,41 @@ def gf(p: int) -> OrderedField:
     return OrderedField(p, add, mul)
 
 
-def alex_less(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    """Anti-lexicographic comparison: the highest differing coordinate
-    decides."""
-    for i in range(len(u) - 1, -1, -1):
-        if u[i] != v[i]:
-            return u[i] < v[i]
-    return False
-
-
-def _apply_matrix(field: OrderedField, rows: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for row in rows:
-        acc = 0
-        for c, x in zip(row, v):
-            acc = field.add[acc][field.mul[c][x]]
-        out.append(acc)
-    return tuple(out)
-
-
-def vec_fragment(q: int | OrderedField, n: int, hom_cap: int = DEFAULT_HOM_CAP) -> CategoryFragment:
+def vec_fragment(q: int | OrderedField, n: int) -> CategoryFragment:
     """Dimensions 1..n over an ordered finite field; morphisms are the
-    injective linear maps that respect the anti-lexicographic vector order.
-    Matrices are row tuples (codomain dim) x (domain dim).
+    injective linear maps that respect the anti-lexicographic vector order,
+    in which the highest differing coordinate decides.  Matrices are row
+    tuples (codomain dim) x (domain dim), row r the coordinate r.
 
-    Hom-sets are grown one column at a time.  Since 0 is the least field
-    element, the vectors supported on the first j coordinates are the first
-    q^j vectors of the anti-lexicographic order, in the order of
-    ``domain_vectors(j)``; so the first j columns of a morphism m -> d are
-    themselves a morphism j -> d.  Extending only the prefixes whose images
-    are strictly increasing therefore loses no morphism, and at j = m the
-    test is the full order condition.  The new basis vector e_j lies above
-    every vector on the first j - 1 coordinates, so a new column that does
-    not lie above the image of the largest of them is dropped before the
-    full test.  Each hom-set is sorted by payload, which is the row-major
-    order of the matrix entries.  A morphism m -> d is the unique
-    order-respecting basis of its image, so hom(m, d) has one morphism per
-    m-dimensional subspace: the Gaussian binomial [d choose m]_q of them."""
+    A morphism m -> d is the unique order-respecting basis of its image, so
+    hom(m, d) has one morphism per m-dimensional subspace: the Gaussian
+    binomial [d choose m]_q of them.  That basis is the reduced column
+    echelon form: column j ends in a 1 at row p_j, with p_1 < ... < p_m, and
+    the other columns are 0 at row p_j.  It respects the order: if v and w
+    differ last at coordinate k, the columns after k get equal coefficients,
+    the columns up to k are 0 above row p_k, and row p_k reads v_k against
+    w_k.  So a hom-set is listed by choosing the pivot rows and then the
+    free entries, the rows below a pivot that no earlier column pivots on,
+    in time proportional to its size.  Each hom-set is sorted by payload,
+    which is the row-major order of the matrix entries."""
     field = q if isinstance(q, OrderedField) else gf(q)
     objects = range(1, n + 1)
 
-    def domain_vectors(m: int) -> list[tuple[int, ...]]:
-        vecs = list(product(range(field.size), repeat=m))
-        vecs.sort(key=lambda v: tuple(reversed(v)))
-        return vecs
-
-    def increasing(rows, vecs) -> bool:
-        images = [_apply_matrix(field, rows, v) for v in vecs]
-        return all(alex_less(images[i], images[i + 1]) for i in range(len(images) - 1))
-
     def build(m, d):
-        columns = list(product(range(field.size), repeat=d))
-        prefixes = [()]
-        for j in range(1, m + 1):
-            vecs = domain_vectors(j)
-            survivors = []
-            for cols in prefixes:
-                # image of the largest vector on the first j - 1 coordinates
-                top = _apply_matrix(field, tuple(zip(*cols)), vecs[-1][:-1]) if cols else (0,) * d
-                for col in columns:
-                    if alex_less(top, col) and increasing(tuple(zip(*cols, col)), vecs):
-                        survivors.append(cols + (col,))
-            prefixes = survivors
-        return sorted((Morphism(m, d, tuple(zip(*cols))) for cols in prefixes), key=lambda f: f.payload)
+        payloads = []
+        for pivots in combinations(range(d), m):
+            free = [(r, j) for j, p in enumerate(pivots) for r in range(p) if r not in pivots]
+            for values in product(range(field.size), repeat=len(free)):
+                rows = [[0] * m for _ in range(d)]
+                for j, p in enumerate(pivots):
+                    rows[p][j] = 1
+                for (r, j), x in zip(free, values):
+                    rows[r][j] = x
+                payloads.append(tuple(map(tuple, rows)))
+        return (Morphism(m, d, rows) for rows in sorted(payloads))
 
     sizes = (((m, d), _gaussian_binomial(d, m, field.size)) for d in objects for m in range(1, d + 1))
-    hom = _lazy_homs(sizes, build, hom_cap, f"vec(F_{field.size})")
+    hom = _lazy_homs(sizes, build, f"vec(F_{field.size})")
 
     identity = {
         m: Morphism(m, m, tuple(tuple(1 if r == c else 0 for c in range(m)) for r in range(m)))
@@ -432,7 +412,21 @@ def explicit_fragment(objects, morphisms, identities, compose_table, name="expli
     """Fragment from fully explicit tables.  ``morphisms`` maps id -> (dom,
     cod); ``compose_table`` maps (g_id, f_id) -> h_id for composable pairs.
     A payload is its id.  A composite missing from the table, or recorded
-    outside hom(dom f, cod g), raises ``not_closed`` when it is composed."""
+    outside hom(dom f, cod g), raises ``not_closed`` when it is composed.
+    Objects must be distinct, every morphism must run between listed
+    objects, and ``identities`` must name exactly the listed objects;
+    otherwise ``unknown_object`` is raised."""
+    objects = tuple(objects)
+    known = set(objects)
+    if len(known) != len(objects):
+        raise ValidationError("unknown_object", "the objects are not distinct")
+    for mid, (dom, cod) in morphisms.items():
+        if dom not in known or cod not in known:
+            raise ValidationError("unknown_object", f"morphism {mid} runs {dom} -> {cod}, and only {list(objects)} "
+                                  "are objects", morphism=mid)
+    if identities.keys() != known:
+        raise ValidationError("unknown_object", f"the identities are given for {list(identities)}, not for the "
+                              f"objects {list(objects)}")
     by_id = {mid: Morphism(dom, cod, mid) for mid, (dom, cod) in morphisms.items()}
     hom: dict = {}
     for m in by_id.values():
@@ -477,20 +471,18 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
     ``fragment.objects`` in turn.  The closure loop composes each composable
     pair g, f once and records, for each f: a -> b, the row of positions in
     ``out[a]`` of g∘f for g in ``out[b]``; a member's position is read from
-    the fragment's hom-set index, and membership from ``in_hom``.  In a
-    closed fragment h(gf) = (hg)f holds for every h at once when the row of
-    g∘f equals the row of g read through the row of f, one comparison in C
-    per pair; where the rows differ, the h are walked in order.  A composite
-    outside the fragment has no position, so when the closure loop found
-    one, the h are walked for every pair and such a composite is composed
-    afresh.  So ``compose`` must be a function of its arguments: equal
-    morphisms in, equal composite out.
+    the fragment's hom-set index, and membership from ``in_hom``.  A
+    composite with no position is a closure violation: one that lands
+    outside hom(a, c), or one the fragment does not record (its rule raises
+    ``not_closed``, as an explicit table does for a missing composite or
+    one recorded in another hom-set), which is reported as None and fails
+    the identity law when an identity is one factor.  Any closure violation
+    ends the check before associativity.
 
-    A pair whose composite the fragment does not record (its rule raises
-    ``not_closed``, as an explicit table does for a missing composite or one
-    recorded in another hom-set) is a closure violation with composite None,
-    and fails the identity law when an identity is one factor.  Then no
-    associativity is checked: the walk would compose through the gap."""
+    The associativity walk then reads positions only and composes nothing:
+    h(gf) = (hg)f holds for every h at once when the row of g∘f equals the
+    row of g read through the row of f, one comparison in C per pair; where
+    the rows differ, the h whose positions differ are the violations."""
     report = FragmentLawReport()
     objs = fragment.objects
     for a in objs:
@@ -513,57 +505,32 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
         ms = fragment.hom(a, d)
         out[a] += ms
         cods[a] += [d] * len(ms)
-
-    def position(m, a, d):
-        """m's position in out[a] when m is a morphism of hom(a, d), else None."""
-        if fragment.in_hom(m, a, d):
-            return start[a, d] + fragment.hom_index(a, d)[m.payload]
-        return None
-
     rows: dict = {a: [] for a in objs}  # rows[a][i]: the row of out[a][i]
-    outside: dict = {}  # (a, position of f, position of g) -> g∘f, a composite outside the fragment
     for a in objs:
-        for i, (f, b) in enumerate(zip(out[a], cods[a])):
+        for f, b in zip(out[a], cods[a]):
             row = []
-            for j, (g, c) in enumerate(zip(out[b], cods[b])):
+            for g, c in zip(out[b], cods[b]):
                 gf = _recorded(fragment, g, f)
-                p = position(gf, a, c)
-                if p is None:
-                    outside[a, i, j] = gf
+                if not fragment.in_hom(gf, a, c):
                     report.closure_violations.append({"g": g, "f": f, "composite": gf})
                     if len(report.closure_violations) >= max_violations:
                         return report
-                row.append(p)
+                    continue
+                row.append(start[a, c] + fragment.hom_index(a, c)[gf.payload])
             rows[a].append(row)
-    if None in outside.values():
+    if report.closure_violations:
         return report
-    closed = not outside
     for a in objs:
-        members, ra = out[a], rows[a]
-        for i, (f, b) in enumerate(zip(members, cods[a])):
-            rf = ra[i]
-            for j, (g, c) in enumerate(zip(out[b], cods[b])):
-                gf_at, rg = rf[j], rows[b][j]
+        ra = rows[a]
+        for f, b, rf in zip(out[a], cods[a], ra):
+            for g, c, gf_at, rg in zip(out[b], cods[b], rf, rows[b]):
                 # rows are lists: a tuple built from a map is resized as it
                 # fills, and the freed ones pile up in the tuple free lists
-                if closed and ra[gf_at] == list(map(rf.__getitem__, rg)):
+                left, right = ra[gf_at], list(map(rf.__getitem__, rg))
+                if left == right:
                     continue
-                for k, (h, d) in enumerate(zip(out[c], cods[c])):
-                    if gf_at is None:
-                        left = fragment.compose(h, outside[a, i, j])
-                        li = position(left, a, d)
-                    else:
-                        li = ra[gf_at][k]
-                        left = outside[a, gf_at, k] if li is None else members[li]
-                    hg_at = rg[k]
-                    if hg_at is None:
-                        right = fragment.compose(outside[b, j, k], f)
-                        ri = position(right, a, d)
-                    else:
-                        ri = rf[hg_at]
-                        right = outside[a, i, hg_at] if ri is None else members[ri]
-                    # the same member on both sides is equal; values decide otherwise
-                    if (li != ri or li is None) and left != right:
+                for h, li, ri in zip(out[c], left, right):
+                    if li != ri:
                         report.associativity_violations.append({"h": h, "g": g, "f": f})
                         if len(report.associativity_violations) >= max_violations:
                             return report
@@ -691,15 +658,15 @@ def skeleton(fragment: CategoryFragment) -> SkeletonResult:
 
 # --- the chains <-> plain-words correspondence -------------------------------
 
-def dramop_word_functor(n: int, plain: WordContext, hom_cap: int = DEFAULT_HOM_CAP):
+def dramop_word_functor(n: int, plain: WordContext):
     """The fragment isomorphism between positive integers with plain words
     and the opposite of chains with rigid surjections: a word maps to the
     surjection reading off its variable indices.
 
     Returns (gr_fragment, dram_op_fragment, word_morphism -> op_morphism).
     """
-    grf = gr_fragment(plain, n, hom_cap)
-    dop = dram_op_fragment(n, hom_cap)
+    grf = gr_fragment(plain, n)
+    dop = dram_op_fragment(n)
 
     def on_morphism(m: Morphism) -> Morphism:
         f = word_to_rsurj(m.payload)
@@ -718,7 +685,8 @@ def check_fragment_isomorphism(src: CategoryFragment, dst: CategoryFragment,
     every pair are read back from those images.  An image that is not a
     morphism of the target hom-set (``dst.in_hom``), such as a tuple that
     only equals one, is read back as None: the check fails, and a pair with
-    such a factor is reported without being composed."""
+    such a factor is reported without being composed.  An identity or
+    composite that src does not list has no image, so it fails too."""
     failures = []
     bijective = True
     image = {}
@@ -733,13 +701,7 @@ def check_fragment_isomorphism(src: CategoryFragment, dst: CategoryFragment,
                 bijective = False
                 failures.append({"pair": (a, b), "reason": "hom-set image is not a bijection"})
             image.update(zip(hom, imgs))
-
-    def mapped(m):
-        if m not in image:  # only a morphism the hom-sets do not list
-            image[m] = on_morphism(m)
-        return image[m]
-
-    identities = all(mapped(src.identity(a)) == dst.identity(a) for a in src.objects)
+    identities = all(image.get(src.identity(a)) == dst.identity(a) for a in src.objects)
     comp_ok = True
     for a, b, c in product(src.objects, repeat=3):
         for f in src.hom(a, b):
@@ -747,7 +709,7 @@ def check_fragment_isomorphism(src: CategoryFragment, dst: CategoryFragment,
             for g in src.hom(b, c):
                 g_image = image[g]
                 if (f_image is None or g_image is None
-                        or mapped(src.compose(g, f)) != dst.compose(g_image, f_image)):
+                        or image.get(src.compose(g, f)) != dst.compose(g_image, f_image)):
                     comp_ok = False
                     failures.append({"pair": (a, b, c), "f": f, "g": g})
     return {"bijective": bijective, "identities": identities, "composition": comp_ok,
@@ -758,29 +720,43 @@ def check_fragment_isomorphism(src: CategoryFragment, dst: CategoryFragment,
 
 def fragment_from_spec(spec: dict, context: WordContext | None = None) -> CategoryFragment:
     """Build a fragment from its config-file form: either a named builder with
-    parameters or fully explicit tables."""
+    parameters or fully explicit tables.  A builder reads ``params.n``, and
+    ``vec`` also ``params.q``; a spec naming any other parameter is refused
+    with ``ValueError``.  Every builder checks the fixed cap
+    ``DEFAULT_HOM_CAP`` before it builds anything."""
+    if not isinstance(spec, dict):
+        raise TypeError("a spec file holds a JSON object")
     if "builder" in spec:
         builder = spec["builder"]
         params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise TypeError("params must be a JSON object")
+        unknown = sorted(map(str, params.keys() - ({"n", "q"} if builder == "vec" else {"n"})))
+        if unknown:
+            raise ValueError(f"params keys not read by the {builder!r} builder: {', '.join(map(repr, unknown))}")
         n = int(params.get("n", 3))
-        cap = int(params.get("hom_cap", DEFAULT_HOM_CAP))
         if builder == "ram":
-            return ram_fragment(n, cap)
+            return ram_fragment(n)
         if builder == "dram":
-            return dram_fragment(n, cap)
+            return dram_fragment(n)
         if builder == "dram-op":
-            return dram_op_fragment(n, cap)
+            return dram_op_fragment(n)
         if builder == "gr":
             if context is None:
                 raise ValidationError("missing_context", "gr fragments need a group/action context")
-            return gr_fragment(context, n, cap)
+            return gr_fragment(context, n)
         if builder == "vec":
-            return vec_fragment(int(params.get("q", 2)), n, cap)
+            return vec_fragment(int(params.get("q", 2)), n)
         if builder == "thin-chain":
             from .tukey import chain_preorder
 
+            if max(n, 0) * (n + 1) // 2 > DEFAULT_HOM_CAP:
+                raise ResourceBound(f"fragment chain({n}) would hold more than its cap of {DEFAULT_HOM_CAP} "
+                                    "morphisms", DEFAULT_HOM_CAP)
             return thin_from_preorder(chain_preorder(n), name="chain")
         raise ValidationError("unknown_builder", f"unknown fragment builder {builder!r}", builder=builder)
+    if not (isinstance(spec["morphisms"], dict) and isinstance(spec["identities"], dict)):
+        raise TypeError("morphisms and identities must be JSON objects")
     morphisms = {mid: (m["dom"], m["cod"]) for mid, m in spec["morphisms"].items()}
     compose_table = {(g, f): h for g, f, h in spec["compose"]}
     return explicit_fragment(spec["objects"], morphisms, spec["identities"], compose_table,

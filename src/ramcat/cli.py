@@ -139,7 +139,7 @@ def _read(path: str, load, what: str):
     data = _load_json(path)
     try:
         return load(data)
-    except (ValidationError, LookupError, TypeError, ValueError) as exc:
+    except (ValidationError, LookupError, TypeError, ValueError, OverflowError) as exc:
         raise click.UsageError(f"bad {what} file {path}: {type(exc).__name__}: {exc}")
 
 
@@ -157,9 +157,10 @@ def _load_fragment(spec_path: str, context_path: str | None):
     context = _load_context(context_path) if context_path and is_gr else None
     try:
         return fragment_from_spec(spec, context)
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         # a spec that reads but names an invalid fragment stays a property
-        # failure (a ValidationError, exit 1); this one cannot be read at all
+        # failure (a ValidationError, exit 1); this one cannot be read at all,
+        # like an infinite n that int() refuses with OverflowError
         raise click.UsageError(f"bad spec file {spec_path}: {type(exc).__name__}: {exc}")
 
 
@@ -502,9 +503,13 @@ def preadj_verify(instance, context_path, bounds):
             raise click.UsageError(f"unknown instance {nm!r}; see `ramcat preadj list`")
     parsed = _parse_bounds(bounds)
     if composed:
-        # every factor is sized by tgt, so adjacent interfaces match
+        # sized from the last factor back: it gets tgt, and each earlier
+        # factor gets the largest source object of the factor after it
         gr = functools.cache(gr_fragment)
-        parts = [_build_instance(nm, context, {"tgt": parsed.get("tgt", 6)}, gr) for nm in names]
+        size, parts = parsed.get("tgt", 6), []
+        for nm in reversed(names):
+            parts.insert(0, _build_instance(nm, context, {"tgt": size}, gr))
+            size = max(parts[0][0].source.objects, default=0)
         pa = functools.reduce(compose_pa, [part[0] for part in parts])
         src_objs = list(range(1, parsed.get("src", 2) + 1))
         tgt_objs = parts[-1][2]

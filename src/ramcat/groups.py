@@ -1,10 +1,12 @@
 """Finite groups given by multiplication tables, and their right actions.
 
 A group of order ``t`` lives on the canonical element indices ``0..t-1`` with
-``0`` always the neutral element; names are presentation-layer only.  Every
-group value carries a total order on its elements with the neutral element
-least, because some constructions downstream depend on a fixed linear
-ordering of the group.
+``0`` always the neutral element; names are presentation-layer only.  The
+constructions that need a linear order on the group (word enumeration, the
+chain ``n x G`` of ``pa_gr_to_dramop``) use the index order, so the neutral
+element is least.  A name, of an element or of a letter, is one token of
+word notation: a non-empty string with no whitespace and no ``^``, distinct
+from the other names of its kind.
 
 A right action of a group on a finite alphabet is a table
 ``(letter, element) -> letter`` satisfying ``a^e = a`` and
@@ -17,24 +19,16 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
+CONTEXT_KEYS = ("order", "table", "element_names", "alphabet", "action_table")
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    table: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] = field(compare=False, default=())
-    element_order: tuple[int, ...] = ()
-    order_pos: tuple[int, ...] = field(init=False, compare=False, default=())
+    """A multiplication table on the indices ``0..t-1``, 0 the neutral
+    element, with one name per element; built by ``validate_group``."""
 
-    def __post_init__(self):
-        t = len(self.table)
-        if not self.names:
-            object.__setattr__(self, "names", default_element_names(t))
-        if not self.element_order:
-            object.__setattr__(self, "element_order", tuple(range(t)))
-        pos = [0] * t
-        for p, g in enumerate(self.element_order):
-            pos[g] = p
-        object.__setattr__(self, "order_pos", tuple(pos))
+    table: tuple[tuple[int, ...], ...]
+    names: tuple[str, ...] = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -66,16 +60,25 @@ def default_element_names(t: int) -> tuple[str, ...]:
     return ("e", "g") + tuple(f"g{k}" for k in range(2, t))
 
 
-def validate_group(
-    table,
-    names: tuple[str, ...] | None = None,
-    element_order: tuple[int, ...] | None = None,
-) -> FiniteGroup:
+def _check_names(names, what: str) -> None:
+    """Refuse names that word notation cannot read back: each must be a
+    non-empty string with no whitespace and no ``^``, and none may repeat."""
+    for i, name in enumerate(names):
+        if not (isinstance(name, str) and name.split() == [name] and "^" not in name):
+            raise ValidationError("bad_name", f"{what} name {name!r} is not a non-empty string without "
+                                  "whitespace or '^'", name=name)
+        if name in names[:i]:
+            raise ValidationError(f"repeated_{what}", f"{what} name {name!r} occurs twice", name=name)
+
+
+def validate_group(table, names: tuple[str, ...] | None = None) -> FiniteGroup:
     """Check the group axioms on a raw ``t x t`` table and build the value.
 
     Index 0 must be the two-sided neutral element.  Raises ValidationError
     with code ``no_identity``, ``no_inverse`` (carrying the offending
-    element) or ``non_associative`` (carrying the first bad triple).
+    element) or ``non_associative`` (carrying the first bad triple).  Without
+    ``names`` the elements are named ``e, g, g2, ...``; given names must be
+    ``t`` of them and pass ``_check_names``.
     """
     rows = tuple(tuple(row) for row in table)
     t = len(rows)
@@ -104,14 +107,12 @@ def validate_group(
                         f"(g*h)*k != g*(h*k) for g={g}, h={h}, k={k}",
                         g=g, h=h, k=k,
                     )
-    if element_order is not None:
-        eo = tuple(element_order)
-        if sorted(eo) != list(range(t)):
-            raise ValidationError("element_order", "element order must be a permutation of 0..t-1")
-        if eo[0] != 0:
-            raise ValidationError("element_order", "the neutral element must come first")
-    group = FiniteGroup(rows, tuple(names) if names else (), tuple(element_order) if element_order else ())
-    return group
+    names = tuple(names) if names else default_element_names(t)
+    if len(names) != t:
+        raise ValidationError("element_names", f"{len(names)} element names for a group of order {t}",
+                              names=len(names), order=t)
+    _check_names(names, "element")
+    return FiniteGroup(rows, names)
 
 
 def trivial_group() -> FiniteGroup:
@@ -148,15 +149,14 @@ class RightAction:
 
 def validate_action(action: RightAction) -> RightAction:
     """Check the letter names, unitality and the right-action law, naming the
-    first bad letter or tuple.  A letter name must be unique and must not
-    read as a variable ``x1, x2, ...``."""
+    first bad letter or tuple.  Letter names pass ``_check_names`` and must
+    not read as a variable ``x1, x2, ...``."""
     group = action.group
     n_letters = len(action.alphabet)
-    for i, name in enumerate(action.alphabet):
-        if name and name[0] == "x" and name[1:].isdigit():
+    _check_names(action.alphabet, "letter")
+    for name in action.alphabet:
+        if name[0] == "x" and name[1:].isdigit():
             raise ValidationError("reserved_letter", f"letter name {name!r} clashes with variable notation", name=name)
-        if name in action.alphabet[:i]:
-            raise ValidationError("repeated_letter", f"letter name {name!r} occurs twice", name=name)
     if len(action.table) != n_letters:
         raise ValidationError("table_shape", "action table must have one row per letter")
     for row in action.table:
@@ -216,9 +216,8 @@ def cycle_action(group: FiniteGroup, alphabet, generator_images) -> RightAction:
 # --- configuration files -------------------------------------------------
 
 def _unflatten(values, rows: int, cols: int, what: str):
+    """The rows of a flat row-major table."""
     values = list(values)
-    if values and isinstance(values[0], (list, tuple)):
-        return [list(r) for r in values]
     if len(values) != rows * cols:
         raise ValidationError("table_shape", f"{what} must have {rows * cols} entries, got {len(values)}")
     return [values[i * cols:(i + 1) * cols] for i in range(rows)]
@@ -227,15 +226,20 @@ def _unflatten(values, rows: int, cols: int, what: str):
 def action_from_dict(data: dict) -> RightAction:
     """Load a group/action value from its config-file form.
 
-    Expected fields: ``order``, ``table`` (row-major), ``element_names``,
-    ``alphabet``, ``action_table`` (row per letter).  Names only matter to the
+    The fields are ``CONTEXT_KEYS``: ``order``, ``table`` (flat, row-major),
+    the optional ``element_names``, ``alphabet`` and ``action_table`` (flat,
+    one row per letter); any other key is refused.  Names only matter to the
     parser and printer; all semantics run on indices.
     """
+    if not isinstance(data, dict):
+        raise TypeError("a context file holds a JSON object")
+    unknown = sorted(map(str, data.keys() - set(CONTEXT_KEYS)))
+    if unknown:
+        raise ValidationError("unknown_key", f"context file keys not read: {', '.join(map(repr, unknown))}",
+                              keys=unknown)
     order = int(data["order"])
     table = _unflatten(data["table"], order, order, "group table")
-    names = tuple(data.get("element_names") or ())
-    group = validate_group(table, names=names or None,
-                           element_order=tuple(data["element_order"]) if data.get("element_order") else None)
+    group = validate_group(table, names=tuple(data.get("element_names") or ()))
     alphabet = tuple(data.get("alphabet") or ())
     if alphabet:
         action_table = _unflatten(data["action_table"], len(alphabet), order, "action table")

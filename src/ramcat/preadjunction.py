@@ -307,9 +307,10 @@ def pa_gr_to_dramop(context: WordContext, n_source: int, n_chains: int,
                     target: CategoryFragment | None = None) -> PreAdjunction:
     """From undecorated words over a group G into the opposite of rigid
     surjections: an object n blows up to the chain n x G ordered first by
-    position then by the group's element order; a rigid surjection onto that
-    chain reads off as a decorated word, and the transport witness of a word
-    f sends (j, h) to (i, g*h) where the j-th token of f is x_i^g."""
+    position then by element index, the neutral element first; a rigid
+    surjection onto that chain reads off as a decorated word, and the
+    transport witness of a word f sends (j, h) to (i, g*h) where the j-th
+    token of f is x_i^g."""
     if context.alphabet:
         raise ValidationError("nonempty_alphabet", "this construction starts from the empty alphabet")
     group = context.group
@@ -318,10 +319,10 @@ def pa_gr_to_dramop(context: WordContext, n_source: int, n_chains: int,
     target = target or dram_op_fragment(n_chains)
 
     def pos(i: int, g: int) -> int:
-        return (i - 1) * t + group.order_pos[g] + 1
+        return (i - 1) * t + g + 1
 
     def unpos(p: int) -> tuple[int, int]:
-        return (p - 1) // t + 1, group.element_order[(p - 1) % t]
+        return (p - 1) // t + 1, (p - 1) % t
 
     def phi(n_obj, c_obj, u: Morphism) -> Morphism:
         surj: RigidSurjection = u.payload  # a rigid surjection c_obj -> n_obj * t

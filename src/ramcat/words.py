@@ -20,12 +20,12 @@ word of arity ``n`` is ``x1 x2 ... xn``.
 Tokens are plain tuples ``(kind, index, exponent)`` with ``kind`` 0 for
 variables (1-based index) and 1 for letters (0-based index into the
 alphabet); the neutral exponent is 0.  Tuple order gives the canonical token
-order used by enumeration: variables before letters, then index, then the
-exponent's position in the group's element order.  A word is a tuple-backed
-value (a ``NamedTuple`` of tokens and ``m``), so it is built, hashed and
-compared in C.  A word does not hold its alphabet and group: the context is
-held once, by the fragment's composition rule and by the parser, validator,
-enumerator and printer that are given it.
+order used by enumeration: variables before letters, then index, then
+exponent.  A word is a tuple-backed value (a ``NamedTuple`` of tokens and
+``m``), so it is built, hashed and compared in C.  A word does not hold its
+alphabet and group: the context is held once, by the fragment's composition
+rule and by the parser, validator, enumerator and printer that are given
+it.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def enumerate_words(m: int, n: int, context: WordContext) -> Iterator[DecoratedW
     last position is streamed rather than stored."""
     if m < 0 or n < 1 or m > n:
         return
-    order = context.group.element_order
+    order = range(context.group.order)
     letters = [(LETTER, a, 0) for a in range(len(context.alphabet))]
     # options[seen]: (token, variables seen after it) for a position that
     # follows ``seen`` distinct variables, in canonical token order

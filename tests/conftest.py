@@ -22,14 +22,14 @@ def symmetric_group(n: int):
 
 
 def action_to_dict(action) -> dict:
-    """The JSON form of a group/action context file, as ``--context`` reads it."""
+    """The JSON form of a group/action context file, as ``--context`` reads it:
+    flat row-major tables."""
     return {
         "order": action.group.order,
-        "table": [list(row) for row in action.group.table],
+        "table": [x for row in action.group.table for x in row],
         "element_names": list(action.group.names),
-        "element_order": list(action.group.element_order),
         "alphabet": list(action.alphabet),
-        "action_table": [list(row) for row in action.table],
+        "action_table": [x for row in action.table for x in row],
     }
 
 

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import ramcat.category
 from ramcat import (
     ResourceBound,
     ValidationError,
@@ -425,18 +426,16 @@ def triple_loop_validate(fragment, max_violations=5):
                     report.identity_violations.append({"morphism": f, "left": left, "right": right})
                     if len(report.identity_violations) >= max_violations:
                         return report
-    missing = False
     for a, b in product(objs, repeat=2):
         for f in fragment.hom(a, b):
             for c in objs:
                 for g in fragment.hom(b, c):
                     gf = recorded(g, f)
-                    missing = missing or gf is None
                     if not fragment.in_hom(gf, a, c):
                         report.closure_violations.append({"g": g, "f": f, "composite": gf})
                         if len(report.closure_violations) >= max_violations:
                             return report
-    if missing:
+    if report.closure_violations:
         return report
     for a, b in product(objs, repeat=2):
         for f in fragment.hom(a, b):
@@ -510,12 +509,13 @@ def law_fragments():
     missing_identity = {"id_a": ("a", "a"), "f": ("a", "a")}
     return [
         mutated_ram4(),
-        # composites leave the hom-set: closure, then associativity through
-        # the composite outside it
+        # composites leave the hom-set: closure violations, and no
+        # associativity is checked through them
         perturbed_ram(5, removed={GONE}, rule=wrong_after_gone, name="closure"),
-        # both association orders leave the hom-set, so values decide
         perturbed_ram(5, removed={GONE, *ram_fragment(5).hom(1, 5)}, rule=wrong_after_gone, name="outside"),
         perturbed_ram(5, rule=wrong_identity, name="identity"),
+        # composing after the missing GONE would raise, but the check never
+        # composes through a composite outside the fragment
         perturbed_ram(5, removed={GONE}, rule=raise_after_gone, name="raising"),
         explicit_fragment(["a"], missing_identity, {"a": "id_a"}, {("id_a", "id_a"): "id_a"}),
         explicit_fragment(["a"], missing_identity, {"a": "id_a"},
@@ -535,11 +535,12 @@ def test_validate_fragment_matches_triple_loops():
     for frag in law_fragments():
         for max_violations in (1, 5, 6, 10**6):
             expected = outcome(triple_loop_validate, frag, max_violations)
+            assert isinstance(expected, FragmentLawReport), (frag.name, max_violations)
             assert outcome(validate_fragment, frag, max_violations) == expected, (frag.name, max_violations)
     full = [triple_loop_validate(frag, 10**6) for frag in law_fragments()[:4]]
     assert len(full[0].associativity_violations) > 5
     for report in full[1:3]:
-        assert len(report.closure_violations) > 5 and len(report.associativity_violations) > 5
+        assert len(report.closure_violations) > 5 and not report.associativity_violations
     assert len(full[3].identity_violations) > 5
     # the closure report is cut at five before any associativity is checked
     cut = validate_fragment(law_fragments()[1])
@@ -552,14 +553,15 @@ def test_mutated_dram_table_fails_associativity_alone():
     assert not report.identity_violations and not report.closure_violations
 
 
-def test_validate_fragment_raises_like_triple_loops():
-    # composing through a composite outside the fragment may still raise; a
-    # missing composite of two members is recorded instead, and then no
-    # associativity is checked
+def test_validate_fragment_reports_composites_outside_the_fragment():
+    # a composite outside the fragment, or one it does not record, is a
+    # closure violation, and then no associativity is checked
     raising, *explicit = law_fragments()[4:7]
-    for check in (validate_fragment, triple_loop_validate):
-        with pytest.raises(ValidationError):
-            check(raising, 10**6)
+    for max_violations in (1, 5, 6, 10**6):
+        report = validate_fragment(raising, max_violations)
+        assert report == triple_loop_validate(raising, max_violations)
+        assert report.closure_violations and not report.associativity_violations
+        assert {v["composite"] for v in report.closure_violations} == {GONE}
     for frag in explicit:
         report = validate_fragment(frag, 10**6)
         assert report.closure_violations and not report.associativity_violations
@@ -808,9 +810,10 @@ def test_isomorphism_check_maps_each_morphism_once():
     assert len(calls) == len(set(calls)) == grf.total_morphisms() == 278
 
 
-def test_hom_cap_resource_bound(plain_z2_context):
+def test_hom_cap_resource_bound(plain_z2_context, monkeypatch):
+    monkeypatch.setattr(ramcat.category, "DEFAULT_HOM_CAP", 100)
     with pytest.raises(ResourceBound):
-        gr_fragment(plain_z2_context, 8, hom_cap=100)
+        gr_fragment(plain_z2_context, 8)
 
 
 def test_fragment_from_spec_builders(swap_context):

@@ -7,7 +7,10 @@ from pathlib import Path
 import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import ramcat.category
 from ramcat.cli import main
 from ramcat.groups import cycle_action, cyclic_group
 
@@ -389,9 +392,102 @@ def test_preadj_verify_composed_three_factors(runner, tmp_path):
 
 
 def test_category_build_resource_bound_exit_code(runner, tmp_path):
-    spec = write(tmp_path, "big.json", {"builder": "dram", "params": {"n": 9, "hom_cap": 50}})
-    result = runner.invoke(main, ["category", "build", "--spec", spec])
-    assert result.exit_code == 3
+    # the cap is fixed, and each of these is refused before anything is built
+    for params in [{"builder": "dram", "params": {"n": 12}},
+                   {"builder": "ram", "params": {"n": 26}},
+                   {"builder": "thin-chain", "params": {"n": 100000}},  # 5,000,050,000 morphisms
+                   {"builder": "vec", "params": {"q": 1009, "n": 1}}]:  # prime, but its tables hold 1009^2 entries
+        spec = write(tmp_path, "big.json", params)
+        for command in ("build", "check"):
+            result = runner.invoke(main, ["category", command, "--spec", spec])
+            assert result.exit_code == 3, (params, result.output)
+            assert "cap" in json.loads(result.output)["error"]
+
+
+@pytest.mark.parametrize("spec, code", [
+    pytest.param({"builder": "vec", "params": {"q": 1, "n": 2}}, "not_prime", id="vec-q-1"),
+    pytest.param({"builder": "vec", "params": {"q": 0, "n": 2}}, "not_prime", id="vec-q-0"),
+    pytest.param({"builder": "vec", "params": {"q": -7, "n": 2}}, "not_prime", id="vec-q-negative"),
+    pytest.param({"objects": ["a"], "morphisms": {"id_a": {"dom": "a", "cod": "a"}, "f": {"dom": "a", "cod": "b"}},
+                  "identities": {"a": "id_a"}, "compose": [["id_a", "id_a", "id_a"]]}, "unknown_object",
+                 id="cod-not-an-object"),
+    pytest.param({"objects": ["a", "b"], "morphisms": {"id_a": {"dom": "a", "cod": "a"}},
+                  "identities": {"a": "id_a"}, "compose": [["id_a", "id_a", "id_a"]]}, "unknown_object",
+                 id="object-without-identity"),
+    pytest.param({"objects": ["a", "a"], "morphisms": {"id_a": {"dom": "a", "cod": "a"}},
+                  "identities": {"a": "id_a"}, "compose": [["id_a", "id_a", "id_a"]]}, "unknown_object",
+                 id="objects-repeated"),
+])
+def test_category_check_refuses_an_invalid_spec(runner, tmp_path, spec, code):
+    result = runner.invoke(main, ["category", "check", "--spec", write(tmp_path, "spec.json", spec)])
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output)["code"] == code
+
+
+JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 10**6) | st.text(max_size=3),
+                    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                    max_leaves=6)
+SIZE = st.integers(-3, 10**6) | st.integers(-3, 40) | st.floats() | JSON
+BUILDER_SPECS = st.builds(
+    lambda builder, n, q: {"builder": builder, "params": {"n": n, **({"q": q} if builder == "vec" else {})}},
+    st.sampled_from(["ram", "dram", "dram-op", "gr", "vec", "thin-chain", "nope"]), SIZE, SIZE)
+
+
+@st.composite
+def explicit_specs(draw):
+    """Small explicit tables: morphisms mostly between listed objects, an
+    identity named for each object, and at times one field made junk."""
+    objects = draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=3, unique=True))
+    ends = st.sampled_from(objects * 8 + ["z"])
+    ids = draw(st.lists(st.sampled_from(["i", "j", "f", "g"]), max_size=4, unique=True))
+    known = st.sampled_from(ids * 8 + ["k"])  # k is never a morphism
+    spec = {"objects": objects,
+            "morphisms": {m: {"dom": draw(ends), "cod": draw(ends)} for m in ids},
+            "identities": {a: draw(known) for a in objects},
+            "compose": draw(st.lists(st.lists(known, min_size=3, max_size=3), max_size=12))}
+    junk = draw(st.sampled_from([None, None, None, "objects", "morphisms", "identities", "compose"]))
+    if junk:
+        spec[junk] = draw(JSON)
+    return spec
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(BUILDER_SPECS | explicit_specs() | JSON)
+def test_category_check_on_any_spec_ends_with_an_exit_code(runner, tmp_path, spec):
+    """``category check`` on a drawn spec exits 0, 1 or 3 with a JSON
+    report, or 2 with a usage error, and never with a traceback.  The cap
+    is patched down to 300 morphisms so that every fragment under it is
+    checked in a moment; builders read the same constant to refuse, so
+    every refusal path still runs."""
+    spec_path = write(tmp_path, "spec.json", spec)
+    context = write(tmp_path, "z2a.json", Z2_ONE_LETTER)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ramcat.category, "DEFAULT_HOM_CAP", 300)
+        result = runner.invoke(main, ["category", "check", "--spec", spec_path, "--context", context])
+    assert result.exit_code in (0, 1, 2, 3), result.output
+    if result.exit_code == 2:
+        assert "Error:" in result.output
+    else:
+        assert json.loads(result.output)["ok"] == (result.exit_code == 0)
+
+
+@pytest.mark.parametrize("args, files, key", [
+    pytest.param(["category", "check", "--spec", "{s}"],
+                 {"s": {"builder": "ram", "params": {"n": 26, "hom_cap": 10**15}}}, "hom_cap", id="spec-hom-cap"),
+    pytest.param(["category", "build", "--spec", "{s}"], {"s": {"builder": "ram", "params": {"n": 3, "q": 2}}}, "q",
+                 id="spec-q-for-ram"),
+    pytest.param(["category", "build", "--spec", "{s}"], {"s": {"builder": "vec", "params": {"n": 3, "m": 2}}}, "m",
+                 id="spec-m-for-vec"),
+    pytest.param(["words", "enumerate", "--context", "{c}", "-m", "1", "-n", "2"],
+                 {"c": {**Z2_GROUP, "element_order": [0, 1]}}, "element_order", id="context-element-order"),
+])
+def test_keys_not_read_are_refused(runner, tmp_path, args, files, key):
+    """A spec parameter or context key that nothing reads is a usage error
+    that names it, not a silent no-op."""
+    paths = {name: write(tmp_path, name + ".json", payload) for name, payload in files.items()}
+    result = runner.invoke(main, [arg.format(**paths) for arg in args])
+    assert result.exit_code == 2, result.output
+    assert repr(key) in result.output
 
 
 def test_preadj_verify_ram_to_dramop(runner):
@@ -563,9 +659,27 @@ ONE = {"leq": [[True]]}
                  {"g": {"order": 2, "table": [0, 1, 0, 1]}}, id="group-table-not-a-group"),
     pytest.param(["preadj", "verify", "--instance", "gr-to-dram-op", "--context", "{g}"],
                  {"g": {"table": [0]}}, id="group-without-order"),
+    # element_order is not a context key: the file is refused for naming it
     pytest.param(["preadj", "verify", "--instance", "gr-to-dram-op", "--context", "{g}"],
                  {"g": {"order": 2, "table": [0, 1, 1, 0], "element_order": [0, 0]}},
                  id="group-element-order-not-a-permutation"),
+    pytest.param(["words", "validate", "--context", "{g}", "x1"], {"g": {"order": 2, "table": [[0, 1], [1, 0]]}},
+                 id="group-table-nested"),
+    pytest.param(["words", "enumerate", "--context", "{g}", "-m", "1", "-n", "2"],
+                 {"g": {"order": 3, "table": [0, 1, 2, 1, 2, 0, 2, 0, 1], "element_names": ["e"]}},
+                 id="group-names-too-few"),
+    pytest.param(["words", "enumerate", "--context", "{g}", "-m", "1", "-n", "2"],
+                 {"g": {**Z2_GROUP, "element_names": ["e", "e"]}}, id="group-names-repeated"),
+    pytest.param(["words", "enumerate", "--context", "{g}", "-m", "1", "-n", "2"],
+                 {"g": {**Z2_GROUP, "element_names": ["e", "g h"]}}, id="group-name-with-space"),
+    pytest.param(["words", "enumerate", "--context", "{g}", "-m", "1", "-n", "2"],
+                 {"g": {**Z2_GROUP, "element_names": ["e", "g^2"]}}, id="group-name-with-caret"),
+    pytest.param(["words", "enumerate", "--context", "{g}", "-m", "1", "-n", "2"],
+                 {"g": {**Z2_GROUP, "element_names": ["e", 1]}}, id="group-name-not-a-string"),
+    pytest.param(["words", "validate", "--context", "{c}", "x1"],
+                 {"c": {**Z2_GROUP, "alphabet": ["a b"], "action_table": [0, 0]}}, id="alphabet-letter-with-space"),
+    pytest.param(["words", "validate", "--context", "{c}", "x1"],
+                 {"c": {**Z2_GROUP, "alphabet": [""], "action_table": [0, 0]}}, id="alphabet-letter-empty"),
     pytest.param(["preadj", "verify", "--instance", "gr-plain-to-decorated", "--context", "{c}"],
                  {"c": {**Z2_GROUP, "alphabet": ["x1"], "action_table": [0, 0]}}, id="alphabet-reserved-letter"),
     pytest.param(["preadj", "verify", "--instance", "gr-plain-to-decorated", "--context", "{c}"],
@@ -640,7 +754,9 @@ def test_preadj_verify_rejects_bounds_the_instance_does_not_read(runner, instanc
 
 def test_src_and_tgt_bound_every_instance(runner):
     """``src`` picks the source objects of a single instance and of a
-    composition alike; ``tgt`` sizes every factor of a composition."""
+    composition alike.  ``tgt`` sizes the last factor of a composition, and
+    each earlier factor is sized by the largest source object of the factor
+    after it, so ram-to-dram-op, whose F shifts objects by one, composes."""
     def verify(instance, bounds):
         result = runner.invoke(main, ["preadj", "verify", "--instance", instance, "--bounds", bounds])
         assert result.exit_code == 0, result.output
@@ -652,6 +768,10 @@ def test_src_and_tgt_bound_every_instance(runner):
     # the two sides of identity default to each other
     by_tgt = verify("identity", "tgt<=2")
     assert by_tgt["instances_checked"] == 6 and by_tgt["config"] == {"bounds": {"tgt": 2}}
+    # identity on ram(5), then ram(5) -> dram-op(6)
+    shifted = verify("composed:identity,ram-to-dram-op", "")
+    assert (shifted["instances_checked"], shifted["failure_count"]) == (423, 0)
+    assert verify("composed:identity,ram-to-dram-op", "src<=3,tgt<=4")["failure_count"] == 0
 
 
 def test_readme_cli_examples_run(runner, tmp_path, monkeypatch):

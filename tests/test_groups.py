@@ -65,11 +65,15 @@ def test_missing_identity_and_inverse():
     assert err.value.code in ("no_inverse", "non_associative")
 
 
-def test_element_order_must_put_identity_first():
-    with pytest.raises(ValidationError):
-        validate_group([[0, 1], [1, 0]], element_order=(1, 0))
-    g = validate_group([[0, 1], [1, 0]], element_order=(0, 1))
-    assert g.order_pos == (0, 1)
+@pytest.mark.parametrize("names, code", [
+    (("e",), "element_names"), (("e", "g", "h"), "element_names"), (("e", "e"), "repeated_element"),
+    (("e", "g h"), "bad_name"), (("e", "g^2"), "bad_name"), (("e", " "), "bad_name"), (("e", 1), "bad_name"),
+])
+def test_element_names_are_tokens_of_word_notation(names, code):
+    with pytest.raises(ValidationError) as err:
+        validate_group([[0, 1], [1, 0]], names=names)
+    assert err.value.code == code
+    assert validate_group([[0, 1], [1, 0]]).names == ("e", "g")
 
 
 def test_worked_action_values(z3_context):
@@ -142,12 +146,14 @@ def test_config_rejects_reserved_letter_names():
     assert err.value.code == "reserved_letter"
 
 
-@pytest.mark.parametrize("letters, code", [(("a", "x12"), "reserved_letter"), (("a", "b", "a"), "repeated_letter")])
+@pytest.mark.parametrize("letters, code", [(("a", "x12"), "reserved_letter"), (("a", "b", "a"), "repeated_letter"),
+                                           (("a", "b c"), "bad_name"), (("a", ""), "bad_name"),
+                                           (("a^b",), "bad_name")])
 def test_every_action_checks_its_letter_names(letters, code):
     with pytest.raises(ValidationError) as err:
         trivial_action(cyclic_group(2), letters)
     assert err.value.code == code
-    data = {"order": 1, "table": [0], "alphabet": list(letters), "action_table": [[i] for i in range(len(letters))]}
+    data = {"order": 1, "table": [0], "alphabet": list(letters), "action_table": list(range(len(letters)))}
     with pytest.raises(ValidationError) as err:
         action_from_dict(data)
     assert err.value.code == code

@@ -24,7 +24,7 @@ from ramcat import (
     trivial_action,
     vec_fragment,
 )
-from ramcat.category import Morphism, _apply_matrix, alex_less, gf
+from ramcat.category import Morphism, gf
 from test_words import recursive_words
 
 
@@ -54,14 +54,32 @@ def eager_gr(context, n):
             for k in range(1, n + 1) for m in range(k, n + 1)}
 
 
+def alex_less(u, v):
+    """Anti-lexicographic comparison: the highest differing coordinate
+    decides."""
+    return tuple(reversed(u)) < tuple(reversed(v))
+
+
+def apply_matrix(field, rows, v):
+    out = []
+    for row in rows:
+        acc = 0
+        for c, x in zip(row, v):
+            acc = field.add[acc][field.mul[c][x]]
+        out.append(acc)
+    return tuple(out)
+
+
 def eager_vec(q, n):
+    """The vec builder as a scan: hom-sets grown one column at a time, each
+    prefix kept while the images of the sorted domain vectors increase."""
     field = gf(q)
 
     def domain_vectors(m):
         return sorted(product(range(field.size), repeat=m), key=lambda v: tuple(reversed(v)))
 
     def increasing(rows, vecs):
-        images = [_apply_matrix(field, rows, v) for v in vecs]
+        images = [apply_matrix(field, rows, v) for v in vecs]
         return all(alex_less(images[i], images[i + 1]) for i in range(len(images) - 1))
 
     hom = {}
@@ -73,7 +91,7 @@ def eager_vec(q, n):
                 vecs = domain_vectors(j)
                 survivors = []
                 for cols in prefixes:
-                    top = _apply_matrix(field, tuple(zip(*cols)), vecs[-1][:-1]) if cols else (0,) * d
+                    top = apply_matrix(field, tuple(zip(*cols)), vecs[-1][:-1]) if cols else (0,) * d
                     for col in columns:
                         if alex_less(top, col) and increasing(tuple(zip(*cols, col)), vecs):
                             survivors.append(cols + (col,))
@@ -95,15 +113,15 @@ def cases(swap_context):
     """(fragment builder, eager hom table) for every builder and size the
     laziness tests cover."""
     out = [
-        (lambda cap: ram_fragment(7, cap), eager_ram(7)),
-        (lambda cap: dram_fragment(6, cap), eager_dram(6)),
-        (lambda cap: dram_op_fragment(6, cap), eager_dram_op(6)),
-        (lambda cap: vec_fragment(2, 4, cap), eager_vec(2, 4)),
-        (lambda cap: vec_fragment(3, 3, cap), eager_vec(3, 3)),
+        (lambda: ram_fragment(7), eager_ram(7)),
+        (lambda: dram_fragment(6), eager_dram(6)),
+        (lambda: dram_op_fragment(6), eager_dram_op(6)),
+        (lambda: vec_fragment(2, 4), eager_vec(2, 4)),
+        (lambda: vec_fragment(3, 3), eager_vec(3, 3)),
     ]
     for ctx in (plain_context(), plain(2), plain(3), swap_context):
         for n in range(1, 7):
-            out.append((lambda cap, ctx=ctx, n=n: gr_fragment(ctx, n, cap), eager_gr(ctx, n)))
+            out.append((lambda ctx=ctx, n=n: gr_fragment(ctx, n), eager_gr(ctx, n)))
     return out
 
 
@@ -113,8 +131,8 @@ def lazy_cases(swap_context):
 
 
 def test_declared_sizes_match_built_hom_sets(lazy_cases):
-    for build, eager in lazy_cases + [(lambda cap: thin_from_preorder(chain_preorder(5)), eager_thin_chain(5))]:
-        frag = build(10**6)
+    for build, eager in lazy_cases + [(lambda: thin_from_preorder(chain_preorder(5)), eager_thin_chain(5))]:
+        frag = build()
         pairs = list(product(frag.objects, repeat=2))
         declared = {pair: frag.hom_size(*pair) for pair in pairs}
         total = frag.total_morphisms()
@@ -124,18 +142,22 @@ def test_declared_sizes_match_built_hom_sets(lazy_cases):
 
 def test_hom_sets_equal_the_eager_builders_in_order(lazy_cases):
     for build, eager in lazy_cases:
-        frag = build(10**6)
+        frag = build()
         for a, b in product(frag.objects, repeat=2):
             assert frag.hom(a, b) == eager.get((a, b), ()), (frag.name, a, b)
         assert list(frag.morphisms()) == [m for pair in sorted(eager) for m in eager[pair]], frag.name
 
 
-def test_cap_is_checked_at_construction_from_the_sizes(lazy_cases):
+def test_cap_is_checked_at_construction_from_the_sizes(lazy_cases, monkeypatch):
+    # the cap is fixed; patching it puts each fragment exactly at the cap and
+    # one morphism over it
     for build, eager in lazy_cases:
         total = sum(len(ms) for ms in eager.values())
-        assert build(total).total_morphisms() == total
+        monkeypatch.setattr(ramcat.category, "DEFAULT_HOM_CAP", total)
+        assert build().total_morphisms() == total
+        monkeypatch.setattr(ramcat.category, "DEFAULT_HOM_CAP", total - 1)
         with pytest.raises(ResourceBound):
-            build(total - 1)
+            build()
 
 
 def counting(monkeypatch, name):

@@ -276,18 +276,6 @@ def test_gr_to_dramop_with_z3_verifies():
     assert report.suggested_hits == report.suggested_tried
 
 
-def test_gr_to_dramop_respects_custom_element_order():
-    from ramcat import validate_group
-
-    # Z3 with the two non-neutral elements listed in reversed order; the
-    # product-chain encoding must follow it
-    z3 = validate_group([[0, 1, 2], [1, 2, 0], [2, 0, 1]], element_order=(0, 2, 1))
-    ctx = WordContext(trivial_action(z3))
-    pa = pa_gr_to_dramop(ctx, 6, 6)
-    report = verify_pa(pa, [1, 2], list(range(1, 7)))
-    assert report.ok and report.instances > 0
-
-
 def test_ram_to_dramop_verifies_and_counts():
     pa = pa_ram_to_dramop(4)
     report = verify_pa(pa, [1, 2, 3, 4], [1, 2, 3, 4, 5])
