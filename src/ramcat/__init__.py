@@ -64,8 +64,10 @@ from .arrows import (
     Coloring,
     certify_bad_coloring,
     check_arrow_exhaustive,
+    exhaustive_coloring,
     find_bad_coloring,
     min_ramsey_witness,
+    search_coloring,
 )
 from .preadjunction import (
     PAReport,

@@ -2,24 +2,27 @@
 
 The arrow ``C -> (B)^A_k`` holds when every k-coloring of hom(A, C) admits a
 morphism ``w`` in hom(B, C) whose translated copy ``w . hom(A, B)`` is
-monochromatic.  Two engines are provided:
+monochromatic.  With hom(A, C) as positions 0..h-1 and each copy as the
+sorted tuple of its positions, that asks for a k-coloring of the positions
+that leaves no copy monochromatic.  Two engines answer it from h and the
+copies alone:
 
-* an exhaustive engine that tests the colorings bit-sliced, 4,096 at a
-  time: one bit of a Python integer per coloring, and one AND per copy
-  position decides a copy for all of them at once (Biham, "A Fast New DES
+* ``exhaustive_coloring`` tests the colorings bit-sliced, 4,096 at a time:
+  one bit of a Python integer per coloring, and one AND per copy position
+  decides a copy for all of them at once (Biham, "A Fast New DES
   Implementation in Software", FSE 1997), and
-* a propagating search for a counterexample coloring: unit propagation
-  over the copies, one bitmask of positions per color, branching on the
-  tightest copy that can still become monochromatic, with chronological
-  backtracking through a trail.  The propagation is GRASP's (Marques-Silva
-  & Sakallah 1999); no clauses are learned.  ``find_bad_coloring`` gives
-  the rules.
+* ``search_coloring`` propagates: unit propagation over the copies, one
+  bitmask of positions per color, branching on the tightest copy that can
+  still become monochromatic, with chronological backtracking through a
+  trail.  The propagation is GRASP's (Marques-Silva & Sakallah 1999); no
+  clauses are learned.  Its docstring gives the rules.
 
 Both engines canonicalize colors by first use, which quotients out the k!
 color permutations without affecting the verdict: a position takes only
 the colors used before it plus one new color, since unused colors are
-interchangeable.  Copies are listed as index sets over hom(A, C) once per
-(fragment, A, B, C), and no morphism is built per pair: within one hom-set
+interchangeable.  ``check_arrow_exhaustive`` and ``find_bad_coloring`` run
+them on the copies of (A, B, C), which ``_prepare`` lists once per
+(fragment, A, B, C); no morphism is built per pair: within one hom-set
 the payload names the morphism.  Where the builder gives a spelling
 (``CategoryFragment.spelling``: ``gr`` and ``dram-op``) the composites are
 read by character substitution on spelled payloads and looked up by
@@ -118,8 +121,17 @@ def _lane_tables(k: int, j: int) -> list[list[int]]:
 
 def check_arrow_exhaustive(fragment: CategoryFragment, a, b, c, k: int,
                            coloring_budget: int = DEFAULT_COLORING_BUDGET) -> ArrowVerdict:
-    """Test every coloring (one per color-permutation class); the arrow
-    holds iff each one admits a monochromatic copy.
+    """The arrow holds iff ``exhaustive_coloring`` finds no bad coloring of hom(A, C)."""
+    colors, stats = exhaustive_coloring(fragment.hom_size(a, c), _copies(fragment, a, b, c).sets, k, coloring_budget)
+    return ArrowVerdict(colors is None, None if colors is None else Coloring(a, c, k, colors), stats)
+
+
+def exhaustive_coloring(h: int, copies: list[tuple[int, ...]], k: int,
+                        coloring_budget: int = DEFAULT_COLORING_BUDGET) -> tuple[tuple[int, ...] | None, dict]:
+    """Test every k-coloring of positions 0..h-1, one per color-permutation
+    class, against ``copies`` (non-empty sorted tuples of positions).  Returns
+    the first bad coloring or None, with the stats ``colorings``, ``hom_ac``
+    (h) and ``copies`` (their number).
 
     Coloring x gives position i the i-th base-k digit of x, position 0 the
     most significant, so integer order is lexicographic order.  The last j
@@ -128,16 +140,14 @@ def check_arrow_exhaustive(fragment: CategoryFragment, a, b, c, k: int,
     copy for all lanes at once.  An odometer steps the other positions
     through their first-use canonical prefixes in lexicographic order; after
     a prefix using u colors, ``canon[u]`` marks the lanes that complete a
-    canonical coloring.  The counterexample is the lexicographically first
-    bad coloring, which is canonical, as it is the least of its class.
+    canonical coloring.  The coloring returned is the lexicographically
+    first bad coloring, which is canonical, as it is the least of its class.
     ``stats["colorings"]`` counts the canonical colorings up to and including
-    it, or all of them when the arrow holds.  A budget overrun raises with
+    it, or all of them when none is bad.  A budget overrun raises with
     ``hom_ac`` and ``copies`` as its stats."""
     if k < 1:
         raise ValidationError("bad_colors", f"need at least one color, got {k}")
-    copies = _copies(fragment, a, b, c)
-    h = fragment.hom_size(a, c)
-    sizes = {"hom_ac": h, "copies": len(copies.sets)}
+    sizes = {"hom_ac": h, "copies": len(copies)}
     if k ** h > coloring_budget:
         raise BudgetExceeded("colorings", coloring_budget,
                              f"{k}^{h} colorings exceed the budget of {coloring_budget}", stats=sizes)
@@ -153,7 +163,7 @@ def check_arrow_exhaustive(fragment: CategoryFragment, a, b, c, k: int,
                  for u in range(k + 1)]
     mono_lanes = 0  # lanes where a copy with no stepped position is monochromatic
     stepped = []  # (stepped positions, lane tables) of the other copies
-    for copy in copies.sets:
+    for copy in copies:
         cut = bisect_left(copy, p)
         lanes = [tables[i - p] for i in copy[cut:]]
         if cut:
@@ -182,14 +192,13 @@ def check_arrow_exhaustive(fragment: CategoryFragment, a, b, c, k: int,
             x = (bad & -bad).bit_length() - 1
             examined += (canon[u] & ((2 << x) - 1)).bit_count()
             lane_digits = tuple(x // k ** (j - 1 - t) % k for t in range(j))
-            return ArrowVerdict(False, Coloring(a, c, k, tuple(digits) + lane_digits),
-                                {"colorings": examined, **sizes})
+            return tuple(digits) + lane_digits, {"colorings": examined, **sizes}
         examined += canon[u].bit_count()
         i = p - 1
         while i >= 0 and digits[i] >= min(used[i], k - 1):
             i -= 1
         if i < 0:
-            return ArrowVerdict(True, None, {"colorings": examined, **sizes})
+            return None, {"colorings": examined, **sizes}
         digits[i] += 1
         digits[i + 1:] = [0] * (p - 1 - i)
         for q in range(i, p):
@@ -199,8 +208,16 @@ def check_arrow_exhaustive(fragment: CategoryFragment, a, b, c, k: int,
 def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
                       node_budget: int | None = None,
                       stats_out: dict | None = None) -> Coloring | None:
-    """Search for a coloring defeating every copy; returns None when the
-    complete search finds none (which certifies the arrow).
+    """``search_coloring`` on the copies of (A, B, C); None certifies the arrow."""
+    colors = search_coloring(fragment.hom_size(a, c), _copies(fragment, a, b, c).sets, k, node_budget, stats_out)
+    return None if colors is None else Coloring(a, c, k, colors)
+
+
+def search_coloring(h: int, copies: list[tuple[int, ...]], k: int, node_budget: int | None = None,
+                    stats_out: dict | None = None) -> tuple[int, ...] | None:
+    """Search for a k-coloring of positions 0..h-1 that leaves none of
+    ``copies`` (non-empty sorted tuples of positions) monochromatic; None
+    when the complete search finds none.
 
     Coloring a position p with color c tests every copy through p against
     the bitmask of the positions holding c: if none of the copy is left the
@@ -222,16 +239,15 @@ def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
     if k < 1:
         raise ValidationError("bad_colors", f"need at least one color, got {k}")
     budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    copies = _copies(fragment, a, b, c)
     nodes = forced = 0
-    if k == 1 or min(map(len, copies.sets)) == 1:
-        # one color, or a copy of one position, makes some copy monochromatic
+    if not copies or k == 1 or min(map(len, copies)) == 1:
+        # with no copy, all 0 is bad; one color, or a copy of one position,
+        # makes some copy monochromatic
         if stats_out is not None:
             stats_out.update(nodes=0, forced=0)
-        return None
-    h = fragment.hom_size(a, c)
+        return None if copies else (0,) * h
     through: list[list[int]] = [[] for _ in range(h)]  # the masks of the copies through each position
-    for copy in copies.sets:
+    for copy in copies:
         mask = 0
         for i in copy:
             mask |= 1 << i
@@ -320,9 +336,7 @@ def find_bad_coloring(fragment: CategoryFragment, a, b, c, k: int,
         frames.append([pos, [col for col in range(opened) if allowed[pos] >> col & 1], len(trail)])
     if stats_out is not None:
         stats_out.update(nodes=nodes, forced=forced)
-    if found is None:
-        return None
-    return Coloring(a, c, k, found)
+    return found
 
 
 def certify_bad_coloring(fragment: CategoryFragment, a, b, c, coloring: Coloring) -> bool:

@@ -465,7 +465,9 @@ class FragmentLawReport:
 
 def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> FragmentLawReport:
     """Check the identity, closure and associativity laws exhaustively,
-    stopping once one kind has ``max_violations`` entries.
+    stopping once one kind has ``max_violations`` entries.  An identity
+    outside hom(a, a) is an identity violation and is never composed: its
+    side of each identity law reads None.
 
     ``out[a]`` lists the members with domain a, hom(a, d) for each d in
     ``fragment.objects`` in turn.  The closure loop composes each composable
@@ -485,14 +487,16 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
     the rows differ, the h whose positions differ are the violations."""
     report = FragmentLawReport()
     objs = fragment.objects
+    ids = {a: fragment.identity(a) for a in objs}  # None where it is not in hom(a, a)
     for a in objs:
-        if not fragment.in_hom(fragment.identity(a), a, a):
+        if not fragment.in_hom(ids[a], a, a):
+            ids[a] = None
             report.identity_violations.append({"object": a, "reason": "identity missing from hom-set"})
     for a in objs:
         for b in objs:
             for f in fragment.hom(a, b):
-                left = _recorded(fragment, fragment.identity(b), f)
-                right = _recorded(fragment, f, fragment.identity(a))
+                left = ids[b] and _recorded(fragment, ids[b], f)
+                right = ids[a] and _recorded(fragment, f, ids[a])
                 if left != f or right != f:
                     report.identity_violations.append({"morphism": f, "left": left, "right": right})
                     if len(report.identity_violations) >= max_violations:

@@ -53,7 +53,6 @@ from .preadjunction import (
 )
 from .surjections import compose_rigid, dual, enumerate_rsurj, validate_rigid
 from .tukey import (
-    GeneratedPreorder,
     chain_preorder,
     cofinal_companion,
     is_cofinal_map,
@@ -551,10 +550,18 @@ PREORDER_FILE_CAP = 256  # elements of a preorder file, checked before any table
 
 
 def _preorder_from_dict(data: dict):
+    """``leq``, an array of arrays of booleans, or an integer ``size`` and
+    ``pairs``, an array of arrays of integers; other values raise TypeError."""
     if "leq" in data:
+        if not (isinstance(data["leq"], list)
+                and all(isinstance(row, list) and all(type(v) is bool for v in row) for row in data["leq"])):
+            raise TypeError("'leq' must be an array of arrays of booleans")
         size = len(data["leq"])
     elif "pairs" in data:
-        size = int(data["size"])
+        size = data["size"]
+        if not (type(size) is int and isinstance(data["pairs"], list)
+                and all(isinstance(pair, list) and all(type(x) is int for x in pair) for pair in data["pairs"])):
+            raise TypeError("'size' must be an integer and 'pairs' an array of arrays of integers")
     else:
         raise ValidationError("not_preorder", "a preorder file must give 'leq' or 'pairs'")
     if size < 0:
@@ -567,31 +574,8 @@ def _preorder_from_dict(data: dict):
     return preorder_from_pairs(size, data["pairs"])
 
 
-def _load_preorder(path: str):
-    return _read(path, _preorder_from_dict, "preorder")
-
-
-def _generated(name: str) -> GeneratedPreorder:
-    if name == "omega":
-        return omega()
-    if name == "omega2":
-        return omega_squared()
-    finite = _load_preorder(name)
-
-    def upper_bound(x, y):
-        for z in range(finite.size):
-            if finite.le(x, z) and finite.le(y, z):
-                return z
-        return x  # no bound exists; the oracle check will flag it
-
-    def enumerate_fn(i):
-        if i >= finite.size:
-            raise ValidationError("prefix_exhausted",
-                                  f"the finite preorder has only {finite.size} elements", size=finite.size)
-        return i
-
-    bounded = any(all(finite.le(x, b) for x in range(finite.size)) for b in range(finite.size))
-    return GeneratedPreorder(name, enumerate_fn, finite.le, upper_bound, globally_bounded=bounded)
+# the generated preorders --preorder and --preorder-b name
+GENERATED = {"omega": omega, "omega2": omega_squared}
 
 
 MAP_INT_BITS = 64  # --map literals and arithmetic stay below 2**64 in absolute value
@@ -662,12 +646,6 @@ def _map_expr(expr: str):
     expression is walked against a whitelist, never evaluated by Python, and
     any other construct, or any failure while evaluating it, is a usage
     error."""
-    if expr.endswith(".txt") or expr.endswith(".expr"):
-        try:
-            with open(expr, encoding="utf-8") as fh:
-                expr = fh.read().strip()
-        except OSError as exc:
-            raise click.UsageError(f"cannot read --map file: {exc}")
     try:
         compiled = _map_compile(ast.parse(expr, "<map>", mode="eval").body)
     except (SyntaxError, RecursionError, MemoryError) as exc:
@@ -694,8 +672,7 @@ def tukey():
 @click.option("--map", "map_json", required=True, help="JSON list, e.g. [0,1,1]")
 @reported
 def tukey_check(kind, dom_path, cod_path, map_json):
-    dom = _load_preorder(dom_path)
-    cod = _load_preorder(cod_path)
+    dom, cod = (_read(path, _preorder_from_dict, "preorder") for path in (dom_path, cod_path))
     try:
         mapping = json.loads(map_json)
     except json.JSONDecodeError as exc:
@@ -706,14 +683,13 @@ def tukey_check(kind, dom_path, cod_path, map_json):
 
 
 @tukey.command("companion")
-@click.option("--preorder", default="omega", show_default=True)
-@click.option("--preorder-b", default="omega", show_default=True)
+@click.option("--preorder", type=click.Choice(list(GENERATED)), default="omega", show_default=True)
+@click.option("--preorder-b", type=click.Choice(list(GENERATED)), default="omega", show_default=True)
 @click.option("--map", "expr", required=True, help="expression in v, e.g. '2*v'")
 @click.option("-n", "n", default=20, show_default=True)
 @reported
 def tukey_companion(preorder, preorder_b, expr, n):
-    a = _generated(preorder)
-    b = _generated(preorder_b)
+    a, b = GENERATED[preorder](), GENERATED[preorder_b]()
     f, shown = _map_expr(expr)
     result = cofinal_companion(f, a, b, n)
     return {"ok": True, "map": shown,
@@ -722,15 +698,14 @@ def tukey_companion(preorder, preorder_b, expr, n):
 
 
 @tukey.command("monotonize")
-@click.option("--preorder", default="omega", show_default=True)
-@click.option("--preorder-b", default="omega", show_default=True)
+@click.option("--preorder", type=click.Choice(list(GENERATED)), default="omega", show_default=True)
+@click.option("--preorder-b", type=click.Choice(list(GENERATED)), default="omega", show_default=True)
 @click.option("--map", "expr", required=True)
 @click.option("--steps", default=20, show_default=True)
 @click.option("--prefix", "prefix_size", default=None, type=int)
 @reported
 def tukey_monotonize(preorder, preorder_b, expr, steps, prefix_size):
-    a = _generated(preorder)
-    b = _generated(preorder_b)
+    a, b = GENERATED[preorder](), GENERATED[preorder_b]()
     f, shown = _map_expr(expr)
     trace = monotonize(f, a, b, steps, prefix_size=prefix_size)
     check = verify_trace(trace, a, b)

@@ -228,8 +228,9 @@ def action_from_dict(data: dict) -> RightAction:
 
     The fields are ``CONTEXT_KEYS``: ``order``, ``table`` (flat, row-major),
     the optional ``element_names``, ``alphabet`` and ``action_table`` (flat,
-    one row per letter); any other key is refused.  Names only matter to the
-    parser and printer; all semantics run on indices.
+    one row per letter); any other key is refused, and so is a table or name
+    list that is not a JSON array.  Names only matter to the parser and
+    printer; all semantics run on indices.
     """
     if not isinstance(data, dict):
         raise TypeError("a context file holds a JSON object")
@@ -237,10 +238,13 @@ def action_from_dict(data: dict) -> RightAction:
     if unknown:
         raise ValidationError("unknown_key", f"context file keys not read: {', '.join(map(repr, unknown))}",
                               keys=unknown)
+    for key in ("table", "element_names", "alphabet", "action_table"):
+        if not isinstance(data.get(key, []), list):
+            raise TypeError(f"context file key {key!r} must hold a JSON array, not {type(data[key]).__name__}")
     order = int(data["order"])
     table = _unflatten(data["table"], order, order, "group table")
-    group = validate_group(table, names=tuple(data.get("element_names") or ()))
-    alphabet = tuple(data.get("alphabet") or ())
+    group = validate_group(table, names=tuple(data.get("element_names", ())))
+    alphabet = tuple(data.get("alphabet", ()))
     if alphabet:
         action_table = _unflatten(data["action_table"], len(alphabet), order, "action table")
     else:

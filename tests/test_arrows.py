@@ -16,12 +16,14 @@ from ramcat import (
     cyclic_group,
     dram_fragment,
     dram_op_fragment,
+    exhaustive_coloring,
     explicit_fragment,
     find_bad_coloring,
     gr_fragment,
     min_ramsey_witness,
     opposite,
     ram_fragment,
+    search_coloring,
     skeleton,
     trivial_action,
     vec_fragment,
@@ -31,16 +33,18 @@ from ramcat.arrows import BLOCK, DEFAULT_NODE_BUDGET, Coloring, _prepare
 from conftest import tabulate
 
 
-def dfs_find_bad_coloring(fragment, a, b, c, k):
+def as_copy_system(fragment, a, b, c):
+    """(h, copies) of the instance (A, B, C), as the adaptors pass them to
+    the cores."""
+    return fragment.hom_size(a, c), _prepare(fragment, a, b, c).sets
+
+
+def dfs_find_bad_coloring(h, copies, k):
     """Oracle: the fixed-order depth-first search the propagating engine
     replaced.  Positions are colored in index order, with colors by first
     use, and each copy is checked once, when its last position is colored."""
-    copies = _prepare(fragment, a, b, c)
-    if k == 1:
-        return None
-    h = fragment.hom_size(a, c)
     closing = [[] for _ in range(h)]  # other positions of each copy ending here
-    for copy in copies.sets:
+    for copy in copies:
         closing[copy[-1]].append(sum(1 << i for i in copy[:-1]))
     masks = [0] * k
     colors = [-1] * h
@@ -53,7 +57,7 @@ def dfs_find_bad_coloring(fragment, a, b, c, k):
                 colors[pos] = color
                 masks[color] = mask | 1 << pos
                 if pos + 1 == h:
-                    return Coloring(a, c, k, tuple(colors))
+                    return tuple(colors)
                 lim = limit[pos]
                 pos += 1
                 limit[pos] = lim + 1 if color + 1 == lim < k else lim
@@ -69,14 +73,12 @@ def dfs_find_bad_coloring(fragment, a, b, c, k):
         color += 1
 
 
-def enumerating_check_arrow(fragment, a, b, c, k):
+def enumerating_check_arrow(h, copies, k):
     """Oracle: the exhaustive engine the bit-sliced one replaced.  One
     recursive generator yields the first-use canonical colorings in
     lexicographic order, and each is scanned copy by copy, the copy found
-    last kept in front.  Returns (holds, counterexample, stats) as
-    ``check_arrow_exhaustive`` reports them."""
-    copies = _prepare(fragment, a, b, c)
-    h = fragment.hom_size(a, c)
+    last kept in front.  Returns (bad coloring or None, stats) as
+    ``exhaustive_coloring`` reports them."""
     colors = [0] * h
 
     def canonical(pos, used):
@@ -87,7 +89,7 @@ def enumerating_check_arrow(fragment, a, b, c, k):
             colors[pos] = color
             yield from canonical(pos + 1, max(used, color + 1))
 
-    order = list(copies.sets)
+    order = list(copies)
     examined = 0
     for coloring in canonical(0, 0):
         examined += 1
@@ -96,9 +98,17 @@ def enumerating_check_arrow(fragment, a, b, c, k):
                 order.insert(0, order.pop(pos))
                 break
         else:
-            return False, Coloring(a, c, k, coloring), {"colorings": examined, "hom_ac": h,
-                                                        "copies": len(copies.sets)}
-    return True, None, {"colorings": examined, "hom_ac": h, "copies": len(copies.sets)}
+            return coloring, {"colorings": examined, "hom_ac": h, "copies": len(copies)}
+    return None, {"colorings": examined, "hom_ac": h, "copies": len(copies)}
+
+
+def first_bad_coloring(h, copies, k):
+    """Oracle: the lexicographically first of all k^h colorings that leaves
+    no copy monochromatic, by a plain product."""
+    for colors in product(range(k), repeat=h):
+        if not any(len({colors[i] for i in copy}) == 1 for copy in copies):
+            return colors
+    return None
 
 
 def brute_force_arrow(fragment, a, b, c, k):
@@ -137,6 +147,63 @@ def all_pairs_certify(fragment, a, b, c, coloring):
         if len(seen) <= 1:
             return False
     return True
+
+
+@st.composite
+def copy_systems(draw):
+    """(h, copies): up to 12 distinct copies of 1 to 4 positions in 0..h-1.
+    Half the systems have no copy of one position, which alone decides."""
+    h = draw(st.integers(1, 9))
+    smallest = min(draw(st.integers(1, 2)), h)
+    copy = st.sets(st.integers(0, h - 1), min_size=smallest, max_size=4).map(lambda s: tuple(sorted(s)))
+    return h, draw(st.lists(copy, max_size=12, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(copy_systems(), st.integers(1, 3))
+def test_cores_agree_with_the_oracles_on_drawn_copy_systems(system, k):
+    h, copies = system
+    expected = first_bad_coloring(h, copies, k)
+    colors, stats = exhaustive_coloring(h, copies, k)
+    assert colors == expected  # the lexicographically first bad coloring, which is canonical
+    assert (colors, stats) == enumerating_check_arrow(h, copies, k)
+    found = search_coloring(h, copies, k)
+    assert (found is None) == (expected is None) == (dfs_find_bad_coloring(h, copies, k) is None)
+    if found is not None:
+        assert len(found) == h and set(found) <= set(range(k))
+        assert not any(len({found[i] for i in copy}) == 1 for copy in copies)
+
+
+# the Fano plane: its points are the nonzero vectors of F2^3, read as the
+# integers 1..7 at positions 0..6, and three points form a line when they
+# sum to 0
+FANO = sorted({tuple(sorted((x - 1, y - 1, (x ^ y) - 1))) for x in range(1, 8) for y in range(1, 8) if x != y})
+
+
+def test_cores_on_the_fano_plane():
+    assert len(FANO) == 7
+    # every 2-coloring of the plane has a monochromatic line
+    stats = {}
+    assert search_coloring(7, FANO, 2, stats_out=stats) is None
+    assert stats["nodes"] == 7
+    assert exhaustive_coloring(7, FANO, 2) == (None, {"colorings": 64, "hom_ac": 7, "copies": 7})
+    # drop the line of the points 3, 5, 6 (positions 2, 4, 5): the four
+    # points off it take color 0 and the line color 1
+    open_plane = [line for line in FANO if line != (2, 4, 5)]
+    assert search_coloring(7, open_plane, 2) == exhaustive_coloring(7, open_plane, 2)[0] == (0, 0, 1, 0, 1, 1, 0)
+
+
+def test_cores_without_copies_return_the_all_0_coloring():
+    for h in (0, 1, 5):
+        for k in (1, 2):
+            assert search_coloring(h, [], k) == exhaustive_coloring(h, [], k)[0] == (0,) * h
+
+
+def test_cores_need_a_color():
+    for core in (search_coloring, exhaustive_coloring):
+        with pytest.raises(ValidationError) as err:
+            core(3, [(0, 1)], 0)
+        assert err.value.code == "bad_colors"
 
 
 def test_pigeonhole_holds():
@@ -324,7 +391,7 @@ def test_search_agrees_with_dfs_on_the_criterion_4_grid():
     assert len(CRITERION_4_GRID) == 98
     for a, b, c in CRITERION_4_GRID:
         bad = find_bad_coloring(f, a, b, c, 2)
-        assert (bad is None) == (dfs_find_bad_coloring(f, a, b, c, 2) is None), (a, b, c)
+        assert (bad is None) == (dfs_find_bad_coloring(*as_copy_system(f, a, b, c), 2) is None), (a, b, c)
         assert bad is None or certify_bad_coloring(f, a, b, c, bad)
 
 
@@ -374,8 +441,9 @@ def test_search_agrees_with_exhaustive_sweep(instance, extra):
 
 def _agrees_with_enumerating_oracle(f, a, b, c, k):
     verdict = check_arrow_exhaustive(f, a, b, c, k)
-    assert (verdict.holds, verdict.counterexample, verdict.stats) == enumerating_check_arrow(f, a, b, c, k), \
-        (f, a, b, c, k)
+    colors, stats = enumerating_check_arrow(*as_copy_system(f, a, b, c), k)
+    expected = (colors is None, None if colors is None else Coloring(a, c, k, colors), stats)
+    assert (verdict.holds, verdict.counterexample, verdict.stats) == expected, (f, a, b, c, k)
     return verdict
 
 

@@ -41,6 +41,13 @@ INT_IDS = explicit_fragment(["a", "b"], {0: ("a", "a"), 1: ("b", "b"), 2: ("a", 
                             {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2}, name="int-ids")
 
 
+def misplaced_identity_fragment():
+    """The identity of b is f: a -> b, a morphism of another hom-set."""
+    morphs = {"id_a": ("a", "a"), "id_b": ("b", "b"), "f": ("a", "b")}
+    compose = {("id_a", "id_a"): "id_a", ("f", "id_a"): "f", ("id_b", "f"): "f", ("id_b", "id_b"): "id_b"}
+    return explicit_fragment(["a", "b"], morphs, {"a": "id_a", "b": "f"}, compose, name="misplaced-identity")
+
+
 def twin_fragment():
     """Two mutually isomorphic objects, each rigid."""
     morphs = {"id_a": ("a", "a"), "id_b": ("b", "b"), "f": ("a", "b"), "g": ("b", "a")}
@@ -414,14 +421,16 @@ def triple_loop_validate(fragment, max_violations=5):
                 raise
             return None
 
+    # an identity outside hom(a, a) is never composed: its side reads None
+    ids = {a: fragment.identity(a) if fragment.in_hom(fragment.identity(a), a, a) else None for a in objs}
     for a in objs:
-        if not fragment.in_hom(fragment.identity(a), a, a):
+        if ids[a] is None:
             report.identity_violations.append({"object": a, "reason": "identity missing from hom-set"})
     for a in objs:
         for b in objs:
             for f in fragment.hom(a, b):
-                left = recorded(fragment.identity(b), f)
-                right = recorded(f, fragment.identity(a))
+                left = None if ids[b] is None else recorded(ids[b], f)
+                right = None if ids[a] is None else recorded(f, ids[a])
                 if left != f or right != f:
                     report.identity_violations.append({"morphism": f, "left": left, "right": right})
                     if len(report.identity_violations) >= max_violations:
@@ -528,6 +537,7 @@ def law_fragments():
         vec_fragment(2, 3),
         thin_from_preorder(chain_preorder(4)),
         mutated_dram5(),
+        misplaced_identity_fragment(),
     ]
 
 
@@ -620,6 +630,20 @@ def test_explicit_fragment_composite_in_another_hom_set():
     assert not report.associativity_violations
     with pytest.raises(KeyError):
         explicit_fragment(["a", "b"], morphs, {"a": "id_a", "b": "id_b"}, {("f", "id_a"): "h"})
+
+
+def test_validate_fragment_does_not_compose_a_misplaced_identity():
+    # composing f after f would raise compose_mismatch; the law check
+    # reports the identity of b as missing and its side of each law as None
+    frag = misplaced_identity_fragment()
+    f, id_b = frag.hom("a", "b")[0], frag.hom("b", "b")[0]
+    report = validate_fragment(frag)
+    assert report.identity_violations == [
+        {"object": "b", "reason": "identity missing from hom-set"},
+        {"morphism": f, "left": None, "right": f},
+        {"morphism": id_b, "left": None, "right": None},
+    ]
+    assert not report.closure_violations and not report.associativity_violations
 
 
 def test_skeleton_collapses_isomorphic_objects():

@@ -181,6 +181,25 @@ def test_category_check_refuses_a_composite_in_another_hom_set(runner, tmp_path)
         "'composite': None}"]
 
 
+def test_category_check_reports_a_misplaced_identity(runner, tmp_path):
+    # the identity of b is f: a -> b, which cannot be composed after f
+    spec = write(tmp_path, "frag.json", {
+        "objects": ["a", "b"],
+        "morphisms": {"id_a": {"dom": "a", "cod": "a"}, "id_b": {"dom": "b", "cod": "b"},
+                      "f": {"dom": "a", "cod": "b"}},
+        "identities": {"a": "id_a", "b": "f"},
+        "compose": [["id_a", "id_a", "id_a"], ["f", "id_a", "f"], ["id_b", "f", "f"], ["id_b", "id_b", "id_b"]],
+    })
+    result = runner.invoke(main, ["category", "check", "--spec", spec])
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.output)
+    assert not report["ok"] and report["structure"] is not None
+    violations = report["laws"]["identity_violations"]
+    assert violations[:2] == ["{'object': 'b', 'reason': 'identity missing from hom-set'}",
+                              "{'morphism': Morphism(dom='a', cod='b', payload='f'), 'left': None, "
+                              "'right': Morphism(dom='a', cod='b', payload='f')}"]
+
+
 def test_category_check_reports_missing_composites(runner, tmp_path):
     # f1..f5 on one object with no composite recorded but id_a after id_a:
     # five identity violations cut the law check before closure, and the
@@ -471,6 +490,53 @@ def test_category_check_on_any_spec_ends_with_an_exit_code(runner, tmp_path, spe
         assert json.loads(result.output)["ok"] == (result.exit_code == 0)
 
 
+@st.composite
+def context_files(draw):
+    """README's context form over Z2, with at times a key dropped or its
+    value made junk."""
+    context = dict(draw(st.sampled_from([Z2_GROUP, Z2_ONE_LETTER, SWAP_CONTEXT])))
+    for key in draw(st.lists(st.sampled_from(sorted(SWAP_CONTEXT)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            context.pop(key, None)
+        else:
+            context[key] = draw(JSON)
+    return context
+
+
+LEQ = st.lists(st.lists(st.booleans(), max_size=3), max_size=3) | JSON
+PAIRS = st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=4) | JSON
+PREORDER_FILES = st.builds(lambda leq: {"leq": leq}, LEQ) | st.builds(
+    lambda size, pairs: {"size": size, "pairs": pairs}, st.integers(-1, 4) | SIZE, PAIRS) | JSON
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_context_and_preorder_files_end_with_an_exit_code(runner, tmp_path, data):
+    """``words validate --context``, ``preadj verify --context`` and ``tukey
+    check --dom/--cod`` on drawn files exit 0, 1 or 3 with a JSON report,
+    or 2 with a usage error, and never with a traceback."""
+    command = data.draw(st.sampled_from(["words", "preadj", "tukey"]))
+    if command == "tukey":
+        dom = write(tmp_path, "dom.json", data.draw(PREORDER_FILES))
+        cod = write(tmp_path, "cod.json", data.draw(PREORDER_FILES))
+        mapping = json.dumps(data.draw(st.lists(st.integers(-1, 3), max_size=4) | JSON))
+        args = ["tukey", "check", "--kind", data.draw(st.sampled_from(["tukey", "cofinal"])),
+                "--dom", dom, "--cod", cod, "--map", mapping]
+    else:
+        context = write(tmp_path, "context.json", data.draw(context_files() | JSON))
+        if command == "words":
+            args = ["words", "validate", "--context", context, data.draw(st.sampled_from(["x1", "a x1^g b"]))]
+        else:
+            instance = data.draw(st.sampled_from(["gr-plain-to-decorated", "gr-decorated-to-plain"]))
+            args = ["preadj", "verify", "--instance", instance, "--context", context]
+    result = runner.invoke(main, args)  # the runner fails on a traceback
+    assert result.exit_code in (0, 1, 2, 3), result.output
+    if result.exit_code == 2:
+        assert "Error:" in result.output
+    else:
+        assert json.loads(result.output)["ok"] == (result.exit_code == 0)
+
+
 @pytest.mark.parametrize("args, files, key", [
     pytest.param(["category", "check", "--spec", "{s}"],
                  {"s": {"builder": "ram", "params": {"n": 26, "hom_cap": 10**15}}}, "hom_cap", id="spec-hom-cap"),
@@ -627,6 +693,14 @@ def test_tukey_map_expressions_outside_the_whitelist_are_usage_errors(runner, ex
     assert "Error:" in result.output
 
 
+def test_tukey_map_is_an_expression_not_a_file(runner, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("v\n", encoding="utf-8")
+    result = runner.invoke(main, ["tukey", "companion", "--map", str(path), "-n", "2"])
+    assert result.exit_code == 2, result.output
+    assert "bad --map expression" in result.output
+
+
 def test_reports_are_byte_stable(runner, tmp_path):
     args = ["ramsey", "check", "--family", "ram", "-A", "1", "-B", "2", "-C", "3", "-k", "2"]
     first = runner.invoke(main, args)
@@ -687,20 +761,37 @@ ONE = {"leq": [[True]]}
                  id="alphabet-repeated-letter"),
     pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
                  {"p": NON_REFLEXIVE, "q": ONE}, id="non-reflexive-dom"),
+    # --preorder names a generated preorder; a path, even to a preorder file, is refused
     pytest.param(["tukey", "companion", "--preorder", "{p}", "--map", "v", "-n", "2"],
-                 {"p": NON_REFLEXIVE}, id="non-reflexive-preorder"),
+                 {"p": ONE}, id="preorder-given-a-path"),
     pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
                  {"p": {"size": 2, "pairs": [[0, 5]]}, "q": ONE}, id="pair-out-of-range"),
     pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
                  {"p": {"size": 2, "pairs": [[0, -1]]}, "q": ONE}, id="pair-negative"),
     pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[]"],
                  {"p": {"size": -3, "pairs": []}, "q": ONE}, id="preorder-size-negative"),
+    # tables, name lists, leq and its rows, pairs and each pair are JSON arrays
+    pytest.param(["words", "enumerate", "--context", "{c}", "-m", "1", "-n", "2"],
+                 {"c": {**Z2_GROUP, "element_names": "eg", "alphabet": "ab", "action_table": [0, 0, 1, 1]}},
+                 id="context-names-and-letters-strings"),
+    pytest.param(["words", "validate", "--context", "{c}", "x1"], {"c": {"order": 2, "table": "0110"}},
+                 id="group-table-a-string"),
+    pytest.param(["words", "validate", "--context", "{c}", "x1"],
+                 {"c": {**Z2_GROUP, "alphabet": ["a"], "action_table": {"a": 0}}}, id="action-table-an-object"),
+    pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
+                 {"p": {"leq": ["ab", "cd"]}, "q": ONE}, id="leq-rows-strings"),
+    pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0]"],
+                 {"p": {"leq": {"a": "b"}}, "q": ONE}, id="leq-an-object"),
+    pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0]"],
+                 {"p": {"leq": [[1]]}, "q": ONE}, id="leq-entry-not-a-boolean"),
+    pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
+                 {"p": {"size": 2, "pairs": ["01"]}, "q": ONE}, id="pair-a-string"),
+    pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0,0]"],
+                 {"p": {"size": "2", "pairs": []}, "q": ONE}, id="preorder-size-a-string"),
     pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{p}", "--cod", "{q}", "--map", "[0]"],
                  {"p": ONE, "q": {"size": 257, "pairs": []}}, id="preorder-pairs-over-cap"),
     pytest.param(["tukey", "check", "--kind", "cofinal", "--dom", "{p}", "--cod", "{q}", "--map", "[0]"],
                  {"p": ONE, "q": {"leq": [[True] * 257] * 257}}, id="preorder-leq-over-cap"),
-    pytest.param(["tukey", "companion", "--preorder", "{p}", "--map", "v", "-n", "2"],
-                 {"p": {"size": 257, "pairs": [[x, x + 1] for x in range(256)]}}, id="companion-preorder-over-cap"),
     pytest.param(["category", "build", "--spec", "{s}"], {"s": {"objects": [1]}}, id="spec-without-tables"),
     pytest.param(["category", "check", "--spec", "{s}"], {"s": {"builder": "ram", "params": {"n": "x"}}},
                  id="spec-n-not-an-integer"),
