@@ -30,9 +30,9 @@ spelling; otherwise they come from the payload rule and the index of
 hom(A, C) (``CategoryFragment.hom_index``).  They are kept with the
 fragment, so both engines share them and the search never composes
 morphisms.  ``certify_bad_coloring`` is the independent re-check, whatever
-the listing read: it composes afresh through ``CategoryFragment.compose``,
-finds each composite in the index of hom(A, C), and stops each copy at its
-second color.
+the listing read: it composes afresh through the payload rule
+(``CategoryFragment.rule``), never the spelling, finds each composite in the
+index of hom(A, C), and stops each copy at its second color.
 """
 
 from __future__ import annotations
@@ -257,7 +257,7 @@ def search_coloring(h: int, copies: list[tuple[int, ...]], k: int, node_budget: 
     colors = [-1] * h
     allowed = [(1 << k) - 1] * h  # the colors each position may still take
     trail: list[int] = []  # colored positions p, and ~(q * k + color) for a color q lost
-    touched: list[tuple[int, int]] = []  # (copy mask, color) met since the last decision
+    touched: list[tuple[int, list[int]]] = []  # (color, through[p]) of each p colored since the last decision
     frames = [[0, [0], 0]]  # decisions: position, colors left to try, trail length
     found = None
     while frames:
@@ -288,12 +288,13 @@ def search_coloring(h: int, copies: list[tuple[int, ...]], k: int, node_budget: 
             masks[color] = mask
             colors[p] = color
             trail.append(p)
+            touched.append((color, through[p]))
+            keep = ~mask
             for copy in through[p]:
-                rest = copy & ~mask
+                rest = copy & keep
                 if not rest:
                     conflict = True  # the copy is monochromatic
                     break
-                touched.append((copy, color))
                 if rest & (rest - 1):
                     continue
                 q = rest.bit_length() - 1
@@ -317,14 +318,18 @@ def search_coloring(h: int, copies: list[tuple[int, ...]], k: int, node_budget: 
         for mask in masks:
             colored |= mask
         best, best_free = 0, h + 1
-        for copy, color in touched:
-            rest = copy & ~masks[color]  # never 0: that is a conflict
-            if not rest & colored:  # the copy is still one-colored
-                free = rest.bit_count()
-                if free < best_free:
-                    best, best_free = rest, free
-                    if free == 1:
-                        break
+        for color, group in touched:
+            keep = ~masks[color]
+            for copy in group:
+                rest = copy & keep  # never 0: that is a conflict
+                if not rest & colored:  # the copy is still one-colored
+                    free = rest.bit_count()
+                    if free < best_free:
+                        best, best_free = rest, free
+                        if free == 1:
+                            break
+            if best_free == 1:
+                break
         if best:
             pos = (best & -best).bit_length() - 1
         else:
@@ -341,14 +346,21 @@ def search_coloring(h: int, copies: list[tuple[int, ...]], k: int, node_budget: 
 
 def certify_bad_coloring(fragment: CategoryFragment, a, b, c, coloring: Coloring) -> bool:
     """Re-check a counterexample by direct enumeration: every w gets a copy
-    showing at least two colors.  Each copy is composed through
-    ``fragment.compose`` until it shows its second color."""
-    index = fragment.hom_index(a, c)
-    hom_ab = fragment.hom(a, b)
+    showing at least two colors.  Each copy is composed afresh through the
+    payload rule ``fragment.rule``, never the spelling, until it shows its
+    second color; the f that showed it moves to the front of this call's
+    order of hom(A, B), where the next w's copy is likely to show two colors
+    early.  The verdict does not depend on that order."""
+    find, color_at = fragment.hom_index(a, c).__getitem__, coloring.colors.__getitem__
+    rule, by = fragment.rule, [f.payload for f in fragment.hom(a, b)]
     for w in fragment.hom(b, c):
-        colors = (coloring.colors[index[fragment.compose(w, f).payload]] for f in hom_ab)
+        colors = map(color_at, map(find, map(rule, repeat(w.payload), by)))
         first = next(colors, None)
-        if all(color == first for color in colors):
+        for i, color in enumerate(colors, 1):
+            if color != first:
+                by.insert(0, by.pop(i))
+                break
+        else:
             return False
     return True
 

@@ -14,7 +14,7 @@ listing; membership, the arrow copy listing, re-certification and the law
 check all read it.  The ``gr`` and ``dram-op`` builders also give a
 spelling (see ``CategoryFragment``), from which the arrow copy listing reads
 composites by character substitution; every other fragment's copies come
-from its rule, and re-certification always composes through ``compose``.
+from its rule, and re-certification always composes through the rule.
 
 Builders are provided for the categories this package cares about:
 
@@ -94,8 +94,9 @@ class CategoryFragment:
     ``substitution(f)`` is a ``str.translate`` table with
     ``spell(rule(g, f)) == spell(g).translate(substitution(f))``.  Only the
     arrow copy listing reads it, to list the copies without calling the
-    rule; where it is None the copies come from the rule.  Composition,
-    re-certification and the law check always go through ``compose``."""
+    rule; where it is None the copies come from the rule.  Composition and
+    the law check always go through ``compose``, and re-certification
+    through ``rule``; none of them reads the spelling."""
 
     def __init__(self, name: str, objects, hom: dict, identity: dict,
                  rule: Callable[[object, object], object], spelling: tuple | None = None):

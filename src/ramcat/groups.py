@@ -88,9 +88,9 @@ def validate_group(table, names: tuple[str, ...] | None = None) -> FiniteGroup:
         if len(row) != t:
             raise ValidationError("table_shape", f"row {g} has length {len(row)}, expected {t}", row=g)
         for h, v in enumerate(row):
-            if not (0 <= v < t):
+            if not (type(v) is int and 0 <= v < t):  # JSON true is a bool, not an index
                 raise ValidationError(
-                    "entry_range", f"table entry ({g},{h}) = {v} out of range 0..{t - 1}", g=g, h=h, value=v
+                    "entry_range", f"table entry ({g},{h}) = {v!r} is not an integer in 0..{t - 1}", g=g, h=h, value=v
                 )
     for g in range(t):
         if rows[0][g] != g or rows[g][0] != g:
@@ -163,8 +163,8 @@ def validate_action(action: RightAction) -> RightAction:
         if len(row) != group.order:
             raise ValidationError("table_shape", "action table rows must have one column per group element")
         for v in row:
-            if not (0 <= v < n_letters):
-                raise ValidationError("entry_range", f"action table entry {v} is not a letter index", value=v)
+            if not (type(v) is int and 0 <= v < n_letters):
+                raise ValidationError("entry_range", f"action table entry {v!r} is not a letter index", value=v)
     for a in range(n_letters):
         if action.table[a][0] != a:
             raise ValidationError(
@@ -241,7 +241,9 @@ def action_from_dict(data: dict) -> RightAction:
     for key in ("table", "element_names", "alphabet", "action_table"):
         if not isinstance(data.get(key, []), list):
             raise TypeError(f"context file key {key!r} must hold a JSON array, not {type(data[key]).__name__}")
-    order = int(data["order"])
+    order = data["order"]
+    if type(order) is not int:
+        raise ValidationError("bad_order", f"context file key 'order' must hold an integer, not {order!r}")
     table = _unflatten(data["table"], order, order, "group table")
     group = validate_group(table, names=tuple(data.get("element_names", ())))
     alphabet = tuple(data.get("alphabet", ()))

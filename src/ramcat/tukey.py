@@ -96,7 +96,7 @@ def _elements(mask: int) -> tuple[int, ...]:
 
 def _check_map(f: Sequence[int], dom: FinitePreorder, cod: FinitePreorder):
     if (not isinstance(f, Sequence) or len(f) != dom.size
-            or not all(isinstance(y, int) and 0 <= y < cod.size for y in f)):
+            or not all(type(y) is int and 0 <= y < cod.size for y in f)):
         raise ValidationError("bad_map", f"the map must list {dom.size} elements of 0..{cod.size - 1}",
                               size=dom.size, cod_size=cod.size)
 

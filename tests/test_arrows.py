@@ -321,23 +321,35 @@ def test_node_budget_exceeded_distinct_from_none_found():
     assert stats == err.value.stats == {"nodes": 10, "forced": 7, "prefix": 4}
 
 
+# the positions propagation colors on each pinned search, keyed by its
+# instance (family, A, B, C, k)
+PINNED_FORCED = {("ram", 2, 3, 6, 2): 16, ("ram", 2, 4, 9, 2): 13, ("ram", 3, 4, 7, 2): 17,
+                 ("ram", 2, 3, 8, 3): 4, ("gr-plain-z3", 1, 2, 5, 2): 74, ("gr-plain-z3", 1, 3, 6, 2): 100,
+                 ("gr-plain-z2", 1, 3, 6, 2): 115, ("dram-op", 2, 4, 7, 2): 21}
+PINNED_FAMILIES = {"ram": ram_fragment, "dram-op": dram_op_fragment,
+                   "gr-plain-z2": lambda n: gr_fragment(WordContext(trivial_action(cyclic_group(2))), n),
+                   "gr-plain-z3": lambda n: gr_fragment(WordContext(trivial_action(cyclic_group(3))), n)}
+
+
 @pytest.mark.parametrize("family, a, b, c, k, holds, nodes", [
     ("ram", 2, 3, 6, 2, True, 19),
     ("ram", 2, 4, 9, 2, False, 35),
     ("ram", 3, 4, 7, 2, False, 26),
     ("ram", 2, 3, 8, 3, False, 28),
     ("gr-plain-z3", 1, 2, 5, 2, True, 27),
+    # the gr and dram-op copies have mixed sizes once deduplicated, so ties
+    # in the tightest-copy scan decide the branch positions
+    ("gr-plain-z3", 1, 3, 6, 2, False, 143),
+    ("gr-plain-z2", 1, 3, 6, 2, True, 95),
+    ("dram-op", 2, 4, 7, 2, False, 42),
 ])
 def test_search_node_counts_pinned(family, a, b, c, k, holds, nodes):
     # the search order is part of the contract: same colors first, same nodes
-    if family == "ram":
-        f = ram_fragment(c)
-    else:  # copies of mixed sizes, deduplicated
-        f = gr_fragment(WordContext(trivial_action(cyclic_group(3))), c)
+    f = PINNED_FAMILIES[family](c)
     stats = {}
     bad = find_bad_coloring(f, a, b, c, k, stats_out=stats)
     assert (bad is None) == holds
-    assert stats["nodes"] == nodes
+    assert stats == {"nodes": nodes, "forced": PINNED_FORCED[family, a, b, c, k]}
     if bad is not None:
         assert certify_bad_coloring(f, a, b, c, bad)
 
@@ -646,22 +658,32 @@ def test_certify_agrees_with_all_pairs_oracle_on_every_coloring():
 
 
 def _certify_instances():
-    """(fragment, A, B, C, k, a bad coloring of it)."""
+    """(fragment, A, B, C, k, the bad colorings the engines return): the
+    search's, and the exhaustive engine's where its 2^16 colorings suffice."""
     swap = WordContext(cycle_action(cyclic_group(2), "ab", [1, 0]))
+    z2 = WordContext(trivial_action(cyclic_group(2)))
     z3 = WordContext(trivial_action(cyclic_group(3)))
     out = []
     for f, a, b, c, k in [
+        (ram_fragment(5), 2, 3, 5, 2),
         (ram_fragment(7), 2, 3, 7, 3),
+        (dram_op_fragment(5), 2, 3, 5, 2),
         (dram_op_fragment(6), 3, 4, 6, 2),
+        (gr_fragment(z2, 4), 1, 3, 4, 2),
+        (gr_fragment(z2, 5), 1, 4, 5, 2),
+        (gr_fragment(z2, 5), 2, 3, 5, 3),
+        (gr_fragment(z3, 3), 1, 2, 3, 2),
         (gr_fragment(z3, 5), 2, 3, 5, 2),
         (gr_fragment(swap, 3), 1, 2, 3, 2),
         (gr_fragment(swap, 4), 2, 3, 4, 2),
         (vec_fragment(2, 3), 1, 2, 3, 3),
         (opposite(opposite(dram_fragment(5))), 5, 4, 3, 2),
     ]:
-        bad = find_bad_coloring(f, a, b, c, k)
-        assert bad is not None, (f, a, b, c, k)
-        out.append((f, a, b, c, k, bad))
+        bads = [find_bad_coloring(f, a, b, c, k)]
+        if k ** f.hom_size(a, c) <= 2 ** 16:
+            bads.append(check_arrow_exhaustive(f, a, b, c, k).counterexample)
+        assert None not in bads, (f, a, b, c, k)
+        out.append((f, a, b, c, k, bads))
     return out
 
 
@@ -671,11 +693,11 @@ CERTIFY_INSTANCES = _certify_instances()
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_certify_agrees_with_all_pairs_oracle_on_drawn_colorings(data):
-    f, a, b, c, k, bad = data.draw(st.sampled_from(CERTIFY_INSTANCES))
+    f, a, b, c, k, bads = data.draw(st.sampled_from(CERTIFY_INSTANCES))
     h = f.hom_size(a, c)
     start = data.draw(st.sampled_from(["bad", "random"]))
-    if start == "bad":  # a bad coloring with a few positions recolored
-        colors = list(bad.colors)
+    if start == "bad":  # an engine's bad coloring with up to three positions recolored
+        colors = list(data.draw(st.sampled_from(bads)).colors)
         for i in data.draw(st.lists(st.integers(0, h - 1), max_size=3)):
             colors[i] = data.draw(st.integers(0, k - 1))
     else:
@@ -690,3 +712,11 @@ def test_certify_agrees_with_all_pairs_oracle_on_drawn_colorings(data):
     verdict = certify_bad_coloring(f, a, b, c, coloring)
     assert verdict == all_pairs_certify(f, a, b, c, coloring)
     assert not (good and verdict)
+    # the order the re-check tries hom(A, B) in lives in one call only
+    assert certify_bad_coloring(f, a, b, c, coloring) == verdict
+
+
+def test_certify_accepts_both_engines_colorings():
+    for f, a, b, c, k, bads in CERTIFY_INSTANCES:
+        for bad in bads:
+            assert certify_bad_coloring(f, a, b, c, bad) and all_pairs_certify(f, a, b, c, bad)

@@ -99,6 +99,20 @@ def test_bad_context_file_is_usage_error(runner, tmp_path):
     {"action_table": [[1, 2], [1, 0]]},  # letter 2 of a two-letter alphabet
     {"action_table": [[0, -1], [1, 0]]},  # a negative letter
     {"table": [[0, 1], [1, 2]]},  # element 2 of a group of order 2
+    # the rows above are nested, so the shape check refuses them; these are flat
+    {"action_table": [1, 2, 1, 0]},
+    {"action_table": [0, -1, 1, 0]},
+    {"table": [0, 1, 1, 2]},
+    # JSON values Python would take as indices: true is 1, 1.0 == 1, int("2") == 2
+    {"table": [0, 1, True, 0]},
+    {"table": [0, 1, 1.0, 0]},
+    {"table": [0, 1, "1", 0]},
+    {"action_table": [0, True, 1, 0]},
+    {"action_table": [0, 1.0, 1, 0]},
+    {"action_table": [0, "1", 1, 0]},
+    {"order": True, "table": [0], "element_names": ["e"], "action_table": [0, 1]},
+    {"order": 2.0},
+    {"order": "2"},
 ])
 def test_words_compose_refuses_out_of_range_tables(runner, tmp_path, bad):
     # substitute indexes these tables without bounds checks; loading the
@@ -108,6 +122,7 @@ def test_words_compose_refuses_out_of_range_tables(runner, tmp_path, bad):
     v = write(tmp_path, "v.txt", "b\n")
     result = runner.invoke(main, ["words", "compose", "--context", ctx, u, v])
     assert result.exit_code == 2, result.output
+    assert "bad context file" in result.output
 
 
 def test_rsurj_commands(runner):
@@ -285,8 +300,9 @@ def test_ramsey_budget_exit_code(runner):
 def test_ramsey_check_both_engines_compose_each_pair_once(runner, monkeypatch, c):
     # both engines read one listing of the copies, made with the rule on
     # payloads: |hom(3, C)| * |hom(2, 3)| rule calls and no compose; a bad
-    # coloring at C=5 is re-certified through compose, each copy up to its
-    # second color (23 of the 30 pairs), and each compose calls the rule once
+    # coloring at C=5 is re-certified through the rule too, each copy up to
+    # its second color (26 of the 30 pairs, with the f that showed the last
+    # copy's second color tried first)
     from ramcat.category import CategoryFragment
 
     calls = {"compose": 0, "rule": 0}
@@ -309,9 +325,8 @@ def test_ramsey_check_both_engines_compose_each_pair_once(runner, monkeypatch, c
                                   "-A", "2", "-B", "3", "-C", str(c), "-k", "2"])
     report = json.loads(result.output)
     assert report["search"]["holds"] == report["exhaustive"]["holds"] == (c == 6)
-    composed, ruled = {6: (0, 60), 5: (23, 53)}[c]
-    assert ruled == comb(c, 3) * comb(3, 2) + composed
-    assert calls == {"compose": composed, "rule": ruled}
+    certified = {6: 0, 5: 26}[c]
+    assert calls == {"compose": 0, "rule": comb(c, 3) * comb(3, 2) + certified}
     assert {"nodes", "forced"} <= set(report["search"]["stats"])
 
 
@@ -643,6 +658,12 @@ def test_tukey_check_rejects_a_map_that_does_not_fit(runner, tmp_path):
     for mapping in ("[0]", "[0,1]", "[-1,0]", "5"):
         result = runner.invoke(main, ["tukey", "check", "--kind", "tukey",
                                       "--dom", dom, "--cod", cod, "--map", mapping])
+        assert result.exit_code == 1, mapping
+        assert json.loads(result.output)["code"] == "bad_map"
+    # from one element to two: JSON true and false are not element indices
+    for mapping in ("[true]", "[false]", "[1.0]"):
+        result = runner.invoke(main, ["tukey", "check", "--kind", "tukey",
+                                      "--dom", cod, "--cod", dom, "--map", mapping])
         assert result.exit_code == 1, mapping
         assert json.loads(result.output)["code"] == "bad_map"
 

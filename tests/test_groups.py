@@ -169,3 +169,21 @@ def test_config_accepts_row_major_flat_tables():
     }
     act = action_from_dict(data)
     assert act.act(0, 1) == 1 and act.act(1, 1) == 0
+
+
+SWAP = {"order": 2, "table": [0, 1, 1, 0], "element_names": ["e", "g"], "alphabet": ["a", "b"],
+        "action_table": [0, 1, 1, 0]}
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("table", [0, 1, True, 0], "entry_range"), ("table", [0, 1, 1.0, 0], "entry_range"),
+    ("table", [0, 1, "1", 0], "entry_range"), ("action_table", [0, True, 1, 0], "entry_range"),
+    ("action_table", [0, 1.0, 1, 0], "entry_range"), ("action_table", [0, "1", 1, 0], "entry_range"),
+    ("order", True, "bad_order"), ("order", 2.0, "bad_order"), ("order", "2", "bad_order"),
+])
+def test_config_refuses_indices_that_are_not_integers(key, value, code):
+    # JSON true reads as the Python int 1, and 1.0 == 1: only an int is an index
+    assert action_from_dict(SWAP).act(0, 1) == 1
+    with pytest.raises(ValidationError) as err:
+        action_from_dict({**SWAP, key: value})
+    assert err.value.code == code

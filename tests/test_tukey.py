@@ -369,7 +369,7 @@ def test_map_checks_match_per_subset_definitions_on_workload_shaped_orders():
 
 
 def test_map_checks_reject_maps_that_do_not_fit():
-    for f in ([0], [0, 1, 0], [0, 2], [-1, 0], [0, "1"]):
+    for f in ([0], [0, 1, 0], [0, 2], [-1, 0], [0, "1"], [True, 0], [0, False], [0, 1.0]):
         for check in (is_tukey_map, is_cofinal_map):
             with pytest.raises(ValidationError) as err:
                 check(f, antichain_preorder(2), chain_preorder(2))

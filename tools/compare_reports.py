@@ -14,6 +14,10 @@ these reports with ``--output``:
   character substitution: ``--family gr`` over the group-only files
   ``z2plain.json`` and ``z3plain.json`` (Z2 and Z3 on the empty alphabet),
   and ``--family dram-op``;
+* ``ramcat ramsey search -k 2``, which certifies each counterexample on the
+  way up to the witness: ``--family ram -A 2 -B 3 --max-n 8``, ``--family gr``
+  over ``z2plain.json`` with ``-A 1 -B 3 --max-n 6``, and ``--family dram-op
+  -A 2 -B 3 --max-n 8``;
 * ``ramcat preadj verify --context z2a.json`` (Z2 fixing the one letter a)
   for every named pre-adjunction, and README's composed example;
 * ``ramcat tukey check`` of both kinds on fixed preorder files: README's
@@ -76,6 +80,8 @@ SPELLED_CHECKS = [("gr", "z2plain.json", 1, 2, 3), ("gr", "z2plain.json", 1, 3, 
                   ("gr", "z2plain.json", 1, 3, 6), ("gr", "z3plain.json", 1, 2, 5), ("gr", "z3plain.json", 1, 3, 6),
                   ("gr", "z3plain.json", 2, 3, 4), ("dram-op", None, 2, 3, 5), ("dram-op", None, 2, 3, 7),
                   ("dram-op", None, 2, 4, 7), ("dram-op", None, 3, 4, 6)]
+# (family, context file, A, B, max n) of the ramsey searches
+SEARCHES = [("ram", None, 2, 3, 8), ("gr", "z2plain.json", 1, 3, 6), ("dram-op", None, 2, 3, 8)]
 GROUPS = {"z2plain.json": {"order": 2, "table": [0, 1, 1, 0], "element_names": ["e", "g"]},
           "z3plain.json": {"order": 3, "table": [0, 1, 2, 1, 2, 0, 2, 0, 1], "element_names": ["e", "g", "g2"]}}
 # README's context file: Z3 acting on a, b, c, d by a -> b -> c -> a, d fixed
@@ -143,6 +149,11 @@ def commands() -> dict[str, list[str]]:
         out[f"ramsey-{name}-{a}-{b}-{c}.json"] = ["ramsey", "check", "--family", family,
                                                   *(["--context", context] if context else []),
                                                   "-A", str(a), "-B", str(b), "-C", str(c), "-k", "2"]
+    for family, context, a, b, n in SEARCHES:
+        name = family if context is None else family + "-" + context.removesuffix(".json")
+        out[f"search-{name}-{a}-{b}.json"] = ["ramsey", "search", "--family", family,
+                                              *(["--context", context] if context else []),
+                                              "-A", str(a), "-B", str(b), "-k", "2", "--max-n", str(n)]
     for i, args in enumerate(PREADJ):
         out[f"preadj-{i}.json"] = ["preadj", "verify", "--context", "z2a.json", "--instance", *args]
     for i, (dom, cod, f) in enumerate(TUKEY):
@@ -204,7 +215,8 @@ def main() -> int:
     for name in missing:
         print(f"no report: {name} (exit {parent[name][0]} on the parent side)")
     print(f"{len(runs) - len(differ)} of {len(runs)} reports byte-identical "
-          f"(golden, {len(criterion_4_grid()) + len(SPELLED_CHECKS)} ramsey check, {len(PREADJ)} preadj verify, "
+          f"(golden, {len(criterion_4_grid()) + len(SPELLED_CHECKS)} ramsey check, {len(SEARCHES)} ramsey search, "
+          f"{len(PREADJ)} preadj verify, "
           f"{2 * len(TUKEY)} tukey check, {len(GENERATED)} tukey companion/monotonize, {len(WORDS)} words, "
           f"{len(RSURJ)} rsurj, {len(CATEGORY_SPECS)} category check, {len(BUILDER_SPECS)} category skeleton)")
     return 1 if differ or missing else 0
