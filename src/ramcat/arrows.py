@@ -23,13 +23,14 @@ the colors used before it plus one new color, since unused colors are
 interchangeable.  ``check_arrow_exhaustive`` and ``find_bad_coloring`` run
 them on the copies of (A, B, C), which ``_prepare`` lists once per
 (fragment, A, B, C); no morphism is built per pair: within one hom-set
-the payload names the morphism.  Where the builder gives a spelling
-(``CategoryFragment.spelling``: ``gr`` and ``dram-op``) the composites are
-read by character substitution on spelled payloads and looked up by
-spelling; otherwise they come from the payload rule and the index of
-hom(A, C) (``CategoryFragment.hom_index``).  They are kept with the
-fragment, so both engines share them and the search never composes
-morphisms.  ``certify_bad_coloring`` is the independent re-check, whatever
+the payload names the morphism.  The composites come from
+``CategoryFragment.columns``, which ``verify_pa`` reads too: where the
+builder gives a spelling (``CategoryFragment.spelling``: ``gr`` and
+``dram-op``) they are read by character substitution on spelled payloads
+and looked up by spelling; otherwise they come from the payload rule and
+the index of hom(A, C) (``CategoryFragment.hom_index``).  They are kept
+with the fragment, so both engines share them and the search never
+composes morphisms.  ``certify_bad_coloring`` is the independent re-check, whatever
 the listing read: it composes afresh through the payload rule
 (``CategoryFragment.rule``), never the spelling, finds each composite in the
 index of hom(A, C), and stops each copy at its second color.
@@ -72,27 +73,14 @@ class _Copies:
 
 def _prepare(fragment: CategoryFragment, a, b, c) -> _Copies:
     """The copies of (A, B, C): for each w in hom(B, C), the positions in
-    hom(A, C) of w after each f in hom(A, B).  Each f's column is one
-    ``map`` over hom(B, C) in C: of the rule on payloads, looked up in
-    ``hom_index``, or, when the fragment has a spelling, of
-    ``str.translate`` by f's table on the spelled members, looked up in an
-    index of hom(A, C) by spelling."""
+    hom(A, C) of w after each f in hom(A, B), read one column per f by
+    ``CategoryFragment.columns``."""
     hom_ab = fragment.hom(a, b)
     hom_bc = fragment.hom(b, c)
     if not hom_ab or not hom_bc:
         raise ValidationError("precondition_arrow_missing",
                               f"need nonempty hom({a},{b}) and hom({b},{c})", A=a, B=b, C=c)
-    if fragment.spelling is None:
-        index = fragment.hom_index(a, c)
-        names = [w.payload for w in hom_bc]
-        step, by = fragment.rule, [f.payload for f in hom_ab]
-    else:
-        spell, substitution = fragment.spelling
-        index = {spell(m.payload): i for i, m in enumerate(fragment.hom(a, c))}
-        names = [spell(w.payload) for w in hom_bc]
-        step, by = str.translate, [substitution(f.payload) for f in hom_ab]
-    find = index.__getitem__
-    columns = [list(map(find, map(step, names, repeat(x)))) for x in by]
+    columns = fragment.columns(a, c, hom_bc, hom_ab)
     sets = dict.fromkeys(tuple(sorted(set(row))) for row in zip(*columns))
     return _Copies(list(sets))
 
@@ -369,7 +357,8 @@ def min_ramsey_witness(family: Callable[[int], CategoryFragment], a, b, k: int,
                        n_max: int, node_budget: int | None = None) -> tuple[int, list[dict]]:
     """Smallest n <= n_max whose fragment object n satisfies the arrow, found
     by running the counterexample search per candidate.  Returns the witness
-    and a per-candidate log."""
+    and a per-candidate log; when no candidate holds, the
+    ``not_found_within_bound`` error carries the log as its ``log``."""
     log: list[dict] = []
     for n in range(1, n_max + 1):
         fragment = family(n)
@@ -387,4 +376,4 @@ def min_ramsey_witness(family: Callable[[int], CategoryFragment], a, b, k: int,
                                   f"search returned a coloring that does not defeat every copy at n={n}", n=n)
         log.append({"n": n, "holds": False, "counterexample": list(bad.colors)})
     raise ValidationError("not_found_within_bound",
-                          f"no witness at or below {n_max}", n_max=n_max)
+                          f"no witness at or below {n_max}", n_max=n_max, log=log)

@@ -10,11 +10,13 @@ and surjections they carry, are tuple-backed values: a morphism equals a plain
 tuple, or a value of another class, with the same items, so
 ``CategoryFragment.in_hom`` is the type check for hom-set membership.  Each
 hom-set has one index, ``hom_index``, from payload to position in the
-listing; membership, the arrow copy listing, re-certification and the law
-check all read it.  The ``gr`` and ``dram-op`` builders also give a
-spelling (see ``CategoryFragment``), from which the arrow copy listing reads
-composites by character substitution; every other fragment's copies come
-from its rule, and re-certification always composes through the rule.
+listing; membership, the arrow copy listing, the transport check,
+re-certification and the law check all read it.  ``CategoryFragment.columns``
+lists the positions of composites a column at a time, for the arrow copy
+listing and for ``verify_pa``.  The ``gr`` and ``dram-op`` builders also
+give a spelling (see ``CategoryFragment``), from which ``columns`` reads
+composites by character substitution; for every other fragment it calls
+the rule, and re-certification always composes through the rule.
 
 Builders are provided for the categories this package cares about:
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -79,8 +81,8 @@ class CategoryFragment:
     The public attribute ``rule(g, f)`` takes the payloads of g and f and
     returns the payload of g after f; it never reads a domain or codomain.
     ``compose`` checks that the pair is composable and types the composite;
-    code that knows the pair is composable, such as the arrow copy listing,
-    may call ``rule`` on payloads directly.
+    code that knows the pair is composable, such as ``columns``, may call
+    ``rule`` on payloads directly.
 
     ``hom`` maps each pair (a, b) with morphisms to its morphisms, or to a
     ``LazyHom``.  A lazy hom-set is listed the first time ``hom(a, b)`` reads
@@ -92,11 +94,12 @@ class CategoryFragment:
     substitution)``: ``spell(payload)`` writes a payload as a string with
     one character per token or value, naming it within its hom-set, and
     ``substitution(f)`` is a ``str.translate`` table with
-    ``spell(rule(g, f)) == spell(g).translate(substitution(f))``.  Only the
-    arrow copy listing reads it, to list the copies without calling the
-    rule; where it is None the copies come from the rule.  Composition and
-    the law check always go through ``compose``, and re-certification
-    through ``rule``; none of them reads the spelling."""
+    ``spell(rule(g, f)) == spell(g).translate(substitution(f))``.  Only
+    ``columns`` reads it, to list composites without calling the rule;
+    where it is None they come from the rule.  Its two readers are the
+    arrow copy listing and ``verify_pa``.  Composition and the law check
+    always go through ``compose``, and re-certification through ``rule``;
+    none of them reads the spelling."""
 
     def __init__(self, name: str, objects, hom: dict, identity: dict,
                  rule: Callable[[object, object], object], spelling: tuple | None = None):
@@ -143,6 +146,26 @@ class CategoryFragment:
         if index is None:
             index = self._index[a, b] = {m.payload: i for i, m in enumerate(self.hom(a, b))}
         return index
+
+    def columns(self, a, c, ws, xs) -> list[list[int]]:
+        """The positions in hom(a, c) of w after x for the members w of
+        ``ws``, in hom(b, c), one list per member x of ``xs``, in hom(a, b).
+        Each column is one ``map`` over ``ws`` in C: of ``str.translate`` by
+        x's table on the spelled ws, looked up in an index of hom(a, c) by
+        spelling, when the fragment has a spelling, else of the rule on
+        payloads, looked up in ``hom_index``.  The arrow copy listing
+        (``ramcat.arrows``) and the transport check (``verify_pa``) read
+        their composites here."""
+        if self.spelling is None:
+            find = self.hom_index(a, c).__getitem__
+            names = [w.payload for w in ws]
+            step, by = self.rule, [x.payload for x in xs]
+        else:
+            spell, substitution = self.spelling
+            find = {spell(m.payload): i for i, m in enumerate(self.hom(a, c))}.__getitem__
+            names = [spell(w.payload) for w in ws]
+            step, by = str.translate, [substitution(x.payload) for x in xs]
+        return [list(map(find, map(step, names, repeat(x)))) for x in by]
 
     def in_hom(self, m, a, b) -> bool:
         """Whether ``m`` is a morphism of hom(a, b) in this fragment: a

@@ -405,8 +405,16 @@ def ramsey_check(family, context_path, a, b, c, k, budget_nodes, budget_coloring
 @reported
 def ramsey_search(family, context_path, a, b, k, max_n, budget_nodes):
     family_fn = _family(family, _load_context(context_path))
-    n, log = min_ramsey_witness(family_fn, a, b, k, max_n, node_budget=budget_nodes)
-    return {"ok": True, "config": {"budget_nodes": budget_nodes}, "minimal_n": n, "log": log}
+    config = {"budget_nodes": budget_nodes}
+    try:
+        n, log = min_ramsey_witness(family_fn, a, b, k, max_n, node_budget=budget_nodes)
+    except ValidationError as exc:
+        if exc.code != "not_found_within_bound":
+            raise
+        # the certified counterexamples up to the bound are the answer's evidence
+        return {"ok": False, "config": config, "error": str(exc), "code": exc.code,
+                "data": {"n_max": max_n}, "log": exc.data["log"]}
+    return {"ok": True, "config": config, "minimal_n": n, "log": log}
 
 
 # --- pre-adjunctions -------------------------------------------------------------

@@ -20,7 +20,6 @@ into any fragment carrying a strictly growing object sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Sequence
 
 from .arrows import find_bad_coloring
@@ -54,7 +53,9 @@ class PreAdjunction:
     optional ``suggested_v`` that proposes a transport witness for ``(A, B,
     f)``.  ``phi`` and ``suggested_v`` must be functions of their arguments
     alone: the verifier evaluates each once per distinct argument and reuses
-    the value."""
+    the value.  It reads the target's composites u . v through
+    ``CategoryFragment.columns``, the helper the arrow copy listing also
+    reads, so ``phi`` receives the listed member of hom(F(X), Y)."""
 
     name: str
     source: CategoryFragment
@@ -77,6 +78,9 @@ class PreAdjunction:
             raise ValidationError("object_not_in_fragment",
                                   f"H({y}) = {x} is not in the source fragment", y=y, image=x)
         return x
+
+
+_UNSEEN = object()  # a phi value not evaluated yet
 
 
 @dataclass
@@ -102,70 +106,109 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
     bounds.  Every recorded failure really has no witness (the whole
     candidate hom-set was scanned); every recorded witness is the first one
     in canonical order, with any construction-suggested candidate tried
-    first and its success tracked.  ``pa.phi`` is evaluated once per
-    distinct ``(X, Y, u)`` within a call, so it must be a function of its
-    arguments; ``recheck_failures`` evaluates it afresh.  Whether phi(B, C,
-    u) lands in hom(B, H(C)) is checked once per (B, C, u), and the
-    suggested v is drawn and checked against hom(F(A), F(B)) once per (A, B,
-    f)."""
+    first and its success tracked.
+
+    Each (A, B, C) block is checked a column at a time.  phi's values are
+    kept in one list per (X, C), indexed by position in hom(F(X), C), so
+    ``pa.phi`` is evaluated once per distinct ``(X, Y, u)`` within a call
+    and must be a function of its arguments; ``recheck_failures`` evaluates
+    it afresh.  Whether phi(B, C, u) lands in hom(B, H(C)) is checked once
+    per (B, C, u), and the suggested v is drawn and checked against
+    hom(F(A), F(B)) once per (A, B, f).  The composites u . v of each
+    suggested v come from one column over the landed u of hom(F(B), C)
+    (``CategoryFragment.columns``: character substitution where the target
+    has a spelling, else its rule), and phi(B, C, u) . f is formed once per
+    distinct phi value and f, so an instance whose suggested v is a witness
+    costs a list index and one ``==``.  Where it is not, the candidates are
+    scanned in order through ``compose``."""
     report = PAReport(pa.name, list(source_objects), list(target_objects))
     src, tgt = pa.source, pa.target
-    phi = cache(pa.phi)
+    rule = src.rule
+    values: dict = {}  # (X, C) -> phi(X, C, w) for each w of hom(F(X), C), or _UNSEEN
+
+    def phis(x_obj, fx, c_obj) -> list:
+        row = values.get((x_obj, c_obj))
+        if row is None:
+            row = values[x_obj, c_obj] = [_UNSEEN] * tgt.hom_size(fx, c_obj)
+        return row
 
     for b_obj in source_objects:
         fb = pa.F(b_obj)
-        # C -> phi(B, C, u) for each u of hom(F(B), C) in turn, or None where
-        # it lands outside hom(B, H(C)); filled on the first A
+        # C -> positions in hom(F(B), C) of the u whose phi(B, C, u) lands in
+        # hom(B, H(C)); filled on the first A
         landed: dict = {}
         for a_obj in source_objects:
             fa = pa.F(a_obj)
             candidates = tgt.hom(fa, fb)
             fs = src.hom(a_obj, b_obj)
             # the suggested v of each f in turn, or None where it is not in
-            # hom(F(A), F(B)); filled on the first (C, u) whose phi lands
-            suggested: list = []
+            # hom(F(A), F(B)); drawn on the first C with a landed u
+            suggested = None
+            lhs: dict = {}  # phi(B, C, u) -> phi(B, C, u) . f for each f in turn
             for c_obj in target_objects:
                 hc = pa.H(c_obj)
-                phis = landed.setdefault(c_obj, [])
-                for ui, u in enumerate(tgt.hom(fb, c_obj)):
-                    if ui == len(phis):
-                        phi_u = phi(b_obj, c_obj, u)
-                        if not src.in_hom(phi_u, b_obj, hc):
-                            report.phi_landing_failures.append({"X": b_obj, "Y": c_obj, "u": u, "phi": phi_u})
-                            phi_u = None
-                        phis.append(phi_u)
-                    phi_u = phis[ui]
-                    if phi_u is None:
-                        continue
-                    for fi, f in enumerate(fs):
-                        report.instances += 1
-                        if report.instances > max_instances:
-                            raise BudgetExceeded("pa_instances", max_instances)
-                        lhs = src.compose(phi_u, f)
-                        witness = None
-                        used_suggested = False
-                        if pa.suggested_v is not None:
-                            report.suggested_tried += 1
-                            if fi == len(suggested):
-                                v = pa.suggested_v(a_obj, b_obj, f)
-                                suggested.append(v if tgt.in_hom(v, fa, fb) else None)
-                            v = suggested[fi]
-                            if v is not None and phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
-                                witness = v
-                                used_suggested = True
-                                report.suggested_hits += 1
-                        if witness is None:
-                            for v in candidates:
-                                if phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
-                                    witness = v
-                                    break
-                        if witness is None:
-                            report.failures.append(
-                                {"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f})
+                hom_bc = tgt.hom(fb, c_obj)
+                row_b = phis(b_obj, fb, c_obj)
+                us = landed.get(c_obj)
+                if us is None:
+                    us = landed[c_obj] = []
+                    for ui, u in enumerate(hom_bc):
+                        phi_u = row_b[ui]
+                        if phi_u is _UNSEEN:
+                            phi_u = row_b[ui] = pa.phi(b_obj, c_obj, u)
+                        if src.in_hom(phi_u, b_obj, hc):
+                            us.append(ui)
                         else:
-                            report.witnesses.append(
-                                {"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f,
-                                 "v": witness, "suggested": used_suggested})
+                            report.phi_landing_failures.append({"X": b_obj, "Y": c_obj, "u": u, "phi": phi_u})
+                if not us or not fs:
+                    continue
+                report.instances += len(us) * len(fs)
+                if report.instances > max_instances:
+                    raise BudgetExceeded("pa_instances", max_instances)
+                columns = [None] * len(fs)
+                if pa.suggested_v is not None:
+                    report.suggested_tried += len(us) * len(fs)
+                    if suggested is None:
+                        suggested = [v if tgt.in_hom(v, fa, fb) else None
+                                     for v in (pa.suggested_v(a_obj, b_obj, f) for f in fs)]
+                    given = [fi for fi, v in enumerate(suggested) if v is not None]
+                    found = tgt.columns(fa, c_obj, [hom_bc[ui] for ui in us], [suggested[fi] for fi in given])
+                    for fi, column in zip(given, found):
+                        columns[fi] = column
+                hom_ac = tgt.hom(fa, c_obj)
+                row_a = phis(a_obj, fa, c_obj)
+                for j, ui in enumerate(us):
+                    u = hom_bc[ui]
+                    phi_u = row_b[ui]
+                    wanted = lhs.get(phi_u)
+                    if wanted is None:
+                        # phi_u is in hom(B, H(C)), so the rule composes it after each f
+                        wanted = lhs[phi_u] = [Morphism(f.dom, phi_u.cod, rule(phi_u.payload, f.payload))
+                                               for f in fs]
+                    for fi, f in enumerate(fs):
+                        column = columns[fi]
+                        if column is not None:
+                            w = column[j]
+                            value = row_a[w]
+                            if value is _UNSEEN:
+                                value = row_a[w] = pa.phi(a_obj, c_obj, hom_ac[w])
+                            if value == wanted[fi]:
+                                report.suggested_hits += 1
+                                report.witnesses.append({"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f,
+                                                         "v": suggested[fi], "suggested": True})
+                                continue
+                        index = tgt.hom_index(fa, c_obj)
+                        for v in candidates:
+                            w = index[tgt.compose(u, v).payload]
+                            value = row_a[w]
+                            if value is _UNSEEN:
+                                value = row_a[w] = pa.phi(a_obj, c_obj, hom_ac[w])
+                            if value == wanted[fi]:
+                                report.witnesses.append({"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f,
+                                                         "v": v, "suggested": False})
+                                break
+                        else:
+                            report.failures.append({"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f})
     return report
 
 

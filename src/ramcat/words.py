@@ -93,11 +93,11 @@ def validate_word(tokens, m: int, context: WordContext) -> DecoratedWord:
         raise ValidationError("empty_word", "words must have at least one token")
     if m < 0:
         raise ValidationError("parameter_range", f"parameter count {m} is negative", m=m)
-    group = context.group
+    order = context.group.order
     n_letters = len(context.alphabet)
     first_seen: dict[int, int] = {}
     for pos, (kind, idx, exp) in enumerate(tokens, start=1):
-        if not (0 <= exp < group.order):
+        if not (0 <= exp < order):
             raise ValidationError("unknown_group_element", f"exponent {exp} out of range at position {pos}",
                                   pos=pos, exponent=exp)
         if kind == LETTER:

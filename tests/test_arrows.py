@@ -281,6 +281,9 @@ def test_min_witness_not_found_within_bound():
     with pytest.raises(ValidationError) as err:
         min_ramsey_witness(lambda c: ram_fragment(c), 2, 3, 2, 5)
     assert err.value.code == "not_found_within_bound"
+    # the log of every candidate tried travels with the error
+    assert err.value.data["n_max"] == 5
+    assert [(e["n"], e["holds"]) for e in err.value.data["log"]] == [(3, False), (4, False), (5, False)]
 
 
 def test_monotonicity_within_family():

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ramcat.category
+from ramcat.arrows import Coloring, certify_bad_coloring
 from ramcat.cli import main
 from ramcat.groups import cycle_action, cyclic_group
 
@@ -284,6 +285,20 @@ def test_ramsey_search_finds_six(runner):
                                   "-A", "2", "-B", "3", "-k", "2", "--max-n", "8"])
     assert result.exit_code == 0
     assert json.loads(result.output)["minimal_n"] == 6
+
+
+def test_ramsey_search_not_found_keeps_its_log(runner):
+    result = runner.invoke(main, ["ramsey", "search", "--family", "dram-op",
+                                  "-A", "2", "-B", "4", "-k", "2", "--max-n", "8"])
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.output)
+    assert report["code"] == "not_found_within_bound" and report["data"] == {"n_max": 8}
+    assert [entry["n"] for entry in report["log"]] == [4, 5, 6, 7, 8]
+    for entry in report["log"]:
+        n = entry["n"]
+        assert entry["holds"] is False
+        coloring = Coloring(2, n, 2, tuple(entry["counterexample"]))
+        assert certify_bad_coloring(ramcat.category.dram_op_fragment(n), 2, 4, n, coloring)
 
 
 def test_ramsey_budget_exit_code(runner):
@@ -960,6 +975,8 @@ PREADJ_KEYS = {"cardinality_ok", "cardinality_violations", "config", "failure_co
                  {"budget_colorings", "budget_nodes"}, id="ramsey-check-oracle-skipped"),
     pytest.param(["ramsey", "search", "--family", "ram", "-A", "1", "-B", "2", "-k", "2", "--max-n", "4"],
                  {"config", "log", "minimal_n", "ok"}, {"budget_nodes"}, id="ramsey-search"),
+    pytest.param(["ramsey", "search", "--family", "dram-op", "-A", "2", "-B", "4", "-k", "2", "--max-n", "5"],
+                 {"code", "config", "data", "error", "log", "ok"}, {"budget_nodes"}, id="ramsey-search-not-found"),
     pytest.param(["preadj", "verify", "--instance", "identity", "--bounds", "src<=2"],
                  PREADJ_KEYS, {"bounds"}, id="preadj-verify"),
     pytest.param(["tukey", "check", "--kind", "tukey", "--dom", "{anti}", "--cod", "{one}", "--map", "[0,0]"],

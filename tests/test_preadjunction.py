@@ -1,21 +1,31 @@
 from collections import Counter
+from dataclasses import replace
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramcat import (
+    BudgetExceeded,
     Morphism,
+    PAReport,
     PreAdjunction,
+    RamcatError,
     ValidationError,
     WordContext,
     build_nonthin_sequence,
     chain_preorder,
     check_card_inequality,
     compose_pa,
+    cycle_action,
     cyclic_group,
     dram_fragment,
+    dram_op_fragment,
     dual,
     format_word,
     fragment_equal,
+    gr_fragment,
     identity_pa,
     pa_from_monotone_tukey,
     pa_gr_decorated_to_plain,
@@ -57,15 +67,284 @@ def test_broken_phi_fails_and_failures_are_rechecked():
     assert recheck_failures(pa, report)
 
 
+def swap():
+    return WordContext(cycle_action(cyclic_group(2), "ab", [1, 0]))
+
+
+def plain(order):
+    return WordContext(trivial_action(cyclic_group(order)))
+
+
+def composed_swap():
+    pa1 = pa_gr_plain_to_decorated(swap(), 6)
+    return compose_pa(pa1, pa_gr_decorated_to_plain(swap(), 6, source=pa1.target))
+
+
+def composed_three():
+    one_letter = WordContext(trivial_action(cyclic_group(2), "a"))
+    q1 = pa_gr_plain_to_decorated(one_letter, 6)
+    chain = compose_pa(q1, pa_gr_decorated_to_plain(one_letter, 6, source=q1.target))
+    return compose_pa(chain, pa_gr_to_dramop(plain(2), 6, 6, source=chain.target))
+
+
+CHAINS = list(range(1, 7))
+# (name, construction, source objects, target objects): every shipped
+# construction whose target has a spelling, at the benchmark's bounds
+SPELLED = [
+    ("gr-plain-to-decorated swap 3", lambda: pa_gr_plain_to_decorated(swap(), 3), [1, 2, 3], [1, 2, 3]),
+    ("gr-plain-to-decorated swap 5", lambda: pa_gr_plain_to_decorated(swap(), 5), [1, 2, 3, 4, 5],
+     [1, 2, 3, 4, 5]),
+    ("gr-decorated-to-plain swap 6", lambda: pa_gr_decorated_to_plain(swap(), 6), [1, 2], CHAINS),
+    ("gr-to-dram-op Z2 6", lambda: pa_gr_to_dramop(plain(2), 6, 6), [1, 2], CHAINS),
+    ("gr-to-dram-op Z2 7", lambda: pa_gr_to_dramop(plain(2), 7, 7), [1, 2], list(range(1, 8))),
+    ("gr-to-dram-op Z3 6", lambda: pa_gr_to_dramop(plain(3), 6, 6), [1, 2], CHAINS),
+    ("ram-to-dram-op 4", lambda: pa_ram_to_dramop(4), [1, 2, 3, 4], [1, 2, 3, 4, 5]),
+    ("ram-to-dram-op 6", lambda: pa_ram_to_dramop(5), [1, 2, 3, 4, 5], CHAINS),
+    ("composed swap 6", composed_swap, [1, 2], CHAINS),
+    ("composed three factors 6", composed_three, [1, 2], CHAINS),
+]
+# the shipped constructions whose target is read through its rule
+RULED = [
+    ("identity ram(3)", lambda: identity_pa(ram_fragment(3)), [1, 2, 3], [1, 2, 3]),
+    ("omega-to-fragment", lambda: pa_omega_to_nonthin(ram_fragment(6), [2, 3, 4, 5, 6]), [0, 1, 2, 3, 4], CHAINS),
+    ("from-monotone-tukey", lambda: pa_from_monotone_tukey(chain_preorder(11), chain_preorder(21),
+                                                           [2 * x for x in range(11)],
+                                                           [y // 2 for y in range(21)]),
+     list(range(11)), list(range(21))),
+]
+
+
 def test_witnesses_satisfy_transport_equation():
-    pa = pa_ram_to_dramop(3)
-    report = verify_pa(pa, [1, 2, 3], [1, 2, 3, 4])
-    assert report.ok
+    """Each witness, read from a column over the target's spelling, is
+    recomposed through ``compose`` and phi is evaluated afresh."""
+    for name, build, source_objects, target_objects in SPELLED:
+        pa = build()
+        assert pa.target.spelling is not None, name
+        report = verify_pa(pa, source_objects, target_objects)
+        assert report.ok and report.witnesses, name
+        src, tgt = pa.source, pa.target
+        for w in report.witnesses:
+            lhs = src.compose(pa.phi(w["B"], w["C"], w["u"]), w["f"])
+            rhs = pa.phi(w["A"], w["C"], tgt.compose(w["u"], w["v"]))
+            assert lhs == rhs, (name, w)
+
+
+# --- the per-instance oracle ---------------------------------------------------
+
+def verify_pa_per_instance(pa, source_objects, target_objects, max_instances=2_000_000):
+    """The transport check one instance at a time: per instance it composes
+    phi(B, C, u) after f and u after each tried v through ``compose`` and
+    looks phi up by its arguments.  ``verify_pa`` must give the same report,
+    raise the same error and evaluate phi on the same arguments."""
+    report = PAReport(pa.name, list(source_objects), list(target_objects))
     src, tgt = pa.source, pa.target
-    for w in report.witnesses:
-        lhs = src.compose(pa.phi(w["B"], w["C"], w["u"]), w["f"])
-        rhs = pa.phi(w["A"], w["C"], tgt.compose(w["u"], w["v"]))
-        assert lhs == rhs
+    phi = cache(pa.phi)
+    for b_obj in source_objects:
+        fb = pa.F(b_obj)
+        landed: dict = {}
+        for a_obj in source_objects:
+            fa = pa.F(a_obj)
+            candidates = tgt.hom(fa, fb)
+            fs = src.hom(a_obj, b_obj)
+            suggested: list = []
+            for c_obj in target_objects:
+                hc = pa.H(c_obj)
+                phis = landed.setdefault(c_obj, [])
+                for ui, u in enumerate(tgt.hom(fb, c_obj)):
+                    if ui == len(phis):
+                        phi_u = phi(b_obj, c_obj, u)
+                        if not src.in_hom(phi_u, b_obj, hc):
+                            report.phi_landing_failures.append({"X": b_obj, "Y": c_obj, "u": u, "phi": phi_u})
+                            phi_u = None
+                        phis.append(phi_u)
+                    phi_u = phis[ui]
+                    if phi_u is None:
+                        continue
+                    for fi, f in enumerate(fs):
+                        report.instances += 1
+                        if report.instances > max_instances:
+                            raise BudgetExceeded("pa_instances", max_instances)
+                        lhs = src.compose(phi_u, f)
+                        witness = None
+                        used_suggested = False
+                        if pa.suggested_v is not None:
+                            report.suggested_tried += 1
+                            if fi == len(suggested):
+                                v = pa.suggested_v(a_obj, b_obj, f)
+                                suggested.append(v if tgt.in_hom(v, fa, fb) else None)
+                            v = suggested[fi]
+                            if v is not None and phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
+                                witness = v
+                                used_suggested = True
+                                report.suggested_hits += 1
+                        if witness is None:
+                            for v in candidates:
+                                if phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
+                                    witness = v
+                                    break
+                        if witness is None:
+                            report.failures.append({"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f})
+                        else:
+                            report.witnesses.append({"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f,
+                                                     "v": witness, "suggested": used_suggested})
+    return report
+
+
+def outcome(verify, pa, source_objects, target_objects, **kwargs):
+    """What ``verify`` answers, the phi arguments it evaluates with their
+    counts, and the suggested-v arguments it draws with theirs.  An error
+    counts as its class, message, code and data."""
+    phi_calls, suggested_calls = Counter(), Counter()
+
+    def counting_phi(x, y, u):
+        phi_calls[x, y, u] += 1
+        return pa.phi(x, y, u)
+
+    def counting_suggested(a, b, f):
+        suggested_calls[a, b, f] += 1
+        return pa.suggested_v(a, b, f)
+
+    counted = replace(pa, phi=counting_phi,
+                      suggested_v=None if pa.suggested_v is None else counting_suggested)
+    try:
+        answer = verify(counted, source_objects, target_objects, **kwargs)
+    except RamcatError as exc:
+        answer = (type(exc), str(exc), getattr(exc, "code", None), getattr(exc, "data", None))
+    return answer, phi_calls, suggested_calls
+
+
+def assert_matches_oracle(pa, source_objects, target_objects, **kwargs):
+    """``verify_pa`` agrees with the oracle, classes of the recorded values
+    included (``repr`` tells a morphism from an equal tuple).  When both
+    finish, it evaluates phi and the suggested v once per argument the
+    oracle evaluates; before an error the two may have evaluated different
+    arguments."""
+    got = outcome(verify_pa, pa, source_objects, target_objects, **kwargs)
+    want = outcome(verify_pa_per_instance, pa, source_objects, target_objects, **kwargs)
+    assert got[0] == want[0] and repr(got[0]) == repr(want[0])
+    if isinstance(got[0], PAReport):
+        assert got[1].keys() == want[1].keys() and set(got[1].values()) <= {1}
+        assert got[2].keys() == want[2].keys() and set(got[2].values()) <= {1}
+    return got[0]
+
+
+@pytest.mark.parametrize("build, source_objects, target_objects",
+                         [case[1:] for case in SPELLED + RULED], ids=[case[0] for case in SPELLED + RULED])
+def test_shipped_constructions_match_the_oracle(build, source_objects, target_objects):
+    report = assert_matches_oracle(build(), source_objects, target_objects)
+    assert report.ok and report.instances > 0
+
+
+def collapsed(fragment, choice, name="collapsed", as_tuple=frozenset(), suggested_v=None):
+    """The identity maps on ``fragment`` with phi collapsing each hom(X, Y)
+    onto its member ``choice[X, Y]``, returned as a plain tuple for the pairs
+    in ``as_tuple``."""
+    def phi(x, y, u):
+        m = fragment.hom(x, y)[choice[x, y]]
+        return tuple(m) if (x, y) in as_tuple else m
+
+    return PreAdjunction(name, fragment, fragment, lambda x: x, lambda y: y, phi, suggested_v=suggested_v)
+
+
+def broken_thin_pa(choice):
+    """ram(2) into the thin chain 0 <= 1, phi collapsing hom(1, 2) onto its
+    member ``choice``: |hom(1, 2)| = 2 > 1, so the transport condition fails."""
+    src = ram_fragment(2)
+    tgt = thin_from_preorder(chain_preorder(2))
+    return PreAdjunction("broken-thin", src, tgt, lambda x: x - 1, lambda y: y + 1,
+                         lambda x, y, u: src.hom(x, y + 1)[choice if (x, y) == (1, 1) else 0])
+
+
+@pytest.mark.parametrize("choice", [0, 1])
+def test_broken_thin_matches_the_oracle(choice):
+    report = assert_matches_oracle(broken_thin_pa(choice), [1, 2], [0, 1])
+    assert report.failures and report.instances == 5
+
+
+@pytest.mark.parametrize("picks", [{}, {(1, 2): 1, (1, 3): 2, (2, 3): 1}])
+def test_broken_phi_matches_the_oracle(picks):
+    f3 = ram_fragment(3)
+    choice = {(x, y): picks.get((x, y), 0) for x in range(1, 4) for y in range(x, 4)}
+    pa = collapsed(f3, choice, "broken-phi")
+    report = assert_matches_oracle(pa, [1, 2, 3], [1, 2, 3])
+    assert report.failures and report.instances == 25
+
+
+def test_phi_returning_a_plain_tuple_matches_the_oracle():
+    f3 = dram_fragment(3)
+    pa = PreAdjunction("tuple-phi", f3, f3, lambda x: x, lambda y: y,
+                       lambda x, y, u: tuple(u) if x > y else u,
+                       suggested_v=lambda a, b, f: f)
+    report = assert_matches_oracle(pa, [1, 2, 3], [1, 2, 3])
+    assert report.phi_landing_failures and report.witnesses
+
+
+@pytest.mark.parametrize("wrong_v", [
+    lambda a, b, f: Morphism(0, b, None),
+    lambda a, b, f: Morphism(a, b, "foreign"),
+])
+def test_suggested_witness_off_its_hom_set_matches_the_oracle(wrong_v):
+    thin = thin_from_preorder(chain_preorder(4))
+    pa = PreAdjunction("thin-identity", thin, thin, lambda x: x, lambda y: y,
+                       lambda x, y, u: Morphism(x, y, None), suggested_v=wrong_v)
+    report = assert_matches_oracle(pa, range(1, 4), range(4))
+    assert report.suggested_tried == report.instances > 0 and report.suggested_hits == 0
+
+
+def open_fragment(missing):
+    """Objects a, b with an idempotent e on a and one arrow g: a -> b; every
+    composite is recorded but ``missing``."""
+    morphisms = {"id_a": ("a", "a"), "e": ("a", "a"), "id_b": ("b", "b"), "g": ("a", "b")}
+    table = {("id_a", "id_a"): "id_a", ("id_a", "e"): "e", ("e", "id_a"): "e", ("e", "e"): "e",
+             ("id_b", "id_b"): "id_b", ("id_b", "g"): "g", ("g", "id_a"): "g", ("g", "e"): "g"}
+    del table[missing]
+    return explicit_fragment(["a", "b"], morphisms, {"a": "id_a", "b": "id_b"}, table)
+
+
+@pytest.mark.parametrize("missing", [("g", "e"), ("e", "e"), ("id_b", "g")])
+def test_target_refusing_a_pair_raises_where_the_oracle_raises(missing):
+    frag = open_fragment(missing)
+    answer = assert_matches_oracle(identity_pa(frag), ["a", "b"], ["a", "b"])
+    assert answer[0] is ValidationError and answer[2] == "not_closed"
+
+
+def test_target_refusing_a_pair_no_instance_composes_matches_the_oracle():
+    # the refused pair is g after e, and phi(a, b, g) does not land, so no
+    # instance composes it
+    frag = open_fragment(("g", "e"))
+    pa = PreAdjunction("unlanded", frag, frag, lambda x: x, lambda y: y,
+                       lambda x, y, u: Morphism(x, y, "foreign") if u.payload == "g" else u,
+                       suggested_v=lambda a, b, f: f)
+    report = assert_matches_oracle(pa, ["a", "b"], ["a", "b"])
+    assert report.phi_landing_failures and report.instances > 0
+
+
+def test_budget_threshold_matches_the_oracle():
+    pa = pa_gr_to_dramop(plain(2), 6, 6)
+    report = assert_matches_oracle(pa, [1, 2], CHAINS, max_instances=285)
+    assert report.ok and report.instances == 285
+    answer = assert_matches_oracle(pa, [1, 2], CHAINS, max_instances=284)
+    assert answer[0] is BudgetExceeded
+
+
+COLLAPSIBLE = [ram_fragment(3), gr_fragment(plain(2), 3), dram_op_fragment(4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_collapsed_phis_match_the_oracle(data):
+    fragment = data.draw(st.sampled_from(COLLAPSIBLE))
+    pairs = [(x, y) for x in fragment.objects for y in fragment.objects if fragment.hom_size(x, y)]
+    choice = {pair: data.draw(st.integers(0, fragment.hom_size(*pair) - 1)) for pair in pairs}
+    as_tuple = frozenset(data.draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    mode = data.draw(st.sampled_from(["none", "f", "first"]))
+    suggested = {"none": None, "f": lambda a, b, f: f,
+                 "first": lambda a, b, f: fragment.hom(a, b)[0]}[mode]
+    objects = list(fragment.objects)
+    source_objects = data.draw(st.permutations(objects))[:data.draw(st.integers(1, len(objects)))]
+    target_objects = data.draw(st.permutations(objects))[:data.draw(st.integers(1, len(objects)))]
+    assert_matches_oracle(collapsed(fragment, choice, as_tuple=as_tuple, suggested_v=suggested),
+                          source_objects, target_objects)
 
 
 def test_object_not_in_fragment_raises():
@@ -430,10 +709,7 @@ def test_cardinality_counts_for_gr_to_dramop(plain_z2_context):
 
 
 def test_cardinality_violation_flagged_and_pa_fails():
-    src = ram_fragment(2)
-    tgt = thin_from_preorder(chain_preorder(2))
-    bad = PreAdjunction("broken-thin", src, tgt, lambda x: x - 1, lambda y: y + 1,
-                        lambda x, y, u: src.hom(x, y + 1)[0])
+    bad = broken_thin_pa(0)
     card = check_card_inequality(bad, [1, 2])
     assert not card.ok and card.violations
     report = verify_pa(bad, [1, 2], [0, 1])

@@ -19,7 +19,10 @@ these reports with ``--output``:
   over ``z2plain.json`` with ``-A 1 -B 3 --max-n 6``, and ``--family dram-op
   -A 2 -B 3 --max-n 8``;
 * ``ramcat preadj verify --context z2a.json`` (Z2 fixing the one letter a)
-  for every named pre-adjunction, and README's composed example;
+  for every named pre-adjunction, and README's composed example; and at the
+  benchmark's larger bounds ``gr-to-dram-op --context z2plain.json --bounds
+  src<=2,tgt<=7``, ``ram-to-dram-op --bounds src<=5,tgt<=6`` and
+  ``gr-plain-to-decorated --context z2a.json --bounds src<=5,tgt<=5``;
 * ``ramcat tukey check`` of both kinds on fixed preorder files: README's
   ``anti``/``one`` example; a 15-element order of the benchmark's drawn
   shape (two incomparable maximal elements, no top) under a permutation onto
@@ -58,9 +61,15 @@ from pathlib import Path
 
 Z2_ONE_LETTER = {"order": 2, "table": [0, 1, 1, 0], "element_names": ["e", "g"], "alphabet": ["a"],
                  "action_table": [0, 0]}
-PREADJ = [[name] for name in ("identity", "gr-plain-to-decorated", "gr-decorated-to-plain", "gr-to-dram-op",
-                               "ram-to-dram-op", "omega-to-fragment", "from-monotone-tukey")]
-PREADJ.append(["composed:gr-plain-to-decorated,gr-decorated-to-plain", "--bounds", "src<=2,tgt<=5"])
+PREADJ = [["--context", "z2a.json", "--instance", name]
+          for name in ("identity", "gr-plain-to-decorated", "gr-decorated-to-plain", "gr-to-dram-op",
+                       "ram-to-dram-op", "omega-to-fragment", "from-monotone-tukey")]
+PREADJ.append(["--context", "z2a.json", "--instance", "composed:gr-plain-to-decorated,gr-decorated-to-plain",
+               "--bounds", "src<=2,tgt<=5"])
+# the benchmark's larger bounds, where most instances take the suggested v
+PREADJ += [["--context", "z2plain.json", "--instance", "gr-to-dram-op", "--bounds", "src<=2,tgt<=7"],
+           ["--instance", "ram-to-dram-op", "--bounds", "src<=5,tgt<=6"],
+           ["--context", "z2a.json", "--instance", "gr-plain-to-decorated", "--bounds", "src<=5,tgt<=5"]]
 
 # a partial order on 0..14 drawn like the benchmark's: a < b with chance 0.2
 # for a < 13 and a < b, so 13 and 14 are maximal and incomparable
@@ -155,7 +164,7 @@ def commands() -> dict[str, list[str]]:
                                               *(["--context", context] if context else []),
                                               "-A", str(a), "-B", str(b), "-k", "2", "--max-n", str(n)]
     for i, args in enumerate(PREADJ):
-        out[f"preadj-{i}.json"] = ["preadj", "verify", "--context", "z2a.json", "--instance", *args]
+        out[f"preadj-{i}.json"] = ["preadj", "verify", *args]
     for i, (dom, cod, f) in enumerate(TUKEY):
         for kind in ("tukey", "cofinal"):
             out[f"{kind}-{i}.json"] = ["tukey", "check", "--kind", kind, "--dom", dom, "--cod", cod,
