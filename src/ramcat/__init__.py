@@ -70,12 +70,14 @@ from .arrows import (
     search_coloring,
 )
 from .preadjunction import (
+    PA_NAMES,
     PAReport,
     PreAdjunction,
     build_nonthin_sequence,
     check_card_inequality,
     compose_pa,
     identity_pa,
+    named_pa,
     pa_from_monotone_tukey,
     pa_gr_decorated_to_plain,
     pa_gr_plain_to_decorated,

@@ -48,6 +48,7 @@ from .tukey import FinitePreorder
 from .words import WordContext, enumerate_words, identity_word, substitute, word_spelling
 
 DEFAULT_HOM_CAP = 1_000_000
+LAW_TRIPLE_CAP = 1_000_000  # composable triples f, g, h the law check walks
 
 
 class Morphism(NamedTuple):
@@ -420,16 +421,10 @@ def same_interface(f: CategoryFragment, g: CategoryFragment) -> bool:
 
 
 def fragment_equal(f: CategoryFragment, g: CategoryFragment) -> bool:
-    """Structural equality: the same interface (``same_interface``) and the
-    composition evaluated on every composable pair."""
-    if not same_interface(f, g):
-        return False
-    for a, b, c in product(f.objects, repeat=3):
-        for x in f.hom(a, b):
-            for y in f.hom(b, c):
-                if f.compose(y, x) != g.compose(y, x):
-                    return False
-    return True
+    """Structural equality: the same interface (``same_interface``), and the
+    identity map on morphisms an isomorphism (``check_fragment_isomorphism``),
+    so the two compose every composable pair alike."""
+    return same_interface(f, g) and check_fragment_isomorphism(f, g, lambda m: m)["ok"]
 
 
 def explicit_fragment(objects, morphisms, identities, compose_table, name="explicit") -> CategoryFragment:
@@ -508,9 +503,21 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
     The associativity walk then reads positions only and composes nothing:
     h(gf) = (hg)f holds for every h at once when the row of g∘f equals the
     row of g read through the row of f, one comparison in C per pair; where
-    the rows differ, the h whose positions differ are the violations."""
+    the rows differ, the h whose positions differ are the violations.
+
+    Before it composes anything, the check counts the composable triples
+    from hom-set sizes, fan-in × |hom(b, c)| × fan-out summed over (b, c),
+    and raises ``ResourceBound`` when they are more than ``LAW_TRIPLE_CAP``."""
     report = FragmentLawReport()
     objs = fragment.objects
+    fan_in, fan_out = dict.fromkeys(objs, 0), dict.fromkeys(objs, 0)
+    for (a, b), ms in fragment._hom.items():
+        fan_out[a] += len(ms)
+        fan_in[b] += len(ms)
+    triples = sum(fan_in[b] * len(ms) * fan_out[c] for (b, c), ms in fragment._hom.items())
+    if triples > LAW_TRIPLE_CAP:
+        raise ResourceBound(f"the law check of {fragment.name} would walk {triples} composable triples, more than "
+                            f"its cap of {LAW_TRIPLE_CAP}", LAW_TRIPLE_CAP)
     ids = {a: fragment.identity(a) for a in objs}  # None where it is not in hom(a, a)
     for a in objs:
         if not fragment.in_hom(ids[a], a, a):

@@ -38,22 +38,10 @@ from .category import (
     validate_fragment,
 )
 from .errors import BudgetExceeded, RamcatError, ResourceBound, ValidationError
-from .groups import action_from_dict, trivial_action
-from .preadjunction import (
-    check_card_inequality,
-    compose_pa,
-    identity_pa,
-    pa_from_monotone_tukey,
-    pa_gr_decorated_to_plain,
-    pa_gr_plain_to_decorated,
-    pa_gr_to_dramop,
-    pa_omega_to_nonthin,
-    pa_ram_to_dramop,
-    verify_pa,
-)
+from .groups import action_from_dict
+from .preadjunction import PA_NAMES, check_card_inequality, named_pa, verify_pa
 from .surjections import compose_rigid, dual, enumerate_rsurj, validate_rigid
 from .tukey import (
-    chain_preorder,
     cofinal_companion,
     is_cofinal_map,
     is_tukey_map,
@@ -66,10 +54,6 @@ from .tukey import (
 )
 from .words import WordContext, enumerate_words, format_word, parse_word, plain_context, substitute
 
-# the named pre-adjunctions; each reads the --bounds keys src and tgt
-PA_INSTANCES = ["identity", "gr-plain-to-decorated", "gr-decorated-to-plain", "gr-to-dram-op",
-                "ram-to-dram-op", "omega-to-fragment", "from-monotone-tukey"]
-
 
 def _emit(report: dict, output: str | None):
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
@@ -80,6 +64,17 @@ def _emit(report: dict, output: str | None):
         click.echo(text)
 
 
+JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _report_value(value):
+    """An error's ``data`` value as its report writes it: a JSON scalar, or a
+    list of them, as it is, anything else through ``str()``."""
+    if type(value) in JSON_SCALARS or (type(value) is list and all(type(v) in JSON_SCALARS for v in value)):
+        return value
+    return str(value)
+
+
 def _fail(exc: RamcatError, output: str | None) -> NoReturn:
     if isinstance(exc, (BudgetExceeded, ResourceBound)):
         code = 3
@@ -88,7 +83,7 @@ def _fail(exc: RamcatError, output: str | None) -> NoReturn:
     report = {"ok": False, "error": str(exc)}
     if isinstance(exc, ValidationError):
         report["code"] = exc.code
-        report["data"] = {k: str(v) for k, v in exc.data.items()}
+        report["data"] = {k: _report_value(v) for k, v in exc.data.items()}
     if isinstance(exc, BudgetExceeded) and exc.stats:
         report["stats"] = exc.stats
     _emit(report, output)
@@ -439,50 +434,6 @@ def _parse_bounds(spec: str | None) -> dict:
     return bounds
 
 
-def _build_instance(name: str, context: WordContext, bounds: dict, gr=gr_fragment):
-    """The named pre-adjunction with its source and target objects: ``src``
-    bounds the source objects, ``tgt`` the target objects and the target's
-    size, each with the instance's own default.  Its word fragments come
-    from ``gr(context, n)``: the factors of a composed instance share one
-    memoised builder, so a factor's source is the very fragment its
-    predecessor built as target whenever the two are equal, and
-    ``compose_pa`` need not list them to compare."""
-    if name in ("identity", "gr-plain-to-decorated"):
-        # one fragment holds both sides; each bound defaults to the other
-        src = bounds.get("src", bounds.get("tgt", 3))
-        tgt = bounds.get("tgt", src)
-        n = max(src, tgt)
-        if name == "identity":
-            pa = identity_pa(ram_fragment(n))
-        else:
-            pa = pa_gr_plain_to_decorated(context, n, source=gr(plain_context(), n), target=gr(context, n))
-        return pa, list(range(1, src + 1)), list(range(1, tgt + 1))
-    if name == "omega-to-fragment":
-        src = bounds.get("src", 4)
-        frag = ram_fragment(bounds.get("tgt", src + 2))
-        pa = pa_omega_to_nonthin(frag, [i + 2 for i in range(src + 1)])
-        return pa, list(range(src + 1)), list(frag.objects)
-    if name == "from-monotone-tukey":
-        src = bounds.get("src", 10)
-        tgt = bounds.get("tgt", 2 * src)
-        f = [min(2 * x, tgt) for x in range(src + 1)]
-        g = [min(y // 2, src) for y in range(tgt + 1)]
-        pa = pa_from_monotone_tukey(chain_preorder(src + 1), chain_preorder(tgt + 1), f, g)
-        return pa, list(range(src + 1)), list(range(tgt + 1))
-    tgt = bounds.get("tgt", 6)
-    if name == "ram-to-dram-op":
-        src = bounds.get("src", max(tgt - 1, 1))
-        pa = pa_ram_to_dramop(max(src, tgt - 1))
-    else:
-        src = bounds.get("src", 2)
-        plain_g = context if not context.alphabet else WordContext(trivial_action(context.group))
-        if name == "gr-decorated-to-plain":
-            pa = pa_gr_decorated_to_plain(context, tgt, source=gr(context, tgt), target=gr(plain_g, tgt))
-        else:
-            pa = pa_gr_to_dramop(plain_g, tgt, tgt, source=gr(plain_g, tgt))
-    return pa, list(range(1, src + 1)), list(range(1, tgt + 1))
-
-
 @main.group()
 def preadj():
     """Pre-adjunction construction and verification."""
@@ -490,7 +441,7 @@ def preadj():
 
 @preadj.command("list")
 def preadj_list():
-    for name in PA_INSTANCES:
+    for name in PA_NAMES:
         click.echo(name)
     click.echo("composed:<a>,<b>[,<c>...]")
 
@@ -503,25 +454,12 @@ def preadj_list():
 @reported
 def preadj_verify(instance, context_path, bounds):
     context = _load_context(context_path)
-    composed = instance.startswith("composed:")
-    names = [nm.strip() for nm in instance.split(":", 1)[1].split(",")] if composed else [instance]
-    for nm in names:
-        if nm not in PA_INSTANCES:
+    names = instance.removeprefix("composed:").split(",") if instance.startswith("composed:") else [instance]
+    for nm in map(str.strip, names):
+        if nm not in PA_NAMES:
             raise click.UsageError(f"unknown instance {nm!r}; see `ramcat preadj list`")
     parsed = _parse_bounds(bounds)
-    if composed:
-        # sized from the last factor back: it gets tgt, and each earlier
-        # factor gets the largest source object of the factor after it
-        gr = functools.cache(gr_fragment)
-        size, parts = parsed.get("tgt", 6), []
-        for nm in reversed(names):
-            parts.insert(0, _build_instance(nm, context, {"tgt": size}, gr))
-            size = max(parts[0][0].source.objects, default=0)
-        pa = functools.reduce(compose_pa, [part[0] for part in parts])
-        src_objs = list(range(1, parsed.get("src", 2) + 1))
-        tgt_objs = parts[-1][2]
-    else:
-        pa, src_objs, tgt_objs = _build_instance(instance, context, parsed)
+    pa, src_objs, tgt_objs = named_pa(instance, context, parsed)
     if not src_objs or not tgt_objs:
         # a check over no objects checks nothing, so it cannot verify anything
         raise click.UsageError(f"--bounds {bounds!r} leaves no source or no target objects")

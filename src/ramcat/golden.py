@@ -1,9 +1,12 @@
 """The golden acceptance suite.
 
-Each criterion is a function returning a dict ``{name, ok, detail, seconds}``
-and is intentionally self-contained: expected values come from independent
-oracles (the Stirling recurrence, binomial counts, direct re-enumeration),
-never from the code paths under test.
+``CRITERIA`` is the suite: one row ``(name, time limit, check)`` per
+criterion.  A check returns ``(ok, detail)``, and ``run_criterion`` times
+it and fails it when it goes over its limit in seconds.  Each check is
+self-contained: expected values come from independent oracles (the Stirling
+recurrence, binomial counts, direct re-enumeration), never from the code
+paths under test.  Criteria 5 and 6 build their pre-adjunctions by name
+through ``named_pa``, as ``preadj verify`` does.
 """
 
 from __future__ import annotations
@@ -28,13 +31,8 @@ from .preadjunction import (
     PreAdjunction,
     build_nonthin_sequence,
     check_card_inequality,
-    compose_pa,
-    identity_pa,
-    pa_gr_decorated_to_plain,
-    pa_gr_plain_to_decorated,
-    pa_gr_to_dramop,
+    named_pa,
     pa_omega_to_nonthin,
-    pa_ram_to_dramop,
     recheck_failures,
     verify_pa,
 )
@@ -55,22 +53,16 @@ def _swap_context() -> WordContext:
     return WordContext(cycle_action(z2, "ab", [1, 0]))
 
 
-def _result(name: str, ok: bool, detail: str, started: float) -> dict:
-    return {"name": name, "ok": bool(ok), "detail": detail, "seconds": time.perf_counter() - started}
-
-
-def criterion_1_worked_substitution() -> dict:
+def worked_substitution() -> tuple[bool, str]:
     """The worked example, with the substitution itself timed under 1 ms.
     The detail says only whether it was, so it is the same on every run."""
-    started = time.perf_counter()
     ctx = _z3_letters_context()
     u = parse_word("c a x1 a x1^g2 x2 d x3 x2^g2 x1^g a x3^g", ctx)
     v = parse_word("b x1 x1^g2", ctx)
     best = min(_timed_substitution(ctx, u, v) for _ in range(3))
     got = format_word(substitute(ctx, u, v), ctx)
     fast = best < 0.001
-    return _result("1 worked substitution", got == GOLDEN_WORD and fast,
-                   f"result {got!r}, substitute {'under' if fast else 'over'} 1ms", started)
+    return got == GOLDEN_WORD and fast, f"result {got!r}, substitute {'under' if fast else 'over'} 1ms"
 
 
 def _timed_substitution(ctx, u, v) -> float:
@@ -79,8 +71,7 @@ def _timed_substitution(ctx, u, v) -> float:
     return time.perf_counter() - t0
 
 
-def criterion_2_counting_identities() -> dict:
-    started = time.perf_counter()
+def counting_identities() -> tuple[bool, str]:
     pc = plain_context()
     for n in range(1, 7):
         for m in range(1, n + 1):
@@ -88,39 +79,34 @@ def criterion_2_counting_identities() -> dict:
             brute = [f for f in product(range(1, m + 1), repeat=n)
                      if set(f) == set(range(1, m + 1)) and all(f.index(b) < f.index(b + 1) for b in range(1, m))]
             if [f.image for f in enumerate_rsurj(n, m)] != brute:
-                return _result("2 counting identities", False,
-                               f"rsurj({n}, {m}) differs from the brute-force list", started)
+                return False, f"rsurj({n}, {m}) differs from the brute-force list"
     for n in range(1, 8):
         for m in range(1, n + 1):
             ws = sum(1 for _ in enumerate_words(m, n, pc))
             if ws != stirling2(n, m):
-                return _result("2 counting identities", False,
-                               f"mismatch at (n={n}, m={m}): words {ws}, S {stirling2(n, m)}", started)
+                return False, f"mismatch at (n={n}, m={m}): words {ws}, S {stirling2(n, m)}"
     f8 = ram_fragment(8)
     for m in range(1, 9):
         for n in range(m, 9):
             if len(f8.hom(m, n)) != comb(n, m):
-                return _result("2 counting identities", False, f"ram hom({m},{n}) != C({n},{m})", started)
-    return _result("2 counting identities", True,
-                   "rsurj lists match a brute-force filter of all maps (n<=6); plain word counts match "
-                   "the Stirling recurrence (n<=7); ram homs binomial (n<=8)", started)
+                return False, f"ram hom({m},{n}) != C({n},{m})"
+    return True, ("rsurj lists match a brute-force filter of all maps (n<=6); plain word counts match "
+                  "the Stirling recurrence (n<=7); ram homs binomial (n<=8)")
 
 
-def criterion_3_duality_suite() -> dict:
-    started = time.perf_counter()
+def duality_suite() -> tuple[bool, str]:
     pc = plain_context()
     for n in range(1, 7):
         for m in range(1, n + 1):
             for u in enumerate_words(m, n, pc):
                 if rsurj_to_word(word_to_rsurj(u)) != u:
-                    return _result("3 duality suite", False, f"round trip broke on {format_word(u, pc)}", started)
+                    return False, f"round trip broke on {format_word(u, pc)}"
             for k in range(1, m + 1):
                 for u in enumerate_words(m, n, pc):
                     fu = word_to_rsurj(u)
                     for v in enumerate_words(k, m, pc):
                         if word_to_rsurj(substitute(pc, u, v)) != compose_rigid(word_to_rsurj(v), fu):
-                            return _result("3 duality suite", False,
-                                           f"f_(u.v) != f_v o f_u at ({n},{m},{k})", started)
+                            return False, f"f_(u.v) != f_v o f_u at ({n},{m},{k})"
     for n in range(1, 6):
         for m in range(1, n + 1):
             for k in range(1, m + 1):
@@ -129,21 +115,18 @@ def criterion_3_duality_suite() -> dict:
                     for g in enumerate_rsurj(m, k):
                         dg = dual(g)
                         if dual(compose_rigid(g, f)) != tuple(df[i - 1] for i in dg):
-                            return _result("3 duality suite", False,
-                                           f"dual contravariance broke at ({n},{m},{k})", started)
-    return _result("3 duality suite", True,
-                   "f_(u.v) = f_v o f_u and round trips (n<=6); dual contravariance (chains<=5)", started)
+                            return False, f"dual contravariance broke at ({n},{m},{k})"
+    return True, "f_(u.v) = f_v o f_u and round trips (n<=6); dual contravariance (chains<=5)"
 
 
-def criterion_4_ramsey_search() -> dict:
-    started = time.perf_counter()
+def ramsey_search() -> tuple[bool, str]:
     n, _ = min_ramsey_witness(lambda k: ram_fragment(k), 2, 3, 2, 8)
     if n != 6:
-        return _result("4 ramsey search", False, f"minimal n for (3)^2_2 is {n}, expected 6", started)
+        return False, f"minimal n for (3)^2_2 is {n}, expected 6"
     f5 = ram_fragment(5)
     bad = find_bad_coloring(f5, 2, 3, 5, 2)
     if bad is None or not certify_bad_coloring(f5, 2, 3, 5, bad):
-        return _result("4 ramsey search", False, "n=5 counterexample missing or uncertified", started)
+        return False, "n=5 counterexample missing or uncertified"
     f10 = ram_fragment(10)
     agreed = 0
     for c in range(1, 11):
@@ -154,41 +137,27 @@ def criterion_4_ramsey_search() -> dict:
                 ex = check_arrow_exhaustive(f10, a, b, c, 2)
                 bt = find_bad_coloring(f10, a, b, c, 2)
                 if ex.holds != (bt is None):
-                    return _result("4 ramsey search", False,
-                                   f"engines disagree at (A={a},B={b},C={c})", started)
+                    return False, f"engines disagree at (A={a},B={b},C={c})"
                 if bt is not None and not certify_bad_coloring(f10, a, b, c, bt):
-                    return _result("4 ramsey search", False,
-                                   f"uncertified counterexample at (A={a},B={b},C={c})", started)
+                    return False, f"uncertified counterexample at (A={a},B={b},C={c})"
                 agreed += 1
-    return _result("4 ramsey search", True,
-                   f"minimal n = 6; n=5 counterexample certified; engines agree on {agreed} instances",
-                   started)
+    return True, f"minimal n = 6; n=5 counterexample certified; engines agree on {agreed} instances"
 
 
-def _verified_pa_instances() -> list[tuple[PreAdjunction, list, list]]:
-    """The pre-adjunctions the acceptance run verifies, with their bounds."""
-    swap = _swap_context()
+def _verified_pas() -> list[tuple[PreAdjunction, list, list]]:
+    """The pre-adjunctions criteria 5 and 6 verify, each a row of (name,
+    context, src, tgt) built by ``named_pa``, with its objects."""
     z2 = cyclic_group(2)
-    plain_z2 = WordContext(trivial_action(z2))
+    swap, plain_z2 = _swap_context(), WordContext(trivial_action(z2))
     one_letter = WordContext(trivial_action(z2, "a"))
-
-    out: list[tuple[PreAdjunction, list, list]] = []
-    out.append((identity_pa(ram_fragment(3)), [1, 2, 3], [1, 2, 3]))
-    out.append((pa_gr_plain_to_decorated(swap, 3), [1, 2, 3], [1, 2, 3]))
-    out.append((pa_gr_decorated_to_plain(swap, 6), [1, 2], list(range(1, 7))))
-    out.append((pa_gr_to_dramop(plain_z2, 6, 6), [1, 2], list(range(1, 7))))
-    out.append((pa_ram_to_dramop(4), [1, 2, 3, 4], list(range(1, 6))))
-
-    pa1 = pa_gr_plain_to_decorated(swap, 6)
-    pa2 = pa_gr_decorated_to_plain(swap, 6, source=pa1.target)
-    out.append((compose_pa(pa1, pa2), [1, 2], list(range(1, 7))))
-
-    q1 = pa_gr_plain_to_decorated(one_letter, 6)
-    q2 = pa_gr_decorated_to_plain(one_letter, 6, source=q1.target)
-    chain2 = compose_pa(q1, q2)
-    q3 = pa_gr_to_dramop(plain_z2, 6, 6, source=chain2.target)
-    out.append((compose_pa(chain2, q3), [1, 2], list(range(1, 7))))
-    return out
+    rows = (("identity", swap, 3, 3),
+            ("gr-plain-to-decorated", swap, 3, 3),
+            ("gr-decorated-to-plain", swap, 2, 6),
+            ("gr-to-dram-op", plain_z2, 2, 6),
+            ("ram-to-dram-op", swap, 4, 5),
+            ("composed:gr-plain-to-decorated,gr-decorated-to-plain", swap, 2, 6),
+            ("composed:gr-plain-to-decorated,gr-decorated-to-plain,gr-to-dram-op", one_letter, 2, 6))
+    return [named_pa(name, context, {"src": src, "tgt": tgt}) for name, context, src, tgt in rows]
 
 
 def _broken_phi_pa() -> PreAdjunction:
@@ -204,65 +173,51 @@ def _broken_thin_pa() -> PreAdjunction:
                          lambda x, y, u: src.hom(x, y + 1)[0])
 
 
-def criterion_5_pa_verification() -> dict:
-    started = time.perf_counter()
+def transport_condition() -> tuple[bool, str]:
     details = []
-    for pa, src_objs, tgt_objs in _verified_pa_instances():
+    for pa, src_objs, tgt_objs in _verified_pas():
         report = verify_pa(pa, src_objs, tgt_objs)
         details.append(f"{pa.name}:{report.instances}")
         if not report.ok:
-            return _result("5 transport condition", False,
-                           f"{pa.name} has {len(report.failures)} failures", started)
+            return False, f"{pa.name} has {len(report.failures)} failures"
         if report.instances == 0:
-            return _result("5 transport condition", False, f"{pa.name} checked nothing", started)
+            return False, f"{pa.name} checked nothing"
     broken = _broken_phi_pa()
     rep = verify_pa(broken, [1, 2, 3], [1, 2, 3])
     if not rep.failures or not recheck_failures(broken, rep):
-        return _result("5 transport condition", False,
-                       "mutated family produced no certified failure", started)
-    return _result("5 transport condition", True,
-                   "zero failures on " + ", ".join(details) +
-                   f"; mutation yields {len(rep.failures)} certified failures", started)
+        return False, "mutated family produced no certified failure"
+    return True, "zero failures on " + ", ".join(details) + f"; mutation yields {len(rep.failures)} certified failures"
 
 
-def criterion_6_cardinality() -> dict:
-    started = time.perf_counter()
-    for pa, src_objs, _ in _verified_pa_instances():
+def cardinality() -> tuple[bool, str]:
+    for pa, src_objs, _ in _verified_pas():
         card = check_card_inequality(pa, src_objs)
         if not card.ok:
-            return _result("6 cardinality diagnostic", False,
-                           f"{pa.name} violates the inequality: {card.violations[:1]}", started)
+            return False, f"{pa.name} violates the inequality: {card.violations[:1]}"
     broken = _broken_thin_pa()
     card = check_card_inequality(broken, [1, 2])
     vrep = verify_pa(broken, [1, 2], [0, 1])
     if card.ok or vrep.ok:
-        return _result("6 cardinality diagnostic", False,
-                       "the mutated thin-target family was not flagged", started)
-    return _result("6 cardinality diagnostic", True,
-                   "inequality holds on every verified family; thin-target mutation flagged by both checks",
-                   started)
+        return False, "the mutated thin-target family was not flagged"
+    return True, "inequality holds on every verified family; thin-target mutation flagged by both checks"
 
 
-def criterion_7_nonthin_pipeline() -> dict:
-    started = time.perf_counter()
+def nonthin_pipeline() -> tuple[bool, str]:
     f6 = ram_fragment(6)
     seq = build_nonthin_sequence(f6, 3)
     if len(seq.objects) < 3:
-        return _result("7 growing-sequence pipeline", False, f"sequence too short: {seq.objects}", started)
+        return False, f"sequence too short: {seq.objects}"
     if not all(c["forward_at_least_two"] and c["reverse_empty"] for c in seq.certificates):
-        return _result("7 growing-sequence pipeline", False, f"certificates failed: {seq.certificates}", started)
+        return False, f"certificates failed: {seq.certificates}"
     pa = pa_omega_to_nonthin(f6, [2, 3, 4, 5, 6])
     report = verify_pa(pa, [0, 1, 2, 3, 4], list(range(1, 7)))
     if not report.ok:
-        return _result("7 growing-sequence pipeline", False,
-                       f"thin-chain embedding failed: {len(report.failures)} failures", started)
-    return _result("7 growing-sequence pipeline", True,
-                   f"sequence {seq.objects} certified; thin-chain embedding verified on 0..4 "
-                   f"({report.instances} instances)", started)
+        return False, f"thin-chain embedding failed: {len(report.failures)} failures"
+    return True, (f"sequence {seq.objects} certified; thin-chain embedding verified on 0..4 "
+                  f"({report.instances} instances)")
 
 
-def criterion_8_monotonization() -> dict:
-    started = time.perf_counter()
+def monotonization() -> tuple[bool, str]:
     om = omega()
 
     def f(v):
@@ -271,15 +226,13 @@ def criterion_8_monotonization() -> dict:
     trace = monotonize(f, om, om, steps=30, prefix_size=30)
     check = verify_trace(trace, om, om)
     if not check.ok or len(trace.fhat) != 30:
-        return _result("8 monotonization", False, f"trace invariants failed: {check}", started)
+        return False, f"trace invariants failed: {check}"
     companion = cofinal_companion(lambda v: 2 * v, om, om, 20)
-    return _result("8 monotonization", True,
-                   f"30-element trace monotone in {trace.rounds} rounds; companion implication checked on "
-                   f"{companion.checked_pairs} pairs", started)
+    return True, (f"30-element trace monotone in {trace.rounds} rounds; companion implication checked on "
+                  f"{companion.checked_pairs} pairs")
 
 
-def criterion_9_fragment_laws() -> dict:
-    started = time.perf_counter()
+def fragment_laws() -> tuple[bool, str]:
     z2 = cyclic_group(2)
     fragments = [
         ram_fragment(5),
@@ -291,49 +244,40 @@ def criterion_9_fragment_laws() -> dict:
     for frag in fragments:
         report = validate_fragment(frag)
         if not report.ok:
-            return _result("9 fragment laws", False, f"{frag.name} violates the laws", started)
+            return False, f"{frag.name} violates the laws"
     grf, dop, on_m = dramop_word_functor(5, plain_context())
     iso = check_fragment_isomorphism(grf, dop, on_m)
     if not iso["ok"]:
-        return _result("9 fragment laws", False, f"words/surjections correspondence broke: {iso['failures'][:1]}",
-                       started)
-    return _result("9 fragment laws", True,
-                   "laws hold for ram(5), dram(5), gr(0,Z2,4), gr(ab,Z2,3), vec(F2,3); "
-                   "the words/surjections fragment isomorphism preserves composition (n<=5)", started)
+        return False, f"words/surjections correspondence broke: {iso['failures'][:1]}"
+    return True, ("laws hold for ram(5), dram(5), gr(0,Z2,4), gr(ab,Z2,3), vec(F2,3); "
+                  "the words/surjections fragment isomorphism preserves composition (n<=5)")
 
 
+# (name, time limit in seconds, check)
 CRITERIA = (
-    criterion_1_worked_substitution,
-    criterion_2_counting_identities,
-    criterion_3_duality_suite,
-    criterion_4_ramsey_search,
-    criterion_5_pa_verification,
-    criterion_6_cardinality,
-    criterion_7_nonthin_pipeline,
-    criterion_8_monotonization,
-    criterion_9_fragment_laws,
+    ("1 worked substitution", 5.0, worked_substitution),  # the substitution itself must stay under 1ms
+    ("2 counting identities", 5.0, counting_identities),
+    ("3 duality suite", 10.0, duality_suite),
+    ("4 ramsey search", 60.0, ramsey_search),
+    ("5 transport condition", 300.0, transport_condition),
+    ("6 cardinality diagnostic", 300.0, cardinality),
+    ("7 growing-sequence pipeline", 60.0, nonthin_pipeline),
+    ("8 monotonization", 1.0, monotonization),
+    ("9 fragment laws", 60.0, fragment_laws),
 )
 
-TIME_LIMITS = {
-    "1 worked substitution": 5.0,  # the inner substitution itself must stay under 1ms
-    "2 counting identities": 5.0,
-    "3 duality suite": 10.0,
-    "4 ramsey search": 60.0,
-    "5 transport condition": 300.0,
-    "6 cardinality diagnostic": 300.0,
-    "7 growing-sequence pipeline": 60.0,
-    "8 monotonization": 1.0,
-    "9 fragment laws": 60.0,
-}
+
+def run_criterion(name: str, limit: float, check) -> dict:
+    """``{name, ok, detail, seconds}`` of one timed run of ``check``; a run
+    over ``limit`` seconds fails."""
+    started = time.perf_counter()
+    ok, detail = check()
+    seconds = time.perf_counter() - started
+    if seconds > limit:
+        ok, detail = False, detail + f" (over the {limit:.0f}s budget)"
+    return {"name": name, "ok": bool(ok), "detail": detail, "seconds": seconds}
 
 
 def run_golden_suite() -> dict:
-    criteria = []
-    for fn in CRITERIA:
-        item = fn()
-        limit = TIME_LIMITS.get(item["name"])
-        if limit is not None and item["seconds"] > limit:
-            item["ok"] = False
-            item["detail"] += f" (over the {limit:.0f}s budget)"
-        criteria.append(item)
+    criteria = [run_criterion(*row) for row in CRITERIA]
     return {"ok": all(c["ok"] for c in criteria), "criteria": criteria}

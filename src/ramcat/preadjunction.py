@@ -15,10 +15,15 @@ constructions cover the reductions between the parameter-word categories,
 their collapse onto rigid surjections, chains into rigid surjections, the
 thin case coming from monotone Tukey maps, and the embedding of a thin chain
 into any fragment carrying a strictly growing object sequence.
+
+``named_pa`` builds the shipped instances by their names in ``PA_NAMES``,
+and composites of them, with their source and target objects; ``preadj
+verify`` and the golden criteria read them there.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -37,7 +42,7 @@ from .category import (
 from .errors import BudgetExceeded, ValidationError
 from .groups import trivial_action
 from .surjections import RigidSurjection, dual, validate_rigid
-from .tukey import FinitePreorder
+from .tukey import FinitePreorder, chain_preorder
 from .words import (
     LETTER,
     PARAM,
@@ -561,3 +566,69 @@ def check_card_inequality(pa: PreAdjunction, source_objects: Sequence) -> Cardin
             if lhs < rhs:
                 violations.append(entry)
     return CardinalityReport(pairs, violations)
+
+
+# --- the named instances ---------------------------------------------------------
+
+PA_NAMES = ("identity", "gr-plain-to-decorated", "gr-decorated-to-plain", "gr-to-dram-op",
+            "ram-to-dram-op", "omega-to-fragment", "from-monotone-tukey")
+
+
+def named_pa(instance: str, context: WordContext, bounds: dict) -> tuple[PreAdjunction, list, list]:
+    """The pre-adjunction ``instance`` names, one of ``PA_NAMES`` or
+    ``composed:<a>,<b>[,...]``, with its source and target objects.  ``src``
+    in ``bounds`` bounds the source objects, and ``tgt`` the target objects
+    and the target's size, each with the instance's own default.  A
+    composite is sized from its last factor back: that factor gets ``tgt``,
+    each earlier one the largest source object of the factor after it, and
+    its source objects are 1..``src`` (default 2).  Its factors share one
+    memoised ``gr_fragment``, so adjacent factors meet on the very same
+    fragment and ``compose_pa`` need not list them to compare."""
+    gr = functools.cache(gr_fragment)
+
+    def build(name: str, bounds: dict):
+        if name not in PA_NAMES:
+            raise ValueError(f"no pre-adjunction is named {name!r}")
+        if name in ("identity", "gr-plain-to-decorated"):
+            # one fragment holds both sides; each bound defaults to the other
+            src = bounds.get("src", bounds.get("tgt", 3))
+            tgt = bounds.get("tgt", src)
+            n = max(src, tgt)
+            if name == "identity":
+                pa = identity_pa(ram_fragment(n))
+            else:
+                pa = pa_gr_plain_to_decorated(context, n, source=gr(plain_context(), n), target=gr(context, n))
+            return pa, list(range(1, src + 1)), list(range(1, tgt + 1))
+        if name == "omega-to-fragment":
+            src = bounds.get("src", 4)
+            frag = ram_fragment(bounds.get("tgt", src + 2))
+            pa = pa_omega_to_nonthin(frag, [i + 2 for i in range(src + 1)])
+            return pa, list(range(src + 1)), list(frag.objects)
+        if name == "from-monotone-tukey":
+            src = bounds.get("src", 10)
+            tgt = bounds.get("tgt", 2 * src)
+            f = [min(2 * x, tgt) for x in range(src + 1)]
+            g = [min(y // 2, src) for y in range(tgt + 1)]
+            pa = pa_from_monotone_tukey(chain_preorder(src + 1), chain_preorder(tgt + 1), f, g)
+            return pa, list(range(src + 1)), list(range(tgt + 1))
+        tgt = bounds.get("tgt", 6)
+        if name == "ram-to-dram-op":
+            src = bounds.get("src", max(tgt - 1, 1))
+            pa = pa_ram_to_dramop(max(src, tgt - 1))
+        else:
+            src = bounds.get("src", 2)
+            plain_g = context if not context.alphabet else WordContext(trivial_action(context.group))
+            if name == "gr-decorated-to-plain":
+                pa = pa_gr_decorated_to_plain(context, tgt, source=gr(context, tgt), target=gr(plain_g, tgt))
+            else:
+                pa = pa_gr_to_dramop(plain_g, tgt, tgt, source=gr(plain_g, tgt))
+        return pa, list(range(1, src + 1)), list(range(1, tgt + 1))
+
+    if not instance.startswith("composed:"):
+        return build(instance, bounds)
+    size, parts = bounds.get("tgt", 6), []
+    for name in reversed(instance.removeprefix("composed:").split(",")):
+        parts.insert(0, build(name.strip(), {"tgt": size}))
+        size = max(parts[0][0].source.objects, default=0)
+    pa = functools.reduce(compose_pa, [part[0] for part in parts])
+    return pa, list(range(1, bounds.get("src", 2) + 1)), parts[-1][2]

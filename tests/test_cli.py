@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 import traceback
 from math import comb
 from pathlib import Path
@@ -77,6 +78,12 @@ def test_words_validate_ok_and_failure(runner, tmp_path):
     assert bad.exit_code == 1
     report = json.loads(bad.output)
     assert report["code"] == "first_occurrence_order"
+
+
+def test_error_report_data_keeps_integers(runner):
+    result = runner.invoke(main, ["words", "validate", "x2 x1"])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["data"] == {"k": 1, "l": 2}
 
 
 def test_words_enumerate_count(runner):
@@ -453,6 +460,18 @@ def test_category_build_resource_bound_exit_code(runner, tmp_path):
             assert "cap" in json.loads(result.output)["error"]
 
 
+def test_category_check_refuses_a_law_check_over_the_triple_cap(runner, tmp_path):
+    # ram(12) has 4,095 morphisms, well under the morphism cap, and 21,572,460
+    # composable triples; the refusal counts them from hom-set sizes
+    spec = write(tmp_path, "ram12.json", {"builder": "ram", "params": {"n": 12}})
+    started = time.perf_counter()
+    result = runner.invoke(main, ["category", "check", "--spec", spec])
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 3, result.output
+    error = json.loads(result.output)["error"]
+    assert "21572460 composable triples" in error and f"cap of {ramcat.category.LAW_TRIPLE_CAP}" in error
+
+
 @pytest.mark.parametrize("spec, code", [
     pytest.param({"builder": "vec", "params": {"q": 1, "n": 2}}, "not_prime", id="vec-q-1"),
     pytest.param({"builder": "vec", "params": {"q": 0, "n": 2}}, "not_prime", id="vec-q-0"),
@@ -619,8 +638,8 @@ def _off_by_one_cod_report(runner, monkeypatch, n):
     # right payload, wrong codomain: phi(X, Y, u) must land in hom(X, H(Y))
     pa = PreAdjunction("off-by-one-cod", f, f, lambda x: x, lambda y: y,
                        lambda x, y, u: Morphism(x, y + 1, u.payload))
-    monkeypatch.setattr(ramcat.cli, "_build_instance",
-                        lambda name, context, bounds: (pa, objects, objects))
+    monkeypatch.setattr(ramcat.cli, "named_pa",
+                        lambda instance, context, bounds: (pa, objects, objects))
     result = runner.invoke(main, ["preadj", "verify", "--instance", "identity"])
     assert result.exit_code == 1, result.output
     report = json.loads(result.output)

@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramcat import (
     ValidationError,
@@ -53,6 +57,65 @@ def test_corrupted_klein_table_reports_non_associativity():
     if err.value.code == "non_associative":
         g, h, k = err.value.data["g"], err.value.data["h"], err.value.data["k"]
         assert table[table[g][h]][k] != table[g][table[h][k]]
+
+
+# every group of order at most 5: the cyclic ones, and the Klein group of order 4
+SMALL_GROUPS = [cyclic_group(t).table for t in range(1, 6)] + [klein_group().table]
+
+
+@st.composite
+def small_tables(draw):
+    """A t x t table with t <= 5: a group's table relabelled, or random
+    entries with 0 at times made neutral; at times one entry changed."""
+    if draw(st.booleans()):
+        group = draw(st.sampled_from(SMALL_GROUPS))
+        t = len(group)
+        label = [0] + draw(st.permutations(range(1, t)))
+        table = [[0] * t for _ in range(t)]
+        for g in range(t):
+            for h in range(t):
+                table[label[g]][label[h]] = label[group[g][h]]
+    else:
+        t = draw(st.integers(1, 5))
+        table = [[draw(st.integers(0, t - 1)) for _ in range(t)] for _ in range(t)]
+        if draw(st.booleans()):
+            for g in range(t):
+                table[0][g] = table[g][0] = g
+    if draw(st.booleans()):
+        table[draw(st.integers(0, t - 1))][draw(st.integers(0, t - 1))] = draw(st.integers(0, t - 1))
+    return table
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_tables())
+def test_validate_group_accepts_exactly_what_the_oracle_accepts(table):
+    try:
+        validate_group(table)
+    except ValidationError as err:
+        assert not brute_force_group_axioms(table)
+        if err.code == "non_associative":
+            g, h, k = err.data["g"], err.data["h"], err.data["k"]
+            assert table[table[g][h]][k] != table[g][table[h][k]]
+    else:
+        assert brute_force_group_axioms(table)
+
+
+def test_table_whose_first_generator_associates_is_refused():
+    # 1 associates with every pair and generates {0, 1}; the next generator, 2, does not
+    table = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 0, 0], [3, 3, 0, 0]]
+    with pytest.raises(ValidationError) as err:
+        validate_group(table)
+    assert err.value.code == "non_associative" and err.value.data["h"] == 2
+    g, h, k = err.value.data["g"], err.value.data["h"], err.value.data["k"]
+    assert table[table[g][h]][k] != table[g][table[h][k]]
+
+
+def test_large_cyclic_table_validates_in_well_under_a_second():
+    t = 300
+    table = [[(g + h) % t for h in range(t)] for g in range(t)]
+    started = time.perf_counter()
+    assert validate_group(table).order == t
+    assert time.perf_counter() - started < 0.5
 
 
 def test_missing_identity_and_inverse():

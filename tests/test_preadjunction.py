@@ -27,6 +27,7 @@ from ramcat import (
     fragment_equal,
     gr_fragment,
     identity_pa,
+    named_pa,
     pa_from_monotone_tukey,
     pa_gr_decorated_to_plain,
     pa_gr_plain_to_decorated,
@@ -590,6 +591,19 @@ def test_compose_two_reductions(swap_context):
     comp = compose_pa(pa1, pa2)
     report = verify_pa(comp, [1, 2], [1, 2, 3, 4, 5])
     assert report.ok and report.instances > 0
+
+
+def test_named_composite_is_sized_from_its_last_factor(swap_context):
+    pa, src_objs, tgt_objs = named_pa("composed:gr-plain-to-decorated, gr-decorated-to-plain", swap_context,
+                                      {"tgt": 5})
+    assert pa.name == "composed:gr-plain-to-decorated,gr-decorated-to-plain"
+    assert (src_objs, tgt_objs) == ([1, 2], [1, 2, 3, 4, 5])
+    # the last factor's source gr(swap, 5) sizes the first factor: its words run up to 5
+    assert pa.source.objects == (1, 2, 3, 4, 5)
+    report = verify_pa(pa, src_objs, tgt_objs)
+    assert report.ok and report.instances > 0
+    with pytest.raises(ValueError):
+        named_pa("composed:identity,nope", swap_context, {})
 
 
 def test_compose_three_reductions(one_letter_context_z2=None):

@@ -34,11 +34,13 @@ these reports with ``--output``:
   one word that fails validation;
 * ``ramcat rsurj validate``, ``compose`` and ``dual`` on README's maps, and
   ``rsurj enumerate -n 6 -m 3``;
-* ``ramcat category check`` on a ``gr`` builder spec over ``z3.json``, on a
-  spec for each other builder (ram, dram, dram-op, vec, thin-chain), and on
-  two explicit tables: one whose composition is not associative, and one
-  missing a composite, so it is not closed;
-* ``ramcat category skeleton`` on each builder spec.
+* ``ramcat category build`` on a ``gr`` builder spec over ``z3.json`` and
+  on a spec for each other builder (ram, dram, dram-op, vec, thin-chain);
+* ``ramcat category check`` on each builder spec and on three explicit
+  tables: one whose composition is not associative, one missing a
+  composite, so it is not closed, and one of two isomorphic objects;
+* ``ramcat category skeleton`` on each builder spec and on the table of two
+  isomorphic objects, which it merges into one.
 
 It then compares each report, its exit code and the text the command prints
 between the two sides, prints one line per report that differs and a summary
@@ -105,6 +107,13 @@ MAGMA = {"objects": ["a", "b"],
          "compose": [["id_a", m, m] for m in ("id_a", "x", "y")] + [[m, "id_a", m] for m in ("x", "y")]
          + [["x", "x", "y"], ["x", "y", "x"], ["y", "x", "y"], ["y", "y", "x"], ["id_b", "id_b", "id_b"],
             ["id_b", "f", "f"], ["f", "id_a", "f"], ["f", "x", "f"], ["f", "y", "f"]]}
+# objects a, b with f: a -> b and g: b -> a inverse to each other
+ISO = {"objects": ["a", "b"],
+       "morphisms": {m: {"dom": d, "cod": c} for m, d, c in [("id_a", "a", "a"), ("id_b", "b", "b"), ("f", "a", "b"),
+                                                            ("g", "b", "a")]},
+       "identities": {"a": "id_a", "b": "id_b"},
+       "compose": [["id_a", "id_a", "id_a"], ["f", "id_a", "f"], ["id_b", "f", "f"], ["g", "f", "id_a"],
+                   ["id_b", "id_b", "id_b"], ["g", "id_b", "g"], ["id_a", "g", "g"], ["f", "g", "id_b"]]}
 CATEGORY_SPECS = {
     "gr.json": {"builder": "gr", "params": {"n": 3}},
     "ram.json": {"builder": "ram", "params": {"n": 5}},
@@ -114,8 +123,10 @@ CATEGORY_SPECS = {
     "thin-chain.json": {"builder": "thin-chain", "params": {"n": 4}},
     "magma.json": MAGMA,
     "open.json": {**MAGMA, "compose": MAGMA["compose"][:-1]},  # f after y is missing
+    "iso.json": ISO,
 }
 BUILDER_SPECS = [name for name, spec in CATEGORY_SPECS.items() if "builder" in spec]
+SKELETON_SPECS = BUILDER_SPECS + ["iso.json"]
 WORDS = [
     ["validate", "--context", "z3.json", "x1 x2 x1^g"],
     ["validate", "--context", "z3.json", WORD_FILES["u.txt"].strip()],
@@ -175,9 +186,11 @@ def commands() -> dict[str, list[str]]:
         out[f"words-{i}.json"] = ["words", *args]
     for i, args in enumerate(RSURJ):
         out[f"rsurj-{i}.json"] = ["rsurj", *args]
+    for spec in BUILDER_SPECS:
+        out["build-" + spec] = ["category", "build", "--spec", spec, "--context", "z3.json"]
     for spec in CATEGORY_SPECS:
         out["category-" + spec] = ["category", "check", "--spec", spec, "--context", "z3.json"]
-    for spec in BUILDER_SPECS:
+    for spec in SKELETON_SPECS:
         out["skeleton-" + spec] = ["category", "skeleton", "--spec", spec, "--context", "z3.json"]
     return out
 
@@ -227,7 +240,8 @@ def main() -> int:
           f"(golden, {len(criterion_4_grid()) + len(SPELLED_CHECKS)} ramsey check, {len(SEARCHES)} ramsey search, "
           f"{len(PREADJ)} preadj verify, "
           f"{2 * len(TUKEY)} tukey check, {len(GENERATED)} tukey companion/monotonize, {len(WORDS)} words, "
-          f"{len(RSURJ)} rsurj, {len(CATEGORY_SPECS)} category check, {len(BUILDER_SPECS)} category skeleton)")
+          f"{len(RSURJ)} rsurj, {len(BUILDER_SPECS)} category build, {len(CATEGORY_SPECS)} category check, "
+          f"{len(SKELETON_SPECS)} category skeleton)")
     return 1 if differ or missing else 0
 
 
