@@ -11,12 +11,16 @@ tuple, or a value of another class, with the same items, so
 ``CategoryFragment.in_hom`` is the type check for hom-set membership.  Each
 hom-set has one index, ``hom_index``, from payload to position in the
 listing; membership, the arrow copy listing, the transport check,
-re-certification and the law check all read it.  ``CategoryFragment.columns``
-lists the positions of composites a column at a time, for the arrow copy
-listing and for ``verify_pa``.  The ``gr`` and ``dram-op`` builders also
-give a spelling (see ``CategoryFragment``), from which ``columns`` reads
-composites by character substitution; for every other fragment it calls
-the rule, and re-certification always composes through the rule.
+re-certification and the law and isomorphism checks all read it.
+``CategoryFragment.columns`` lists the positions of composites a column at a
+time, for the arrow copy listing and for ``verify_pa``.  The ``gr`` and
+``dram-op`` builders also give a spelling (see ``CategoryFragment``), from
+which ``columns`` reads composites by character substitution; for every
+other fragment it calls the rule.  The law check, the isomorphism check and
+the structural checks (``is_mono``, ``iso_pairs``) read their composites a
+column at a time too, one ``map`` of the rule over a hom-set's payloads, and
+re-certification composes through the rule; none of them reads the
+spelling.
 
 Builders are provided for the categories this package cares about:
 
@@ -37,8 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, product, repeat
+from itertools import combinations, compress, product, repeat
 from math import comb
+from operator import eq
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ResourceBound, ValidationError
@@ -98,9 +103,11 @@ class CategoryFragment:
     ``spell(rule(g, f)) == spell(g).translate(substitution(f))``.  Only
     ``columns`` reads it, to list composites without calling the rule;
     where it is None they come from the rule.  Its two readers are the
-    arrow copy listing and ``verify_pa``.  Composition and the law check
-    always go through ``compose``, and re-certification through ``rule``;
-    none of them reads the spelling."""
+    arrow copy listing and ``verify_pa``.  ``compose`` goes through
+    ``rule``, as do re-certification and the law, isomorphism and
+    structural checks, which call it on payloads a column at a time; none of
+    them reads the spelling, so a rule that disagrees with its spelling
+    shows in every check."""
 
     def __init__(self, name: str, objects, hom: dict, identity: dict,
                  rule: Callable[[object, object], object], spelling: tuple | None = None):
@@ -482,21 +489,69 @@ class FragmentLawReport:
         return not (self.identity_violations or self.associativity_violations or self.closure_violations)
 
 
+def _bound_triples(fragment: CategoryFragment, check: str) -> None:
+    """Count the composable triples f, g, h of ``fragment`` from hom-set
+    sizes, fan-in × |hom(b, c)| × fan-out summed over (b, c), and raise
+    ``ResourceBound`` when they are more than ``LAW_TRIPLE_CAP``.  No check
+    composes more pairs than there are triples, so the one cap bounds the law
+    check, the structural checks and the isomorphism check alike."""
+    objs = fragment.objects
+    fan_in, fan_out = dict.fromkeys(objs, 0), dict.fromkeys(objs, 0)
+    for (a, b), ms in fragment._hom.items():
+        fan_out[a] += len(ms)
+        fan_in[b] += len(ms)
+    triples = sum(fan_in[b] * len(ms) * fan_out[c] for (b, c), ms in fragment._hom.items())
+    if triples > LAW_TRIPLE_CAP:
+        raise ResourceBound(f"the {check} of {fragment.name} would walk {triples} composable triples, more than "
+                            f"its cap of {LAW_TRIPLE_CAP}", LAW_TRIPLE_CAP)
+
+
+# equal to no payload and no position: a composite the rule refuses with
+# not_closed (None is a thin fragment's payload), or a missing position
+_ABSENT = object()
+
+
+def _recorded(compose: Callable, g, f, refused=None):
+    """``compose(g, f)``, or ``refused`` when the fragment records no
+    composite for them (``not_closed``)."""
+    try:
+        return compose(g, f)
+    except ValidationError as exc:
+        if exc.code != "not_closed":
+            raise
+        return refused
+
+
+def _column(rule: Callable, gs: list, f) -> list:
+    """``rule(g, f)`` for each payload g of ``gs``, in one ``map`` in C.  When
+    the rule refuses one with ``not_closed``, the column is read again one
+    pair at a time, with ``_ABSENT`` for each refused composite."""
+    try:
+        return list(map(rule, gs, repeat(f)))
+    except ValidationError as exc:
+        if exc.code != "not_closed":
+            raise
+    return [_recorded(rule, g, f, _ABSENT) for g in gs]
+
+
 def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> FragmentLawReport:
     """Check the identity, closure and associativity laws exhaustively,
     stopping once one kind has ``max_violations`` entries.  An identity
     outside hom(a, a) is an identity violation and is never composed: its
-    side of each identity law reads None.
+    side of each identity law reads None.  The identity laws compose through
+    ``compose``, two calls per morphism.
 
     ``out[a]`` lists the members with domain a, hom(a, d) for each d in
-    ``fragment.objects`` in turn.  The closure loop composes each composable
-    pair g, f once and records, for each f: a -> b, the row of positions in
-    ``out[a]`` of g∘f for g in ``out[b]``; a member's position is read from
-    the fragment's hom-set index, and membership from ``in_hom``.  A
-    composite with no position is a closure violation: one that lands
-    outside hom(a, c), or one the fragment does not record (its rule raises
-    ``not_closed``, as an explicit table does for a missing composite or
-    one recorded in another hom-set), which is reported as None and fails
+    ``fragment.objects`` in turn.  The closure loop reads, for each f: a -> b
+    and each c, the column of composites g∘f for g in hom(b, c) with one
+    ``map`` of ``fragment.rule`` over their payloads, so each composable pair
+    is composed once, and looks the column up in hom(a, c)'s index.  From
+    these columns it builds f's row of positions in ``out[a]``.  A composite
+    with no position is a closure violation: one that lands outside hom(a,
+    c), one whose payload has another class than the member it equals (the
+    type check of ``in_hom``), or one the fragment does not record (its rule
+    raises ``not_closed``, as an explicit table does for a missing composite
+    or one recorded in another hom-set), which is reported as None and fails
     the identity law when an identity is one factor.  Any closure violation
     ends the check before associativity.
 
@@ -505,19 +560,11 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
     row of g read through the row of f, one comparison in C per pair; where
     the rows differ, the h whose positions differ are the violations.
 
-    Before it composes anything, the check counts the composable triples
-    from hom-set sizes, fan-in × |hom(b, c)| × fan-out summed over (b, c),
-    and raises ``ResourceBound`` when they are more than ``LAW_TRIPLE_CAP``."""
+    Before it composes anything, the check bounds the composable triples
+    (``_bound_triples``)."""
     report = FragmentLawReport()
     objs = fragment.objects
-    fan_in, fan_out = dict.fromkeys(objs, 0), dict.fromkeys(objs, 0)
-    for (a, b), ms in fragment._hom.items():
-        fan_out[a] += len(ms)
-        fan_in[b] += len(ms)
-    triples = sum(fan_in[b] * len(ms) * fan_out[c] for (b, c), ms in fragment._hom.items())
-    if triples > LAW_TRIPLE_CAP:
-        raise ResourceBound(f"the law check of {fragment.name} would walk {triples} composable triples, more than "
-                            f"its cap of {LAW_TRIPLE_CAP}", LAW_TRIPLE_CAP)
+    _bound_triples(fragment, "law check")
     ids = {a: fragment.identity(a) for a in objs}  # None where it is not in hom(a, a)
     for a in objs:
         if not fragment.in_hom(ids[a], a, a):
@@ -526,8 +573,8 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
     for a in objs:
         for b in objs:
             for f in fragment.hom(a, b):
-                left = ids[b] and _recorded(fragment, ids[b], f)
-                right = ids[a] and _recorded(fragment, f, ids[a])
+                left = ids[b] and _recorded(fragment.compose, ids[b], f)
+                right = ids[a] and _recorded(fragment.compose, f, ids[a])
                 if left != f or right != f:
                     report.identity_violations.append({"morphism": f, "left": left, "right": right})
                     if len(report.identity_violations) >= max_violations:
@@ -535,23 +582,37 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
     out: dict = {a: [] for a in objs}  # a -> the members with domain a
     cods: dict = {a: [] for a in objs}  # a -> the codomain of each member of out[a]
     start: dict = {}  # (a, d) -> the position in out[a] of hom(a, d)'s first member
+    payloads: dict = {}  # (a, d) -> the payloads of hom(a, d)
+    classes: dict = {}  # (a, d) -> the class of each payload of hom(a, d)
     for a, d in product(objs, repeat=2):
         start[a, d] = len(out[a])
         ms = fragment.hom(a, d)
         out[a] += ms
         cods[a] += [d] * len(ms)
+        payloads[a, d] = [m.payload for m in ms]
+        classes[a, d] = list(map(type, payloads[a, d]))
+    rule = fragment.rule
     rows: dict = {a: [] for a in objs}  # rows[a][i]: the row of out[a][i]
     for a in objs:
         for f, b in zip(out[a], cods[a]):
             row = []
-            for g, c in zip(out[b], cods[b]):
-                gf = _recorded(fragment, g, f)
-                if not fragment.in_hom(gf, a, c):
-                    report.closure_violations.append({"g": g, "f": f, "composite": gf})
-                    if len(report.closure_violations) >= max_violations:
-                        return report
+            for c in objs:
+                gs = payloads[b, c]
+                if not gs:
                     continue
-                row.append(start[a, c] + fragment.hom_index(a, c)[gf.payload])
+                composites = _column(rule, gs, f.payload)
+                at = list(map(fragment.hom_index(a, c).get, composites))
+                if None not in at and list(map(type, composites)) == list(map(classes[a, c].__getitem__, at)):
+                    row += map(start[a, c].__add__, at)
+                    continue
+                for g, gf, i in zip(fragment.hom(b, c), composites, at):
+                    if i is None or classes[a, c][i] is not type(gf):
+                        composite = None if gf is _ABSENT else Morphism(a, c, gf)
+                        report.closure_violations.append({"g": g, "f": f, "composite": composite})
+                        if len(report.closure_violations) >= max_violations:
+                            return report
+                    else:
+                        row.append(start[a, c] + i)
             rows[a].append(row)
     if report.closure_violations:
         return report
@@ -572,35 +633,41 @@ def validate_fragment(fragment: CategoryFragment, max_violations: int = 5) -> Fr
     return report
 
 
-def _recorded(fragment: CategoryFragment, g: Morphism, f: Morphism) -> Morphism | None:
-    """g after f, or None when the fragment records no composite for them."""
-    try:
-        return fragment.compose(g, f)
-    except ValidationError as exc:
-        if exc.code != "not_closed":
-            raise
-        return None
-
-
 def is_mono(fragment: CategoryFragment, f: Morphism) -> bool:
     """Left cancellable within the fragment: f.g = f.h forces g = h.
 
     Equivalently, on every hom(a, f.dom) the composites f.g are pairwise
-    distinct, so one composition per morphism and a set of the composites
-    decide it."""
+    distinct, so one rule call per morphism g, a column at a time, and a set
+    of the composite payloads decide it.  Its cost is bounded by the caller:
+    ``structural_checks`` bounds the triples first."""
+    rule, fp = fragment.rule, f.payload
     for a in fragment.objects:
         ms = fragment.hom(a, f.dom)
-        if len({fragment.compose(f, g) for g in ms}) < len(ms):
+        if len(set(map(rule, repeat(fp), [g.payload for g in ms]))) < len(ms):
             return False
     return True
 
 
+def _identity_payload(fragment: CategoryFragment, a):
+    """The payload p with (a, a, p) equal to a's identity, or a value equal
+    to no payload when that identity is not typed a -> a."""
+    one = fragment.identity(a)
+    return one.payload if (one.dom, one.cod) == (a, a) else _ABSENT
+
+
 def iso_pairs(fragment: CategoryFragment, a, b) -> list[tuple[Morphism, Morphism]]:
+    """The pairs (f, g) of f: a -> b and g: b -> a inverse to each other.  For
+    each f the composites g∘f are one column through the rule; f∘g is
+    composed only for the g with g∘f the identity of a."""
+    rule = fragment.rule
+    one_a, one_b = _identity_payload(fragment, a), _identity_payload(fragment, b)
+    gs = fragment.hom(b, a)
+    gps = [g.payload for g in gs]
     out = []
     for f in fragment.hom(a, b):
-        for g in fragment.hom(b, a):
-            if (fragment.compose(g, f) == fragment.identity(a)
-                    and fragment.compose(f, g) == fragment.identity(b)):
+        fp = f.payload
+        for g in compress(gs, map(eq, map(rule, gps, repeat(fp)), repeat(one_a))):
+            if rule(fp, g.payload) == one_b:
                 out.append((f, g))
     return out
 
@@ -630,6 +697,11 @@ class StructuralReport:
 
 
 def structural_checks(fragment: CategoryFragment) -> StructuralReport:
+    """Thinness, directedness, monos, endomorphisms and isomorphisms of a
+    fragment.  ``is_mono`` reads every morphism and ``iso_pairs`` every pair
+    of objects, so the composable triples are bounded first
+    (``_bound_triples``)."""
+    _bound_triples(fragment, "structural checks")
     objs = fragment.objects
     thin = all(fragment.hom_size(a, b) <= 1 for a in objs for b in objs)
     directed = all(
@@ -721,10 +793,22 @@ def check_fragment_isomorphism(src: CategoryFragment, dst: CategoryFragment,
     morphism of the target hom-set (``dst.in_hom``), such as a tuple that
     only equals one, is read back as None: the check fails, and a pair with
     such a factor is reported without being composed.  An identity or
-    composite that src does not list has no image, so it fails too."""
+    composite that src does not list has no image, so it fails too.
+
+    Each hom-set of src is mapped once to the positions of its images in
+    dst's listing.  Then, for each f: a -> b with an image and each c, the
+    composites g∘f for the g in hom(b, c) with an image are one column
+    through ``src.rule``, read through that position map, and the composites
+    of their images one column through ``dst.rule``, read in dst's index of
+    hom(a, c); the pair holds where the two positions agree.  A composite
+    src refuses (``not_closed``) raises.  The composable triples of src are
+    bounded first (``_bound_triples``)."""
+    _bound_triples(src, "isomorphism check")
     failures = []
     bijective = True
     image = {}
+    to_dst = {}  # (a, b) -> {payload in src.hom(a, b): the position of its image in dst.hom(a, b)}
+    imaged = {}  # (a, b) -> the payloads in src.hom(a, b) with an image, and their images' payloads
     for a in src.objects:
         for b in src.objects:
             hom = src.hom(a, b)
@@ -736,15 +820,29 @@ def check_fragment_isomorphism(src: CategoryFragment, dst: CategoryFragment,
                 bijective = False
                 failures.append({"pair": (a, b), "reason": "hom-set image is not a bijection"})
             image.update(zip(hom, imgs))
+            index = dst.hom_index(a, b)
+            live = [m for m in hom if image[m] is not None]
+            to_dst[a, b] = {m.payload: index[image[m].payload] for m in live}
+            imaged[a, b] = [m.payload for m in live], [image[m].payload for m in live]
     identities = all(image.get(src.identity(a)) == dst.identity(a) for a in src.objects)
     comp_ok = True
+    src_rule, dst_rule = src.rule, dst.rule
     for a, b, c in product(src.objects, repeat=3):
+        gs = src.hom(b, c)
+        if not gs:
+            continue
+        src_gs, dst_gs = imaged[b, c]
+        to_ac, dst_at = to_dst[a, c].get, dst.hom_index(a, c).get
         for f in src.hom(a, b):
             f_image = image[f]
-            for g in src.hom(b, c):
-                g_image = image[g]
-                if (f_image is None or g_image is None
-                        or image.get(src.compose(g, f)) != dst.compose(g_image, f_image)):
+            if f_image is not None:
+                left = list(map(to_ac, map(src_rule, src_gs, repeat(f.payload))))
+                right = list(map(dst_at, map(dst_rule, dst_gs, repeat(f_image.payload)), repeat(_ABSENT)))
+                if left == right and len(left) == len(gs):
+                    continue
+                agree = iter(map(eq, left, right))
+            for g in gs:
+                if f_image is None or image[g] is None or not next(agree):
                     comp_ok = False
                     failures.append({"pair": (a, b, c), "f": f, "g": g})
     return {"bijective": bijective, "identities": identities, "composition": comp_ok,

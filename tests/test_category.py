@@ -1,7 +1,10 @@
+import time
 from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ramcat.category
 from ramcat import (
@@ -281,15 +284,21 @@ def test_opposite_composes_like_flipped_morphisms(swap_context):
 
 
 def test_opposite_composes_without_its_base(monkeypatch):
-    # one fragment-level compose call per composite, at any depth of opposites
-    calls = [0]
-    compose = CategoryFragment.compose
+    # one call of the base fragment's rule per composable pair, at any depth
+    # of opposites; the isomorphism check makes no compose call, and the law
+    # check two per morphism, for the identity laws
+    calls = {"rule": 0, "compose": 0}
 
-    def counted(self, g, f):
-        calls[0] += 1
-        return compose(self, g, f)
+    def counted(key, fn):
+        def counting(*args):
+            calls[key] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(CategoryFragment, "compose", counted)
+        return counting
+
+    monkeypatch.setattr(ramcat.category, "compose_rigid", counted("rule", ramcat.category.compose_rigid))
+    monkeypatch.setattr(ramcat.category, "substitute", counted("rule", ramcat.category.substitute))
+    monkeypatch.setattr(CategoryFragment, "compose", counted("compose", CategoryFragment.compose))
     grf, dop, on_m = dramop_word_functor(6, plain_context())
     runs = [
         lambda: fragment_equal(opposite(opposite(dram_fragment(6))), dram_fragment(6)),
@@ -298,10 +307,10 @@ def test_opposite_composes_without_its_base(monkeypatch):
     ]
     counts = []
     for run in runs:
-        calls[0] = 0
+        calls.update(rule=0, compose=0)
         assert run()
-        counts.append(calls[0])
-    assert counts == [5810, 5810, 3461]
+        counts.append((calls["rule"], calls["compose"]))
+    assert counts == [(5810, 0), (5810, 0), (3461, 2 * dram_fragment(6).total_morphisms())]
 
 
 def test_thin_from_preorder():
@@ -468,50 +477,61 @@ def outcome(check, fragment, max_violations):
         return (type(exc), exc.code, str(exc))
 
 
-class PerturbedFragment(CategoryFragment):
-    """Composes by ``perturb(g, f)`` where it gives a morphism and by the
-    payload rule elsewhere.  The perturbations read domains and codomains,
-    which a payload rule never sees, so they override ``compose``."""
-
-    def __init__(self, name, base, hom, perturb):
-        super().__init__(name, base.objects, hom, {a: base.identity(a) for a in base.objects}, base.rule)
-        self.perturb = perturb
-
-    def compose(self, g, f):
-        composite = super().compose(g, f)
-        return (self.perturb and self.perturb(g, f)) or composite
-
-
 def perturbed_ram(n, removed=(), rule=None, name="perturbed"):
-    """ram(n) without the ``removed`` morphisms, composing by ``rule(g, f)``
-    where it gives a morphism and by the ram rule elsewhere."""
+    """ram(n) without the ``removed`` morphisms, composing payloads by
+    ``rule(g, f)`` where it gives a payload and by the ram rule elsewhere.
+    The perturbation is made in the rule, which the law check reads, so
+    ``compose`` agrees with it."""
     base = ram_fragment(n)
     hom = {(a, b): tuple(m for m in base.hom(a, b) if m not in removed)
            for a in base.objects for b in base.objects if base.hom(a, b)}
-    return PerturbedFragment(name, base, hom, rule)
+
+    def perturbed(g, f):
+        return (rule and rule(g, f)) or base.rule(g, f)
+
+    return CategoryFragment(name, base.objects, hom, {a: base.identity(a) for a in base.objects}, perturbed)
 
 
 GONE = Morphism(1, 4, (4,))
 
 
+def after_gone(g, f):
+    """Whether the payloads g, f are a pair g after GONE: a payload (4,)
+    followed by one with domain 4 runs 1 -> 4."""
+    return f == GONE.payload and len(g) == 4
+
+
 def wrong_identity(g, f):
-    """Composing an identity after a morphism out of 1 lands on its first
-    element."""
-    if g.dom == g.cod and g.payload == tuple(range(1, g.dom + 1)) and f.dom == 1:
-        return Morphism(1, g.cod, (1,))
+    """Composing an initial segment 1..k, such as an identity, after a
+    morphism out of 1 lands on 1."""
+    if len(f) == 1 and g == tuple(range(1, len(g) + 1)):
+        return (1,)
     return None
 
 
 def wrong_after_gone(g, f):
-    """Composition after the removed GONE into 5 lands on the first
-    element."""
-    return Morphism(1, 5, (1,)) if f == GONE and g.cod == 5 else None
+    """Composition after the removed GONE lands on 1."""
+    return (1,) if after_gone(g, f) else None
 
 
 def raise_after_gone(g, f):
-    if f == GONE and g.cod == 5:
+    if after_gone(g, f):
         raise ValidationError("not_closed", f"no composite recorded for {g} after {f}")
     return None
+
+
+def plain_composites(n, dom):
+    """dram(n) whose rule gives the composites out of ``dom`` as plain
+    tuples: each equals a listed morphism but has another class, so
+    ``in_hom`` refuses it."""
+    base = dram_fragment(n)
+
+    def rule(g, f):
+        h = base.rule(g, f)
+        return tuple(h) if f.dom == dom else h
+
+    return CategoryFragment("plain-composites", base.objects, {pair: base.hom(*pair) for pair in base._hom},
+                            {a: base.identity(a) for a in base.objects}, rule)
 
 
 def law_fragments():
@@ -538,6 +558,7 @@ def law_fragments():
         thin_from_preorder(chain_preorder(4)),
         mutated_dram5(),
         misplaced_identity_fragment(),
+        plain_composites(4, 4),
     ]
 
 
@@ -578,29 +599,37 @@ def test_validate_fragment_reports_composites_outside_the_fragment():
         assert all(v["composite"] is None for v in report.closure_violations)
 
 
-def counted_compose(frag):
-    calls = [0]
-    compose = frag.compose
+def counted_calls(frag):
+    """Count the calls of ``frag``'s rule and of its ``compose``."""
+    calls = {"rule": 0, "compose": 0}
+    rule, compose = frag.rule, frag.compose
 
-    def counting(g, f):
-        calls[0] += 1
+    def counting_rule(g, f):
+        calls["rule"] += 1
+        return rule(g, f)
+
+    def counting_compose(g, f):
+        calls["compose"] += 1
         return compose(g, f)
 
-    frag.compose = counting
+    frag.rule, frag.compose = counting_rule, counting_compose
     return calls
 
 
 def test_validate_fragment_composes_each_pair_once(swap_context):
+    # one rule call per composable pair, and two compose calls per morphism
+    # for the identity laws
     for frag in [dram_fragment(6), ram_fragment(5), gr_fragment(swap_context, 3), mutated_ram4()]:
         objs = frag.objects
         pairs = sum(len(frag.hom(a, b)) * len(frag.hom(b, c)) for a, b, c in product(objs, repeat=3))
-        calls = counted_compose(frag)
+        calls = counted_calls(frag)
         assert validate_fragment(frag).ok == (frag.name != "mutated")
-        assert calls[0] <= 2 * frag.total_morphisms() + pairs, frag.name
+        identity_laws = 2 * frag.total_morphisms()
+        assert calls == {"rule": identity_laws + pairs, "compose": identity_laws}, frag.name
     frag = dram_fragment(6)
-    calls = counted_compose(frag)
+    calls = counted_calls(frag)
     validate_fragment(frag)
-    assert calls[0] == 3461
+    assert calls == {"rule": 3461, "compose": 556}
 
 
 def test_explicit_fragment_missing_composite():
@@ -826,12 +855,106 @@ def test_isomorphism_check_refuses_look_alike_images():
     assert report["failures"] == [stray] + pairs and len(pairs) == 3
 
 
+def test_isomorphism_check_fails_composites_outside_the_target():
+    # h is missing from the target: its image is not a target morphism, and
+    # the target composes onto a payload it does not list; every pair with
+    # h as a factor or as its composite fails
+    src = ram_fragment(3)
+    h = src.hom(1, 3)[1]
+    report = check_fragment_isomorphism(src, perturbed_ram(3, removed={h}), lambda m: m)
+    pairs = [{"pair": (a, b, c), "f": f, "g": g} for a, b, c in product(src.objects, repeat=3)
+             for f in src.hom(a, b) for g in src.hom(b, c) if h in (f, g, src.compose(g, f))]
+    stray = {"pair": (1, 3), "reason": "an image is not a morphism of the target hom-set"}
+    assert report["failures"] == [stray] + pairs
+    assert len(pairs) == 4
+
+
+def test_skeleton_matches_no_identity_outside_its_hom_set():
+    # 0 and 1 are isomorphic in the thin category of 0 <= 1 <= 0, but the
+    # identity of 1 is given as the morphism 1 -> 0, which no composite
+    # g∘f of f: 1 -> 0 and g: 0 -> 1 equals
+    frag = thin_from_preorder(preorder_from_pairs(2, [(0, 1), (1, 0)]))
+    assert skeleton(frag).representative == {0: 0, 1: 0}
+    frag._identity[1] = frag.hom(1, 0)[0]
+    assert skeleton(frag).representative == {0: 0, 1: 1}
+
+
 def test_isomorphism_check_maps_each_morphism_once():
     grf, dop, on_m = dramop_word_functor(6, plain_context())
     calls = []
     report = check_fragment_isomorphism(grf, dop, lambda m: calls.append(m) or on_m(m))
     assert report["ok"]
     assert len(calls) == len(set(calls)) == grf.total_morphisms() == 278
+
+
+def test_checks_read_the_rule_not_the_spelling():
+    # two composites of g: 4 -> 5 after f: 3 -> 4 trade places in the rule of
+    # dram-op(5); its spelling, which only the copy listing and verify_pa
+    # read, still lists the true composites
+    frag, fresh = dram_op_fragment(5), dram_op_fragment(5)
+    rule = frag.rule
+    pairs = [(g.payload, f.payload) for f in frag.hom(3, 4) for g in frag.hom(4, 5)]
+    first, second = next((p, q) for i, p in enumerate(pairs) for q in pairs[i + 1:] if rule(*p) != rule(*q))
+    swapped = {first: rule(*second), second: rule(*first)}
+    frag.rule = lambda g, f: swapped[g, f] if (g, f) in swapped else rule(g, f)
+    assert frag.spelling is not None
+    assert (frag.columns(3, 5, frag.hom(4, 5), frag.hom(3, 4))
+            == fresh.columns(3, 5, fresh.hom(4, 5), fresh.hom(3, 4)))
+    report = validate_fragment(frag)
+    assert report.associativity_violations
+    assert not (report.identity_violations or report.closure_violations)
+    assert not fragment_equal(frag, fresh)
+    assert fragment_equal(dram_op_fragment(5), fresh)
+
+
+TABLES = {"ram(3)": tabulate(ram_fragment(3)), "dram(4)": tabulate(dram_fragment(4)),
+          "twins": tabulate(idempotent_twins())}
+
+
+@st.composite
+def mutated_tables(draw):
+    """A tabulated fragment, and a copy with one composite redirected to any
+    morphism, or removed."""
+    name = draw(st.sampled_from(sorted(TABLES)))
+    morphisms, identities, compose = TABLES[name]
+    objects = sorted({dom for dom, _ in morphisms.values()} | {cod for _, cod in morphisms.values()})
+    mutated = dict(compose)
+    key = draw(st.sampled_from(sorted(compose)))
+    target = draw(st.none() | st.sampled_from(sorted(morphisms)))
+    if target is None:
+        del mutated[key]
+    else:
+        mutated[key] = target
+    return (explicit_fragment(objects, morphisms, identities, compose, name=name),
+            explicit_fragment(objects, morphisms, identities, mutated, name=name + "*"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_tables(), st.sampled_from([1, 5, 10**6]))
+def test_checks_match_the_triple_loops_on_mutated_tables(tables, max_violations):
+    # the column readings report what the loops that compose every pair
+    # afresh report, violation for violation, and raise where they raise
+    table, mutated = tables
+    for frag in tables:
+        expected = outcome(triple_loop_validate, frag, max_violations)
+        assert outcome(validate_fragment, frag, max_violations) == expected
+    for src, dst in [(table, mutated), (mutated, table), (mutated, mutated)]:
+        def same_id(m, dst=dst):
+            return next(x for x in dst.hom(m.dom, m.cod) if x.payload == m.payload)
+
+        expected = outcome(lambda s, d: triple_loop_isomorphism(s, d, same_id), src, dst)
+        assert outcome(lambda s, d: check_fragment_isomorphism(s, d, same_id), src, dst) == expected
+
+
+@pytest.mark.parametrize("check", [structural_checks, lambda frag: fragment_equal(frag, ram_fragment(12))],
+                         ids=["structural_checks", "fragment_equal"])
+def test_structure_and_equality_refuse_over_the_triple_cap(check):
+    # ram(12)'s 21,572,460 composable triples are counted from hom-set sizes
+    # and refused before any pair is composed
+    started = time.perf_counter()
+    with pytest.raises(ResourceBound, match="21572460 composable triples"):
+        check(ram_fragment(12))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_hom_cap_resource_bound(plain_z2_context, monkeypatch):

@@ -36,11 +36,16 @@ these reports with ``--output``:
   ``rsurj enumerate -n 6 -m 3``;
 * ``ramcat category build`` on a ``gr`` builder spec over ``z3.json`` and
   on a spec for each other builder (ram, dram, dram-op, vec, thin-chain);
-* ``ramcat category check`` on each builder spec and on three explicit
-  tables: one whose composition is not associative, one missing a
-  composite, so it is not closed, and one of two isomorphic objects;
-* ``ramcat category skeleton`` on each builder spec and on the table of two
-  isomorphic objects, which it merges into one.
+* ``ramcat category check`` on each builder spec and on six explicit
+  tables: one whose composition is not associative; one missing a
+  composite, so it is not closed; one of two isomorphic objects; the
+  idempotent twins, two isomorphic objects whose e-labelled morphisms are
+  neither mono nor iso, so ``all_mono`` and ``iso_homs_match`` are false;
+  one with a composite recorded in another hom-set, a closure violation
+  and a None left identity; and one whose identity of b is a morphism
+  a -> b;
+* ``ramcat category skeleton`` on each builder spec and on the last four
+  explicit tables; it merges each pair of isomorphic objects into one.
 
 It then compares each report, its exit code and the text the command prints
 between the two sides, prints one line per report that differs and a summary
@@ -114,6 +119,27 @@ ISO = {"objects": ["a", "b"],
        "identities": {"a": "id_a", "b": "id_b"},
        "compose": [["id_a", "id_a", "id_a"], ["f", "id_a", "f"], ["id_b", "f", "f"], ["g", "f", "id_a"],
                    ["id_b", "id_b", "id_b"], ["g", "id_b", "g"], ["id_a", "g", "g"], ["f", "g", "id_b"]]}
+# two isomorphic objects over the monoid {1, e} with e.e = e: hom(x, y) is
+# {xy1, xye}, and composing multiplies the labels, so the e-labelled
+# morphisms are neither mono nor iso
+TWINS = {"objects": ["a", "b"],
+         "morphisms": {f"{x}{y}{t}": {"dom": x, "cod": y} for x in "ab" for y in "ab" for t in "1e"},
+         "identities": {"a": "aa1", "b": "bb1"},
+         "compose": [[f"{y}{z}{s}", f"{x}{y}{t}", f"{x}{z}{'1' if s == t == '1' else 'e'}"]
+                     for x in "ab" for y in "ab" for z in "ab" for s in "1e" for t in "1e"]}
+# id_b after f: a -> b is recorded as id_a, a morphism of hom(a, a)
+ELSEWHERE = {"objects": ["a", "b"],
+             "morphisms": {m: {"dom": d, "cod": c} for m, d, c in [("id_a", "a", "a"), ("id_b", "b", "b"),
+                                                                  ("f", "a", "b")]},
+             "identities": {"a": "id_a", "b": "id_b"},
+             "compose": [["id_a", "id_a", "id_a"], ["id_b", "id_b", "id_b"], ["f", "id_a", "f"],
+                         ["id_b", "f", "id_a"]]}
+# the identity of b is f: a -> b, a morphism of another hom-set
+MISPLACED = {"objects": ["a", "b"],
+             "morphisms": {m: {"dom": d, "cod": c} for m, d, c in [("id_a", "a", "a"), ("id_b", "b", "b"),
+                                                                  ("f", "a", "b")]},
+             "identities": {"a": "id_a", "b": "f"},
+             "compose": [["id_a", "id_a", "id_a"], ["f", "id_a", "f"], ["id_b", "f", "f"], ["id_b", "id_b", "id_b"]]}
 CATEGORY_SPECS = {
     "gr.json": {"builder": "gr", "params": {"n": 3}},
     "ram.json": {"builder": "ram", "params": {"n": 5}},
@@ -124,9 +150,12 @@ CATEGORY_SPECS = {
     "magma.json": MAGMA,
     "open.json": {**MAGMA, "compose": MAGMA["compose"][:-1]},  # f after y is missing
     "iso.json": ISO,
+    "twins.json": TWINS,
+    "elsewhere.json": ELSEWHERE,
+    "misplaced.json": MISPLACED,
 }
 BUILDER_SPECS = [name for name, spec in CATEGORY_SPECS.items() if "builder" in spec]
-SKELETON_SPECS = BUILDER_SPECS + ["iso.json"]
+SKELETON_SPECS = BUILDER_SPECS + ["iso.json", "twins.json", "elsewhere.json", "misplaced.json"]
 WORDS = [
     ["validate", "--context", "z3.json", "x1 x2 x1^g"],
     ["validate", "--context", "z3.json", WORD_FILES["u.txt"].strip()],
