@@ -10,8 +10,9 @@ and surjections they carry, are tuple-backed values: a morphism equals a plain
 tuple, or a value of another class, with the same items, so
 ``CategoryFragment.in_hom`` is the type check for hom-set membership.  Each
 hom-set has one index, ``hom_index``, from payload to position in the
-listing; membership, the arrow copy listing, the transport check,
-re-certification and the law and isomorphism checks all read it.
+listing; the arrow copy listing, the transport check, re-certification and
+the law and isomorphism checks read it, and so does membership, except in a
+``gr`` fragment, which decides it from the word itself and lists nothing.
 ``CategoryFragment.columns`` lists the positions of composites a column at a
 time, for the arrow copy listing and for ``verify_pa``.  The ``gr`` and
 ``dram-op`` builders also give a spelling (see ``CategoryFragment``), from
@@ -50,7 +51,8 @@ from .errors import ResourceBound, ValidationError
 from .surjections import (compose_rigid, enumerate_rsurj, identity_rigid, rigid_substitution, spell_rigid,
                           stirling2, word_to_rsurj)
 from .tukey import FinitePreorder
-from .words import WordContext, enumerate_words, identity_word, substitute, word_spelling
+from .words import (DecoratedWord, WordContext, enumerate_words, identity_word, substitute, validate_word,
+                    word_spelling, word_tokens)
 
 DEFAULT_HOM_CAP = 1_000_000
 LAW_TRIPLE_CAP = 1_000_000  # composable triples f, g, h the law check walks
@@ -107,10 +109,16 @@ class CategoryFragment:
     ``rule``, as do re-certification and the law, isomorphism and
     structural checks, which call it on payloads a column at a time; none of
     them reads the spelling, so a rule that disagrees with its spelling
-    shows in every check."""
+    shows in every check.
+
+    ``member(payload, a, b)``, when a builder gives one, tells whether a
+    payload is that of a morphism of the non-empty hom(a, b) without
+    listing it, and answers as the listing would; ``in_hom`` calls it.
+    Where it is None, membership is looked up in ``hom_index``."""
 
     def __init__(self, name: str, objects, hom: dict, identity: dict,
-                 rule: Callable[[object, object], object], spelling: tuple | None = None):
+                 rule: Callable[[object, object], object], spelling: tuple | None = None,
+                 member: Callable[[object, object, object], bool] | None = None):
         self.name = name
         self.objects = tuple(objects)
         self._object_set = set(self.objects)
@@ -118,6 +126,7 @@ class CategoryFragment:
         self._identity = dict(identity)
         self.rule = rule
         self.spelling = spelling
+        self.member = member
         self._index: dict = {}  # (a, b) -> hom(a, b)'s index, filled on the first lookup
         self.copies: dict = {}  # the arrow copies of each (A, B, C), filled by ramcat.arrows
 
@@ -177,11 +186,16 @@ class CategoryFragment:
 
     def in_hom(self, m, a, b) -> bool:
         """Whether ``m`` is a morphism of hom(a, b) in this fragment: a
-        ``Morphism``, not merely a tuple equal to one, whose payload has the
-        class of the listed payload it equals, since tuple equality ignores
-        classes."""
-        if not (isinstance(m, Morphism) and m.dom == a and m.cod == b):
+        ``Morphism``, not merely a tuple equal to one, typed a -> b, of a
+        non-empty hom(a, b), whose payload ``member`` accepts or, where there
+        is none, is in hom(a, b)'s index with the class of the listed payload
+        it equals, since tuple equality ignores classes.  (A bound method as
+        the default ``member`` would tie each fragment to itself in a cycle,
+        so a dropped fragment would wait for the cyclic collector.)"""
+        if not (isinstance(m, Morphism) and m.dom == a and m.cod == b and self.hom_size(a, b) > 0):
             return False
+        if self.member is not None:
+            return self.member(m.payload, a, b)
         i = self.hom_index(a, b).get(m.payload)
         return i is not None and type(self._hom[a, b][i].payload) is type(m.payload)
 
@@ -273,17 +287,32 @@ def _word_counts(n: int, context: WordContext) -> Iterator[tuple[tuple[int, int]
 
 
 def gr_fragment(context: WordContext, n: int) -> CategoryFragment:
-    """Positive integers 1..n with hom(k, n) the k-parameter n-letter words."""
+    """Positive integers 1..n with hom(k, n) the k-parameter n-letter words.
+
+    Membership is decided from the word, and no hom-set is listed for it: a
+    payload is in hom(k, m) when it is a ``DecoratedWord`` of m tokens, each
+    one of ``word_tokens`` (so each value equals an int in range, as in a
+    listed word), that ``validate_word`` returns unchanged as a k-parameter
+    word.  Any other value, tokens as lists included, is refused without
+    raising."""
     objects = range(1, n + 1)
+    tokens = frozenset(word_tokens(context, n))
 
     def build(k, m):
         return (Morphism(k, m, w) for w in enumerate_words(k, m, context))
+
+    def member(payload, k, m) -> bool:
+        try:
+            return (type(payload) is DecoratedWord and len(payload.tokens) == m and tokens.issuperset(payload.tokens)
+                    and validate_word(payload.tokens, k, context) == payload)
+        except (TypeError, ValidationError):
+            return False
 
     hom = _lazy_homs(_word_counts(n, context), build, f"gr over {context.alphabet}")
     identity = {k: Morphism(k, k, identity_word(k)) for k in objects}
     alpha = "".join(context.alphabet) or "0"
     return CategoryFragment(f"gr({alpha},|G|={context.group.order},{n})", objects, hom, identity,
-                            partial(substitute, context), word_spelling(context, n))
+                            partial(substitute, context), word_spelling(context, n), member)
 
 
 @dataclass(frozen=True)

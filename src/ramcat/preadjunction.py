@@ -46,6 +46,7 @@ from .tukey import FinitePreorder, chain_preorder
 from .words import (
     LETTER,
     PARAM,
+    DecoratedWord,
     WordContext,
     plain_context,
     validate_word,
@@ -118,14 +119,22 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
     ``pa.phi`` is evaluated once per distinct ``(X, Y, u)`` within a call
     and must be a function of its arguments; ``recheck_failures`` evaluates
     it afresh.  Whether phi(B, C, u) lands in hom(B, H(C)) is checked once
-    per (B, C, u), and the suggested v is drawn and checked against
+    per (B, C, u) by ``in_hom``, and this landing check is where a phi value
+    is validated: a value that is not a morphism of hom(B, H(C)) is recorded
+    as a landing failure.  A ``gr`` source decides it from the word, without
+    listing hom(B, H(C)).  The suggested v is drawn and checked against
     hom(F(A), F(B)) once per (A, B, f).  The composites u . v of each
     suggested v come from one column over the landed u of hom(F(B), C)
     (``CategoryFragment.columns``: character substitution where the target
     has a spelling, else its rule), and phi(B, C, u) . f is formed once per
     distinct phi value and f, so an instance whose suggested v is a witness
     costs a list index and one ``==``.  Where it is not, the candidates are
-    scanned in order through ``compose``."""
+    scanned in order through ``compose``.
+
+    A block whose instances would take the count past ``max_instances``
+    raises ``BudgetExceeded`` before it is checked; its ``stats`` hold the
+    instances checked, the failures and landing failures recorded so far,
+    and the block (A, B, C)."""
     report = PAReport(pa.name, list(source_objects), list(target_objects))
     src, tgt = pa.source, pa.target
     rule = src.rule
@@ -167,9 +176,12 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
                             report.phi_landing_failures.append({"X": b_obj, "Y": c_obj, "u": u, "phi": phi_u})
                 if not us or not fs:
                     continue
+                if report.instances + len(us) * len(fs) > max_instances:
+                    raise BudgetExceeded("pa_instances", max_instances, stats={
+                        "instances_checked": report.instances, "failures": len(report.failures),
+                        "phi_landing_failures": len(report.phi_landing_failures),
+                        "block": {"A": a_obj, "B": b_obj, "C": c_obj}})
                 report.instances += len(us) * len(fs)
-                if report.instances > max_instances:
-                    raise BudgetExceeded("pa_instances", max_instances)
                 columns = [None] * len(fs)
                 if pa.suggested_v is not None:
                     report.suggested_tried += len(us) * len(fs)
@@ -288,7 +300,8 @@ def pa_gr_plain_to_decorated(context: WordContext, n: int,
                              target: CategoryFragment | None = None) -> PreAdjunction:
     """From undecorated words into decorated words over (A, G): strip
     exponents to neutral and letters to x1; any plain word is its own
-    transport witness."""
+    transport witness.  phi builds its word without validating it:
+    ``verify_pa``'s landing check validates each value it reads."""
     plain = plain_context()
     source = source or gr_fragment(plain, n)
     target = target or gr_fragment(context, n)
@@ -300,8 +313,7 @@ def pa_gr_plain_to_decorated(context: WordContext, n: int,
                 tokens.append((PARAM, 1, 0))
             else:
                 tokens.append((PARAM, idx, 0))
-        word = validate_word(tokens, u.payload.m, plain)
-        return Morphism(m_obj, n_obj, word)
+        return Morphism(m_obj, n_obj, DecoratedWord(tuple(tokens), u.payload.m))
 
     def suggested(a, b, f: Morphism) -> Morphism:
         return f  # a plain word is the decorated word with the same tokens
@@ -317,7 +329,9 @@ def pa_gr_decorated_to_plain(context: WordContext, n: int,
     group with the alphabet absorbed as extra leading variables.  A word over
     the enlarged variable set re-reads as a decorated word by sending the
     i-th alphabet variable under exponent h to the letter obtained by acting
-    with h; the transport witness for f prepends the alphabet block to f."""
+    with h; the transport witness for f prepends the alphabet block to f.
+    phi builds its word without validating it: ``verify_pa``'s landing check
+    validates each value it reads; the suggested witness is validated."""
     t = len(context.alphabet)
     if t == 0:
         raise ValidationError("empty_alphabet", "the construction absorbs a nonempty alphabet")
@@ -333,8 +347,7 @@ def pa_gr_decorated_to_plain(context: WordContext, n: int,
                 tokens.append((LETTER, act[idx - 1][exp], 0))
             else:
                 tokens.append((PARAM, idx - t, exp))
-        word = validate_word(tokens, m_obj, context)
-        return Morphism(m_obj, n_obj, word)
+        return Morphism(m_obj, n_obj, DecoratedWord(tuple(tokens), m_obj))
 
     def suggested(a, b, f: Morphism) -> Morphism:
         tokens = [(PARAM, i, 0) for i in range(1, t + 1)]
@@ -358,7 +371,8 @@ def pa_gr_to_dramop(context: WordContext, n_source: int, n_chains: int,
     position then by element index, the neutral element first; a rigid
     surjection onto that chain reads off as a decorated word, and the
     transport witness of a word f sends (j, h) to (i, g*h) where the j-th
-    token of f is x_i^g."""
+    token of f is x_i^g.  phi builds its word without validating it:
+    ``verify_pa``'s landing check validates each value it reads."""
     if context.alphabet:
         raise ValidationError("nonempty_alphabet", "this construction starts from the empty alphabet")
     group = context.group
@@ -378,8 +392,7 @@ def pa_gr_to_dramop(context: WordContext, n_source: int, n_chains: int,
         for p in surj.image:
             j, g = unpos(p)
             tokens.append((PARAM, j, g))
-        word = validate_word(tokens, n_obj, context)
-        return Morphism(n_obj, c_obj, word)
+        return Morphism(n_obj, c_obj, DecoratedWord(tuple(tokens), n_obj))
 
     def suggested(a, b, f: Morphism) -> Morphism:
         image = []

@@ -175,20 +175,26 @@ def substitute(context: WordContext, u: DecoratedWord, v: DecoratedWord) -> Deco
     return DecoratedWord(tuple(out), v.m)
 
 
+def word_tokens(context: WordContext, n: int) -> list[tuple[int, int, int]]:
+    """The tokens of the words of ``context`` with at most ``n`` parameters:
+    the letters, then ``x_i^h`` for i = 1..n and each h."""
+    order = context.group.order
+    return ([(LETTER, idx, 0) for idx in range(len(context.alphabet))]
+            + [(PARAM, i, h) for i in range(1, n + 1) for h in range(order)])
+
+
 def word_spelling(context: WordContext, n: int):
     """``(spell, substitution)`` for the words of ``context`` with at most
-    ``n`` parameters.  ``spell(u)`` writes u with one character per token:
-    letter l as ``chr(l)`` and ``x_i^h`` as ``chr(|A| + (i - 1)|G| + h)``,
-    so within one hom-set the spelling names the word.  ``substitution(v)``
-    is the ``str.translate`` table that sends each ``x_i^h`` to the token
-    ``substitute`` writes there, v's i-th token twisted by h, and keeps
-    letters, so ``spell(substitute(context, u, v))`` is
-    ``spell(u).translate(substitution(v))``."""
+    ``n`` parameters.  ``spell(u)`` writes u with one character per token,
+    its position in ``word_tokens``: letter l as ``chr(l)`` and ``x_i^h`` as
+    ``chr(|A| + (i - 1)|G| + h)``, so within one hom-set the spelling names
+    the word.  ``substitution(v)`` is the ``str.translate`` table that sends
+    each ``x_i^h`` to the token ``substitute`` writes there, v's i-th token
+    twisted by h, and keeps letters, so ``spell(substitute(context, u, v))``
+    is ``spell(u).translate(substitution(v))``."""
     letters, order = len(context.alphabet), context.group.order
     mul, act = context.action.group.table, context.action.table
-    codes = {(LETTER, idx, 0): chr(idx) for idx in range(letters)}
-    codes.update({(PARAM, i, h): chr(letters + (i - 1) * order + h)
-                  for i in range(1, n + 1) for h in range(order)})
+    codes = {token: chr(code) for code, token in enumerate(word_tokens(context, n))}
 
     def spell(word: DecoratedWord) -> str:
         return "".join(map(codes.__getitem__, word.tokens))

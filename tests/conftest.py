@@ -3,6 +3,7 @@ from itertools import permutations, product
 import pytest
 
 from ramcat import WordContext, cycle_action, cyclic_group, make_action, trivial_action, validate_group
+from ramcat.words import PARAM, DecoratedWord
 
 
 def symmetric_group(n: int):
@@ -96,3 +97,13 @@ def tabulate(fragment):
             for g in fragment.hom(b, c):
                 compose_table[(ids[g], ids[f])] = ids[fragment.compose(g, f)]
     return morphisms, identities, compose_table
+
+
+def first_occurrences_swapped(word):
+    """``word`` with x1 and x2 trading names when it has both, so x2 first
+    occurs before x1: not a word."""
+    if word.m < 2:
+        return word
+    swap = {1: 2, 2: 1}
+    return DecoratedWord(tuple((kind, swap.get(idx, idx) if kind == PARAM else idx, exp)
+                               for kind, idx, exp in word.tokens), word.m)

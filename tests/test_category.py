@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -23,20 +24,23 @@ from ramcat import (
     fragment_from_spec,
     gr_fragment,
     opposite,
+    pa_gr_decorated_to_plain,
     plain_context,
     preorder_from_pairs,
     ram_fragment,
     skeleton,
     structural_checks,
     thin_from_preorder,
+    trivial_action,
     validate_fragment,
     vec_fragment,
+    verify_pa,
 )
 from ramcat.arrows import certify_bad_coloring, find_bad_coloring
 from ramcat.category import CategoryFragment, FragmentLawReport, Morphism
 from ramcat.surjections import RigidSurjection, word_to_rsurj
-from ramcat.words import identity_word
-from conftest import stirling, tabulate
+from ramcat.words import DecoratedWord, identity_word, parse_word
+from conftest import first_occurrences_swapped, stirling, tabulate
 
 
 # one morphism a -> b besides the identities; payloads are the integer ids
@@ -345,6 +349,96 @@ def test_in_hom_refuses_a_value_equal_to_a_member(fragment, a, b, impostor):
         # equal payloads, so the value finds m's position in hom(a, b)'s index
         assert value[2] == m.payload and hash(value[2]) == hash(m.payload)
         assert fragment.in_hom(m, a, b) and not fragment.in_hom(value, a, b)
+
+
+WORD_CONTEXTS = {
+    "plain": plain_context(),
+    "plain Z2": WordContext(trivial_action(cyclic_group(2))),
+    "plain Z3": WordContext(trivial_action(cyclic_group(3))),
+    "swap": WordContext(cycle_action(cyclic_group(2), "ab", [1, 0])),
+    "Z2 fixing a": WordContext(trivial_action(cyclic_group(2), "a")),
+}
+
+
+def listing_only(frag):
+    """``frag`` with membership read from its listing, as every fragment
+    without a ``member`` test reads it."""
+    return CategoryFragment(frag.name, frag.objects, {pair: frag.hom(*pair) for pair in frag._hom},
+                            {a: frag.identity(a) for a in frag.objects}, frag.rule)
+
+
+@pytest.mark.parametrize("name", WORD_CONTEXTS)
+def test_word_membership_agrees_with_the_listing(name):
+    # a gr fragment decides membership from the word: every listed word is a
+    # member of its own hom-set and of no other, as the listing says
+    frag = gr_fragment(WORD_CONTEXTS[name], 4)
+    listed = listing_only(frag)
+    pairs = list(product(frag.objects, repeat=2))
+    for k, m in pairs:
+        for w in frag.hom(k, m):
+            for pair in pairs:
+                value = Morphism(*pair, w.payload)
+                assert frag.in_hom(value, *pair) == listed.in_hom(value, *pair) == (pair == (k, m)), (w, pair)
+    # a word longer than the fragment's objects is in no hom-set of it
+    for w in gr_fragment(WORD_CONTEXTS[name], 5).hom(1, 5):
+        assert not frag.in_hom(Morphism(1, 5, w.payload), 1, 5)
+
+
+def with_token(word, i, token):
+    return DecoratedWord(word.tokens[:i] + (token,) + word.tokens[i + 1:], word.m)
+
+
+# impostors of x1 a x2 x1^g in hom(2, 4) of gr(swap, 4), none of them a member
+WORD_IMPOSTORS = {
+    "plain tuple payload": lambda w: tuple(w),
+    "tokens as lists": lambda w: DecoratedWord(tuple(map(list, w.tokens)), w.m),
+    "token tuple as a list": lambda w: DecoratedWord(list(w.tokens), w.m),
+    "string exponent": lambda w: with_token(w, 3, (0, 1, "1")),
+    "exponent out of range": lambda w: with_token(w, 3, (0, 1, 2)),
+    "letter out of range": lambda w: with_token(w, 1, (1, 2, 0)),
+    "fractional variable": lambda w: with_token(w, 3, (0, 1.5, 0)),
+    "wrong m": lambda w: DecoratedWord(w.tokens, 3),
+    "first occurrences out of order": first_occurrences_swapped,
+}
+
+
+@pytest.mark.parametrize("impostor", WORD_IMPOSTORS.values(), ids=WORD_IMPOSTORS)
+def test_word_membership_refuses_impostors_without_raising(swap_context, impostor):
+    frag = gr_fragment(swap_context, 4)
+    word = parse_word("x1 a x2 x1^g", swap_context)
+    assert frag.in_hom(Morphism(2, 4, word), 2, 4)
+    value = impostor(word)
+    assert repr(value) != repr(word)
+    assert not frag.in_hom(Morphism(2, 4, value), 2, 4)
+    assert not frag.in_hom(Morphism(3, 4, value), 3, 4)
+
+
+def test_word_membership_takes_equal_values_as_the_listing_does(swap_context):
+    # 1.0 and True equal 1 and hash alike, so the listing's index finds them
+    frag = gr_fragment(swap_context, 4)
+    word = parse_word("x1 a x2 x1^g", swap_context)
+    for token in [(0, 1.0, 1), (0, 1, True), (False, 1, 1)]:
+        value = Morphism(2, 4, with_token(word, 3, token))
+        assert listing_only(frag).in_hom(value, 2, 4) and frag.in_hom(value, 2, 4)
+
+
+def test_transport_check_lists_no_source_word_for_phi(swap_context, monkeypatch):
+    # the landing check asks the gr source whether phi(B, C, u) is in
+    # hom(B, H(C)); the only source hom-sets listed are the hom(A, B) of f
+    listed = Counter()
+    enumerate_words = ramcat.category.enumerate_words
+
+    def counted(k, m, context):
+        for word in enumerate_words(k, m, context):
+            if context is swap_context:
+                listed[k, m] += 1
+            yield word
+
+    monkeypatch.setattr(ramcat.category, "enumerate_words", counted)
+    pa = pa_gr_decorated_to_plain(swap_context, 6)
+    report = verify_pa(pa, [1, 2], range(1, 7))
+    assert report.ok and report.instances == 2800
+    assert listed == {(1, 1): 1, (1, 2): 6, (2, 2): 1}
 
 
 def test_hom_index_is_the_listing_position_and_is_kept():

@@ -44,6 +44,8 @@ from ramcat import (
     verify_pa,
 )
 from ramcat.category import explicit_fragment
+from ramcat.words import DecoratedWord
+from conftest import first_occurrences_swapped
 
 
 def broken_phi_pa():
@@ -328,6 +330,19 @@ def test_budget_threshold_matches_the_oracle():
     assert answer[0] is BudgetExceeded
 
 
+def test_budget_overrun_carries_how_far_the_check_got():
+    # the blocks before (A, B, C) = (2, 2, 6) hold 220 instances, and that
+    # block's 65 would take the count past 284
+    with pytest.raises(BudgetExceeded) as err:
+        verify_pa(pa_gr_to_dramop(plain(2), 6, 6), [1, 2], CHAINS, max_instances=284)
+    assert err.value.stats == {"instances_checked": 220, "failures": 0, "phi_landing_failures": 0,
+                               "block": {"A": 2, "B": 2, "C": 6}}
+    with pytest.raises(BudgetExceeded) as err:
+        verify_pa(broken_phi_pa(), [1, 2, 3], [1, 2, 3], max_instances=20)
+    stats = err.value.stats
+    assert stats["failures"] > 0 and stats["instances_checked"] <= 20
+
+
 COLLAPSIBLE = [ram_fragment(3), gr_fragment(plain(2), 3), dram_op_fragment(4)]
 
 
@@ -382,6 +397,25 @@ def test_phi_equal_to_a_member_but_not_a_morphism_is_a_landing_failure(foreign):
     assert not report.ok and not report.failures and report.instances == 0
     assert len(report.phi_landing_failures) == f3.total_morphisms() == 8
     assert all(e["phi"] == e["u"] for e in report.phi_landing_failures)
+
+
+@pytest.mark.parametrize("mutate, landed_b", [
+    (first_occurrences_swapped, [1]),  # x2 before x1: only the words of B = 2 are refused
+    (lambda word: DecoratedWord(word.tokens, word.m + 1), []),  # a word under m + 1
+])
+def test_gr_phi_values_are_validated_by_the_landing_check(swap_context, mutate, landed_b):
+    # the gr constructions' phi builds its word unchecked, so a phi that
+    # builds a non-word is caught where its value lands
+    pa = pa_gr_decorated_to_plain(swap_context, 5)
+    phi = pa.phi
+    mutated = replace(pa, phi=lambda x, y, u: Morphism(x, y, mutate(phi(x, y, u).payload)))
+    report = assert_matches_oracle(mutated, [1, 2], [1, 2, 3, 4, 5])
+    assert not report.ok and not report.failures
+    unlanded = Counter(e["X"] for e in report.phi_landing_failures)
+    sizes = {b: sum(pa.target.hom_size(pa.F(b), c) for c in range(1, 6)) for b in [1, 2]}
+    assert unlanded == {b: size for b, size in sizes.items() if b not in landed_b}
+    assert all(not pa.source.in_hom(e["phi"], e["X"], e["Y"]) for e in report.phi_landing_failures)
+    assert report.instances == sum(sizes[b] * pa.source.hom_size(a, b) for b in landed_b for a in [1, 2])
 
 
 @pytest.mark.parametrize("wrong_v", [

@@ -11,6 +11,12 @@ host speed falls on both sides alike.  It then runs one traced pass per
 side (``--trace 1``, seed TRACE_SEED, TRACE_SECONDS long) for the
 per-layer counters.
 
+Every run starts with ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX``
+set to a fresh, empty temporary directory, so neither side reads bytecode
+cached by an earlier run, whatever ``__pycache__`` directories its checkout
+holds, and each side compiles its sources alike.  Nothing in the checkouts
+is deleted.  The output's ``host`` section records the setting.
+
 The output holds, per workload and end-to-end metric, each side's median
 and quartiles, the pairs the change won and lost (ties count for neither),
 the relative change of the median, and every run.  The traced pass is not
@@ -26,6 +32,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -33,13 +40,16 @@ PAIRS = 10
 FIRST_SEED = 101
 TRACE_SEED = 7
 TRACE_SECONDS = 10
+NO_BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": "a fresh, empty directory per run"}
 
 
 def run(checkout: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run; its last output line is the metrics object."""
     args = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
                       "--trace", str(trace)]
-    done = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as prefix:
+        env = {**os.environ, **NO_BYTECODE_CACHE, "PYTHONPYCACHEPREFIX": prefix}
+        done = subprocess.run(args, cwd=checkout, capture_output=True, text=True, env=env)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(args)} in {checkout} exited {done.returncode}:\n{done.stderr[-2000:]}")
     last = [line for line in done.stdout.splitlines() if line.strip()][-1]
@@ -71,7 +81,8 @@ def summarize(runs: list[dict], metric: str, better: str) -> dict:
 
 
 def host() -> dict:
-    """The interpreter, platform and processor model the runs used."""
+    """The interpreter, platform and processor model the runs used, and
+    the environment that keeps every run from reading cached bytecode."""
     model = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -79,7 +90,7 @@ def host() -> dict:
     except OSError:
         pass
     return {"platform": platform.platform(), "python": platform.python_version(),
-            "processor": model, "cpus": os.cpu_count()}
+            "processor": model, "cpus": os.cpu_count(), "bytecode_cache": NO_BYTECODE_CACHE}
 
 
 def main() -> None:
