@@ -80,7 +80,7 @@ def _prepare(fragment: CategoryFragment, a, b, c) -> _Copies:
     if not hom_ab or not hom_bc:
         raise ValidationError("precondition_arrow_missing",
                               f"need nonempty hom({a},{b}) and hom({b},{c})", A=a, B=b, C=c)
-    columns = fragment.columns(a, c, hom_bc, hom_ab)
+    columns = fragment.columns(a, b, c, range(len(hom_bc)), hom_ab)
     sets = dict.fromkeys(tuple(sorted(set(row))) for row in zip(*columns))
     return _Copies(list(sets))
 

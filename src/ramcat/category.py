@@ -17,11 +17,13 @@ the law and isomorphism checks read it, and so does membership, except in a
 time, for the arrow copy listing and for ``verify_pa``.  The ``gr`` and
 ``dram-op`` builders also give a spelling (see ``CategoryFragment``), from
 which ``columns`` reads composites by character substitution; for every
-other fragment it calls the rule.  The law check, the isomorphism check and
-the structural checks (``is_mono``, ``iso_pairs``) read their composites a
-column at a time too, one ``map`` of the rule over a hom-set's payloads, and
-re-certification composes through the rule; none of them reads the
-spelling.
+other fragment it calls the rule.  Each hom-set is spelled once: the
+fragment keeps its spellings, by position, and its index by spelling, and
+``columns`` reads a composed member's spelling by its position.  The law
+check, the isomorphism check and the structural checks (``is_mono``,
+``iso_pairs``) read their composites a column at a time too, one ``map`` of
+the rule over a hom-set's payloads, and re-certification composes through
+the rule; none of them reads the spelling.
 
 Builders are provided for the categories this package cares about:
 
@@ -105,7 +107,10 @@ class CategoryFragment:
     ``spell(rule(g, f)) == spell(g).translate(substitution(f))``.  Only
     ``columns`` reads it, to list composites without calling the rule;
     where it is None they come from the rule.  Its two readers are the
-    arrow copy listing and ``verify_pa``.  ``compose`` goes through
+    arrow copy listing and ``verify_pa``.  A hom-set is spelled the first
+    time ``columns`` reads it, and the fragment keeps its spellings, by
+    position, and its index by spelling, as it keeps ``hom_index``; nothing
+    else reads them.  ``compose`` goes through
     ``rule``, as do re-certification and the law, isomorphism and
     structural checks, which call it on payloads a column at a time; none of
     them reads the spelling, so a rule that disagrees with its spelling
@@ -128,6 +133,7 @@ class CategoryFragment:
         self.spelling = spelling
         self.member = member
         self._index: dict = {}  # (a, b) -> hom(a, b)'s index, filled on the first lookup
+        self._spellings: dict = {}  # (a, b) -> hom(a, b)'s spellings and index by spelling, filled by columns
         self.copies: dict = {}  # the arrow copies of each (A, B, C), filled by ramcat.arrows
 
     def __repr__(self):
@@ -164,24 +170,35 @@ class CategoryFragment:
             index = self._index[a, b] = {m.payload: i for i, m in enumerate(self.hom(a, b))}
         return index
 
-    def columns(self, a, c, ws, xs) -> list[list[int]]:
+    def _spelled(self, a, b) -> tuple[list[str], dict]:
+        """hom(a, b)'s spellings, by position, and its index by spelling.
+        Built on the first read and kept, as ``hom_index`` is; only
+        ``columns`` reads them."""
+        spelled = self._spellings.get((a, b))
+        if spelled is None:
+            names = list(map(self.spelling[0], [m.payload for m in self.hom(a, b)]))
+            spelled = self._spellings[a, b] = names, dict(zip(names, range(len(names))))
+        return spelled
+
+    def columns(self, a, b, c, at, xs) -> list[list[int]]:
         """The positions in hom(a, c) of w after x for the members w of
-        ``ws``, in hom(b, c), one list per member x of ``xs``, in hom(a, b).
-        Each column is one ``map`` over ``ws`` in C: of ``str.translate`` by
-        x's table on the spelled ws, looked up in an index of hom(a, c) by
-        spelling, when the fragment has a spelling, else of the rule on
-        payloads, looked up in ``hom_index``.  The arrow copy listing
-        (``ramcat.arrows``) and the transport check (``verify_pa``) read
-        their composites here."""
+        hom(b, c) at the positions ``at``, one list per member x of ``xs``,
+        in hom(a, b).  Each column is one ``map`` over those w in C: of
+        ``str.translate`` by x's table on the w's spellings, read by
+        position, looked up in hom(a, c)'s index by spelling, when the
+        fragment has a spelling, else of the rule on payloads, looked up in
+        ``hom_index``.  The arrow copy listing (``ramcat.arrows``) passes the
+        whole of hom(b, c), and the transport check (``verify_pa``) the
+        positions of the u whose phi landed."""
         if self.spelling is None:
+            ws = self.hom(b, c)
             find = self.hom_index(a, c).__getitem__
-            names = [w.payload for w in ws]
+            names = [ws[i].payload for i in at]
             step, by = self.rule, [x.payload for x in xs]
         else:
-            spell, substitution = self.spelling
-            find = {spell(m.payload): i for i, m in enumerate(self.hom(a, c))}.__getitem__
-            names = [spell(w.payload) for w in ws]
-            step, by = str.translate, [substitution(x.payload) for x in xs]
+            names = list(map(self._spelled(b, c)[0].__getitem__, at))
+            find = self._spelled(a, c)[1].__getitem__
+            step, by = str.translate, [self.spelling[1](x.payload) for x in xs]
         return [list(map(find, map(step, names, repeat(x)))) for x in by]
 
     def in_hom(self, m, a, b) -> bool:
@@ -669,12 +686,18 @@ def is_mono(fragment: CategoryFragment, f: Morphism) -> bool:
     distinct, so one rule call per morphism g, a column at a time, and a set
     of the composite payloads decide it.  Its cost is bounded by the caller:
     ``structural_checks`` bounds the triples first."""
-    rule, fp = fragment.rule, f.payload
-    for a in fragment.objects:
-        ms = fragment.hom(a, f.dom)
-        if len(set(map(rule, repeat(fp), [g.payload for g in ms]))) < len(ms):
-            return False
-    return True
+    return _injective(fragment.rule, f.payload, _payloads_into(fragment, f.dom))
+
+
+def _payloads_into(fragment: CategoryFragment, b) -> list[list]:
+    """The payloads of hom(a, b), one list for each object a."""
+    return [[g.payload for g in fragment.hom(a, b)] for a in fragment.objects]
+
+
+def _injective(rule: Callable, fp, columns: list[list]) -> bool:
+    """Whether the rule's composites f.g are pairwise distinct within each
+    column of payloads g, f given by its payload ``fp``."""
+    return all(len(set(map(rule, repeat(fp), gs))) == len(gs) for gs in columns)
 
 
 def _identity_payload(fragment: CategoryFragment, a):
@@ -727,9 +750,10 @@ class StructuralReport:
 
 def structural_checks(fragment: CategoryFragment) -> StructuralReport:
     """Thinness, directedness, monos, endomorphisms and isomorphisms of a
-    fragment.  ``is_mono`` reads every morphism and ``iso_pairs`` every pair
-    of objects, so the composable triples are bounded first
-    (``_bound_triples``)."""
+    fragment.  The mono test, ``is_mono``'s, reads every morphism, and
+    ``iso_pairs`` every pair of objects, so the composable triples are
+    bounded first (``_bound_triples``).  The payloads of the hom-sets into
+    each object are listed once per call, not once per morphism."""
     _bound_triples(fragment, "structural checks")
     objs = fragment.objects
     thin = all(fragment.hom_size(a, b) <= 1 for a in objs for b in objs)
@@ -738,8 +762,9 @@ def structural_checks(fragment: CategoryFragment) -> StructuralReport:
         for a in objs for b in objs
     )
     non_mono = None
+    into = {b: _payloads_into(fragment, b) for b in objs}  # read once, not once per morphism
     for m in fragment.morphisms():
-        if not is_mono(fragment, m):
+        if not _injective(fragment.rule, m.payload, into[m.dom]):
             non_mono = m
             break
     self_ok = all(tuple(fragment.hom(a, a)) == (fragment.identity(a),) for a in objs)

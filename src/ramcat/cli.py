@@ -29,6 +29,7 @@ from .arrows import (
     min_ramsey_witness,
 )
 from .category import (
+    DEFAULT_HOM_CAP,
     dram_op_fragment,
     fragment_from_spec,
     gr_fragment,
@@ -52,7 +53,8 @@ from .tukey import (
     validate_preorder,
     verify_trace,
 )
-from .words import WordContext, enumerate_words, format_word, parse_word, plain_context, substitute
+from .words import (WordContext, enumerate_words, format_word, listing_size, parse_word, plain_context,
+                    substitute)
 
 
 def _emit(report: dict, output: str | None):
@@ -180,6 +182,21 @@ def main():
 
 # --- words -------------------------------------------------------------------
 
+def _size_listing(m: int, n: int, context: WordContext, what: str, noun: str) -> None:
+    """Refuse, before anything is listed, a listing of the m-parameter
+    n-letter words of ``context`` (the rigid surjections n -> m are the
+    plain ones) that would write more than ``DEFAULT_HOM_CAP`` letters in
+    all (``listing_size``), as every listing of more than
+    ``DEFAULT_HOM_CAP`` words would.  Counting words alone would let one
+    word of a million letters through, which the enumerator builds a
+    prefix at a time."""
+    cap = DEFAULT_HOM_CAP
+    count, tokens = listing_size(m, n, context, cap)
+    if tokens > cap:
+        raise ResourceBound(f"{what} would list at least {count} {noun} of {n} letters, more than its cap of "
+                            f"{cap} letters in all", cap)
+
+
 @main.group()
 def words():
     """Decorated parameter words."""
@@ -227,6 +244,7 @@ def words_compose(u_file, v_file, context_path):
 @reported
 def words_enumerate(context_path, m, n, quiet):
     context = _load_context(context_path)
+    _size_listing(m, n, context, f"words enumerate -m {m} -n {n}", "words")
     out = [format_word(w, context) for w in enumerate_words(m, n, context)]
     report = {"ok": True, "count": len(out)}
     return report if quiet else (out, report)
@@ -263,6 +281,7 @@ def rsurj_compose(f_text, g_text):
 @click.option("--quiet", is_flag=True)
 @reported
 def rsurj_enumerate(n, m, quiet):
+    _size_listing(m, n, plain_context(), f"rsurj enumerate -n {n} -m {m}", "maps")
     out = [str(f) for f in enumerate_rsurj(n, m)]
     report = {"ok": True, "count": len(out)}
     return report if quiet else (out, report)

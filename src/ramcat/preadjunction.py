@@ -50,6 +50,7 @@ from .words import (
     WordContext,
     plain_context,
     validate_word,
+    word_tokens,
 )
 
 
@@ -124,12 +125,13 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
     as a landing failure.  A ``gr`` source decides it from the word, without
     listing hom(B, H(C)).  The suggested v is drawn and checked against
     hom(F(A), F(B)) once per (A, B, f).  The composites u . v of each
-    suggested v come from one column over the landed u of hom(F(B), C)
-    (``CategoryFragment.columns``: character substitution where the target
-    has a spelling, else its rule), and phi(B, C, u) . f is formed once per
-    distinct phi value and f, so an instance whose suggested v is a witness
-    costs a list index and one ``==``.  Where it is not, the candidates are
-    scanned in order through ``compose``.
+    suggested v come from one column over the landed u of hom(F(B), C),
+    passed by their positions (``CategoryFragment.columns``: character
+    substitution on the spellings the target keeps for each hom-set, where
+    it has a spelling, else its rule), and phi(B, C, u) . f is formed once
+    per distinct phi value and f, so an instance whose suggested v is a
+    witness costs a list index and one ``==``.  Where it is not, the
+    candidates are scanned in order through ``compose``.
 
     A block whose instances would take the count past ``max_instances``
     raises ``BudgetExceeded`` before it is checked; its ``stats`` hold the
@@ -189,7 +191,7 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
                         suggested = [v if tgt.in_hom(v, fa, fb) else None
                                      for v in (pa.suggested_v(a_obj, b_obj, f) for f in fs)]
                     given = [fi for fi, v in enumerate(suggested) if v is not None]
-                    found = tgt.columns(fa, c_obj, [hom_bc[ui] for ui in us], [suggested[fi] for fi in given])
+                    found = tgt.columns(fa, fb, c_obj, us, [suggested[fi] for fi in given])
                     for fi, column in zip(given, found):
                         columns[fi] = column
                 hom_ac = tgt.hom(fa, c_obj)
@@ -299,21 +301,20 @@ def pa_gr_plain_to_decorated(context: WordContext, n: int,
                              source: CategoryFragment | None = None,
                              target: CategoryFragment | None = None) -> PreAdjunction:
     """From undecorated words into decorated words over (A, G): strip
-    exponents to neutral and letters to x1; any plain word is its own
-    transport witness.  phi builds its word without validating it:
-    ``verify_pa``'s landing check validates each value it reads."""
+    exponents to neutral and letters to x1, so each letter becomes x1 and
+    each x_i^h becomes x_i; any plain word is its own transport witness.
+    phi reads each token of u in a table of the tokens of ``context`` with
+    at most n parameters, built once, and builds its word without
+    validating it: ``verify_pa``'s landing check validates each value it
+    reads."""
     plain = plain_context()
     source = source or gr_fragment(plain, n)
     target = target or gr_fragment(context, n)
+    table = {token: (PARAM, 1, 0) if token[0] == LETTER else (PARAM, token[1], 0)
+             for token in word_tokens(context, n)}.__getitem__
 
     def phi(m_obj, n_obj, u: Morphism) -> Morphism:
-        tokens = []
-        for kind, idx, exp in u.payload.tokens:
-            if kind == LETTER:
-                tokens.append((PARAM, 1, 0))
-            else:
-                tokens.append((PARAM, idx, 0))
-        return Morphism(m_obj, n_obj, DecoratedWord(tuple(tokens), u.payload.m))
+        return Morphism(m_obj, n_obj, DecoratedWord(tuple(map(table, u.payload.tokens)), u.payload.m))
 
     def suggested(a, b, f: Morphism) -> Morphism:
         return f  # a plain word is the decorated word with the same tokens
@@ -330,6 +331,9 @@ def pa_gr_decorated_to_plain(context: WordContext, n: int,
     the enlarged variable set re-reads as a decorated word by sending the
     i-th alphabet variable under exponent h to the letter obtained by acting
     with h; the transport witness for f prepends the alphabet block to f.
+    So phi sends x_i^h to the letter i acted on by h for i <= |A|, and to
+    x_(i - |A|)^h otherwise, reading each token of u in a table of the
+    tokens of the target's context with at most n parameters, built once.
     phi builds its word without validating it: ``verify_pa``'s landing check
     validates each value it reads; the suggested witness is validated."""
     t = len(context.alphabet)
@@ -339,15 +343,11 @@ def pa_gr_decorated_to_plain(context: WordContext, n: int,
     source = source or gr_fragment(context, n)
     target = target or gr_fragment(plain_g, n)
     act = context.action.table  # a target word's exponents are elements of the same group
+    table = {(kind, idx, exp): (LETTER, act[idx - 1][exp], 0) if idx <= t else (PARAM, idx - t, exp)
+             for kind, idx, exp in word_tokens(plain_g, n)}.__getitem__
 
     def phi(m_obj, n_obj, u: Morphism) -> Morphism:
-        tokens = []
-        for kind, idx, exp in u.payload.tokens:
-            if idx <= t:
-                tokens.append((LETTER, act[idx - 1][exp], 0))
-            else:
-                tokens.append((PARAM, idx - t, exp))
-        return Morphism(m_obj, n_obj, DecoratedWord(tuple(tokens), m_obj))
+        return Morphism(m_obj, n_obj, DecoratedWord(tuple(map(table, u.payload.tokens)), m_obj))
 
     def suggested(a, b, f: Morphism) -> Morphism:
         tokens = [(PARAM, i, 0) for i in range(1, t + 1)]
@@ -371,8 +371,11 @@ def pa_gr_to_dramop(context: WordContext, n_source: int, n_chains: int,
     position then by element index, the neutral element first; a rigid
     surjection onto that chain reads off as a decorated word, and the
     transport witness of a word f sends (j, h) to (i, g*h) where the j-th
-    token of f is x_i^g.  phi builds its word without validating it:
-    ``verify_pa``'s landing check validates each value it reads."""
+    token of f is x_i^g.  So phi reads chain position p = (j - 1)|G| + g + 1
+    as the token x_j^g, looking each value of u up in a table of the chain
+    positions 1..n_chains, built once.  phi builds its word without
+    validating it: ``verify_pa``'s landing check validates each value it
+    reads."""
     if context.alphabet:
         raise ValidationError("nonempty_alphabet", "this construction starts from the empty alphabet")
     group = context.group
@@ -386,13 +389,12 @@ def pa_gr_to_dramop(context: WordContext, n_source: int, n_chains: int,
     def unpos(p: int) -> tuple[int, int]:
         return (p - 1) // t + 1, (p - 1) % t
 
+    # position p of a chain -> its token, with no position 0
+    table = ((None,) + tuple((PARAM, *unpos(p)) for p in range(1, n_chains + 1))).__getitem__
+
     def phi(n_obj, c_obj, u: Morphism) -> Morphism:
         surj: RigidSurjection = u.payload  # a rigid surjection c_obj -> n_obj * t
-        tokens = []
-        for p in surj.image:
-            j, g = unpos(p)
-            tokens.append((PARAM, j, g))
-        return Morphism(n_obj, c_obj, DecoratedWord(tuple(tokens), n_obj))
+        return Morphism(n_obj, c_obj, DecoratedWord(tuple(map(table, surj.image)), n_obj))
 
     def suggested(a, b, f: Morphism) -> Morphism:
         image = []

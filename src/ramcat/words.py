@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, NoReturn
 
 from .errors import ValidationError
 from .groups import RightAction, trivial_action, trivial_group
@@ -86,15 +86,41 @@ class DecoratedWord(NamedTuple):
 
 
 def validate_word(tokens, m: int, context: WordContext) -> DecoratedWord:
-    """Check the four word conditions; report the first violation with its
-    (1-based) position."""
-    tokens = tuple(tuple(t) for t in tokens)
+    """``tokens`` as an ``m``-parameter word of ``context``.  One scan, the
+    only way in, accepts a word: it walks the tokens once, keeping the
+    highest variable seen so far.  A variable above it must be the next one
+    and carry the neutral exponent; every exponent and letter must be in
+    range, and a letter's exponent neutral; at the end the highest variable
+    seen must be x_m.  That is the four word conditions for tokens of
+    integers.  Tokens that fail it are read value by value only then, to
+    report the first violation with its (1-based) position; they are always
+    refused."""
+    tokens = tuple(map(tuple, tokens))
+    order, n_letters = context.group.order, len(context.alphabet)
+    top = 0  # the highest variable seen so far
+    for kind, idx, exp in tokens:
+        if kind == PARAM:
+            if idx > top:
+                if idx != top + 1 or exp:
+                    break
+                top = idx
+            elif not (idx > 0 and 0 <= exp < order):
+                break
+        elif kind != LETTER or exp or not 0 <= idx < n_letters:
+            break
+    else:
+        if tokens and top == m:
+            return DecoratedWord(tokens, m)
+    _refuse(tokens, m, order, n_letters)
+
+
+def _refuse(tokens: tuple, m: int, order: int, n_letters: int) -> NoReturn:
+    """Raise the first violation of the word conditions in ``tokens``, which
+    ``validate_word``'s scan refused."""
     if not tokens:
         raise ValidationError("empty_word", "words must have at least one token")
     if m < 0:
         raise ValidationError("parameter_range", f"parameter count {m} is negative", m=m)
-    order = context.group.order
-    n_letters = len(context.alphabet)
     first_seen: dict[int, int] = {}
     for pos, (kind, idx, exp) in enumerate(tokens, start=1):
         if not (0 <= exp < order):
@@ -137,7 +163,7 @@ def validate_word(tokens, m: int, context: WordContext) -> DecoratedWord:
                 f"x{k + 1} first occurs before x{k}",
                 k=k, l=k + 1,
             )
-    return DecoratedWord(tokens, m)
+    raise ValidationError("parameter_range", f"the variables in order of first occurrence are not x1..x{m}")
 
 
 def identity_word(n: int) -> DecoratedWord:
@@ -214,13 +240,14 @@ def word_spelling(context: WordContext, n: int):
 def enumerate_words(m: int, n: int, context: WordContext) -> Iterator[DecoratedWord]:
     """All valid words with ``m`` parameters and ``n`` tokens, in the
     canonical lexicographic order over token sequences (empty iff m > n,
-    apart from the all-letter words allowed at m = 0).
+    apart from the all-letter words allowed at m = 0, of which an empty
+    alphabet has none).
 
     Prefixes are extended one position at a time, each by its allowed tokens
     in canonical order, so every level stays sorted.  A prefix is kept only
     while the positions left can still introduce the missing variables; the
     last position is streamed rather than stored."""
-    if m < 0 or n < 1 or m > n:
+    if m < 0 or n < 1 or m > n or not (m or context.alphabet):
         return
     order = range(context.group.order)
     letters = [(LETTER, a, 0) for a in range(len(context.alphabet))]
@@ -241,6 +268,33 @@ def enumerate_words(m: int, n: int, context: WordContext) -> Iterator[DecoratedW
         for token, after in options[seen]:
             if after == m:
                 yield DecoratedWord(prefix + (token,), m)
+
+
+def listing_size(m: int, n: int, context: WordContext, cap: int) -> tuple[int, int]:
+    """``(words, tokens)``: how many words ``enumerate_words(m, n, context)``
+    lists, and how many tokens it writes, counting each prefix it keeps as
+    its length.  When the tokens pass ``cap`` the sizing stops there, with
+    ``tokens`` over ``cap`` and ``words`` a number the words are at least.
+
+    The recurrence of ``category._word_counts``, kept to the prefixes that
+    can still become a word, as ``enumerate_words`` keeps them: a prefix with
+    k variables has k + 1 of them when it takes the next new variable, and
+    keeps k with any of the k |G| + |A| other tokens.  Each kept prefix
+    extends to words of its own, and every non-empty listing keeps one per
+    length, so the sizing takes at most about sqrt(2 cap) steps."""
+    order, letters = context.group.order, len(context.alphabet)
+    if m < 0 or n < 1 or m > n or not (m or letters):
+        return 0, 0
+    row = {0: 1}  # row[k]: the kept prefixes of the current length with k variables
+    tokens = 0
+    for length in range(1, n + 1):
+        row = {k: row.get(k - 1, 0) + row.get(k, 0) * (k * order + letters)
+               for k in range(max(0, m - (n - length)), min(length, m) + 1)}
+        kept = sum(row.values())
+        tokens += length * kept
+        if tokens > cap:
+            break
+    return kept, tokens
 
 
 # --- notation -------------------------------------------------------------

@@ -37,7 +37,7 @@ from ramcat import (
     verify_pa,
 )
 from ramcat.arrows import certify_bad_coloring, find_bad_coloring
-from ramcat.category import CategoryFragment, FragmentLawReport, Morphism
+from ramcat.category import CategoryFragment, FragmentLawReport, Morphism, is_mono
 from ramcat.surjections import RigidSurjection, word_to_rsurj
 from ramcat.words import DecoratedWord, identity_word, parse_word
 from conftest import first_occurrences_swapped, stirling, tabulate
@@ -885,6 +885,23 @@ def test_structural_checks_pins_non_mono_and_iso_witnesses():
     assert structural_checks(twin_fragment()).iso_homs_match
 
 
+def test_structural_checks_read_each_hom_set_once(monkeypatch):
+    # the mono test of every morphism reads the payloads of the hom-sets into
+    # its domain, listed once per call for each domain, not once per morphism
+    cases = [dram_op_fragment(6), dram_fragment(5), idempotent_twins(), gr_fragment(plain_context(), 4)]
+    wanted = [next((m for m in frag.morphisms() if not is_mono(frag, m)), None) for frag in cases]
+    listed = Counter()
+    payloads_into = ramcat.category._payloads_into
+    monkeypatch.setattr(ramcat.category, "_payloads_into",
+                        lambda fragment, b: listed.update([b]) or payloads_into(fragment, b))
+    for frag, witness in zip(cases, wanted):
+        listed.clear()
+        rep = structural_checks(frag)
+        assert rep.non_mono_witness == witness and rep.all_mono == (witness is None), frag.name
+        assert listed == Counter(frag.objects), frag.name
+    assert wanted[0] is None and wanted[1] is not None and wanted[2] is not None
+
+
 def test_words_surjections_fragment_isomorphism():
     grf, dop, on_m = dramop_word_functor(4, plain_context())
     result = check_fragment_isomorphism(grf, dop, on_m)
@@ -992,8 +1009,8 @@ def test_checks_read_the_rule_not_the_spelling():
     swapped = {first: rule(*second), second: rule(*first)}
     frag.rule = lambda g, f: swapped[g, f] if (g, f) in swapped else rule(g, f)
     assert frag.spelling is not None
-    assert (frag.columns(3, 5, frag.hom(4, 5), frag.hom(3, 4))
-            == fresh.columns(3, 5, fresh.hom(4, 5), fresh.hom(3, 4)))
+    every = range(frag.hom_size(4, 5))
+    assert frag.columns(3, 4, 5, every, frag.hom(3, 4)) == fresh.columns(3, 4, 5, every, fresh.hom(3, 4))
     report = validate_fragment(frag)
     assert report.associativity_violations
     assert not (report.identity_violations or report.closure_violations)

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import time
 import traceback
@@ -16,7 +17,7 @@ from ramcat.arrows import Coloring, certify_bad_coloring
 from ramcat.cli import main
 from ramcat.groups import cycle_action, cyclic_group
 
-from conftest import action_to_dict
+from conftest import action_to_dict, stirling
 
 Z3_CONTEXT = action_to_dict(cycle_action(cyclic_group(3), "abcd", [1, 2, 0, 3]))
 Z2_GROUP = {"order": 2, "table": [0, 1, 1, 0], "element_names": ["e", "g"]}
@@ -90,6 +91,32 @@ def test_words_enumerate_count(runner):
     result = runner.invoke(main, ["words", "enumerate", "-m", "2", "-n", "3", "--quiet"])
     assert result.exit_code == 0
     assert json.loads(result.output)["count"] == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["words", "enumerate", "-m", "4", "-n", "30", "--quiet"],
+    ["rsurj", "enumerate", "-n", "30", "-m", "4", "--quiet"],
+    ["words", "enumerate", "-m", "1", "-n", "1000000", "--quiet"],  # one word, a million letters long
+    ["words", "enumerate", "-m", "1", "-n", str(10 ** 18), "--quiet"],
+], ids=["words", "rsurj", "one-long-word", "huge-n"])
+def test_enumerate_over_the_cap_is_refused_before_listing(runner, args):
+    started = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 3, result.output
+    error = json.loads(result.output)["error"]
+    assert re.search(r"would list at least \d+ (words|maps) of \d+ letters", error)
+    assert f"cap of {ramcat.category.DEFAULT_HOM_CAP} letters in all" in error
+
+
+def test_enumerate_under_the_cap_still_lists(runner):
+    # S(10, 4) = 34,105 maps of 10 letters, the largest rsurj listing here
+    count = runner.invoke(main, ["rsurj", "enumerate", "-n", "10", "-m", "4", "--quiet"])
+    assert count.exit_code == 0 and json.loads(count.output)["count"] == stirling(10, 4) == 34105
+    listed = runner.invoke(main, ["words", "enumerate", "-m", "1", "-n", "3"])
+    assert listed.exit_code == 0 and listed.output.splitlines() == ["x1 x1 x1"]
+    empty = runner.invoke(main, ["words", "enumerate", "-m", "0", "-n", str(10 ** 18), "--quiet"])
+    assert empty.exit_code == 0 and json.loads(empty.output)["count"] == 0
 
 
 def test_usage_error_exit_code(runner):

@@ -44,7 +44,7 @@ from ramcat import (
     verify_pa,
 )
 from ramcat.category import explicit_fragment
-from ramcat.words import DecoratedWord
+from ramcat.words import LETTER, PARAM, DecoratedWord
 from conftest import first_occurrences_swapped
 
 
@@ -588,6 +588,56 @@ def test_gr_to_dramop_with_z3_verifies():
     report = verify_pa(pa, [1, 2], list(range(1, 7)))
     assert report.ok and report.instances > 0
     assert report.suggested_hits == report.suggested_tried
+
+
+# each gr construction's token rule as its docstring states it, written out
+# apart from its table: rule(context, X, u) is the word phi(X, Y, u) carries
+def strip_rule(context, x, u):
+    return DecoratedWord(tuple((PARAM, 1, 0) if kind == LETTER else (PARAM, idx, 0)
+                               for kind, idx, exp in u.payload.tokens), u.payload.m)
+
+
+def absorb_rule(context, x, u):
+    t = len(context.alphabet)
+    return DecoratedWord(tuple((LETTER, context.action.table[idx - 1][exp], 0) if idx <= t else (PARAM, idx - t, exp)
+                               for kind, idx, exp in u.payload.tokens), x)
+
+
+def chain_rule(context, x, u):
+    order = context.group.order
+    return DecoratedWord(tuple((PARAM, (p - 1) // order + 1, (p - 1) % order) for p in u.payload.image), x)
+
+
+# (name, context, src, tgt) of the gr constructions golden verifies, with their rule
+GR_GOLDEN = [("gr-plain-to-decorated", swap, 3, 3, strip_rule),
+             ("gr-decorated-to-plain", swap, 2, 6, absorb_rule),
+             ("gr-to-dram-op", lambda: plain(2), 2, 6, chain_rule)]
+
+
+@pytest.mark.parametrize("name, context, src, tgt, rule", GR_GOLDEN, ids=[row[0] for row in GR_GOLDEN])
+def test_table_phis_follow_their_token_rule(name, context, src, tgt, rule):
+    ctx = context()
+    pa, _, _ = named_pa(name, ctx, {"src": src, "tgt": tgt})
+    read = 0
+    for x in pa.source.objects:
+        if pa.target.has_object(pa.object_map(x)):
+            for y in pa.target.objects:
+                for u in pa.target.hom(pa.F(x), y):
+                    assert pa.phi(x, y, u) == Morphism(x, pa.H(y), rule(ctx, x, u)), (x, y, u)
+                    read += 1
+    assert read > 0
+
+
+@pytest.mark.parametrize("pick", [0, -1], ids=["constant-phi", "last-member-phi"])
+@pytest.mark.parametrize("name, context, src, tgt, rule", GR_GOLDEN, ids=[row[0] for row in GR_GOLDEN])
+def test_mutated_table_phis_fail_and_failures_are_rechecked(name, context, src, tgt, rule, pick):
+    # phi collapsed onto one member of each hom(X, H(Y)): the table phi is
+    # gone, and each recorded failure is confirmed afresh
+    pa, source_objects, target_objects = named_pa(name, context(), {"src": src, "tgt": tgt})
+    broken = replace(pa, phi=lambda x, y, u: pa.source.hom(x, pa.H(y))[pick])
+    report = verify_pa(broken, source_objects, target_objects)
+    assert report.failures and not report.phi_landing_failures
+    assert recheck_failures(broken, report)
 
 
 def test_ram_to_dramop_verifies_and_counts():

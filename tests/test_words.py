@@ -12,6 +12,7 @@ from ramcat import (
     cyclic_group,
     enumerate_words,
     format_word,
+    gr_fragment,
     identity_word,
     parse_word,
     plain_context,
@@ -20,7 +21,7 @@ from ramcat import (
     validate_word,
 )
 from conftest import stirling
-from ramcat.words import LETTER, PARAM, DecoratedWord, letter, param, word_spelling
+from ramcat.words import LETTER, PARAM, DecoratedWord, letter, param, word_spelling, word_tokens
 
 GOLDEN_WORD = "c a x1 a x1^g2 x2 d x3 x2^g2 x1^g a x3^g"
 GOLDEN_V = "b x1 x1^g2"
@@ -94,6 +95,29 @@ def test_missing_parameter(z3_context):
     with pytest.raises(ValidationError) as err:
         parse_word("x1 a", z3_context, m=2)
     assert err.value.code == "missing_parameter"
+
+
+def test_accepting_scan_matches_the_listing(swap_context, plain_z2_context):
+    # every token sequence of each length m over the tokens of words with up
+    # to m + 1 parameters, and tokens off range: an exponent |G|, a letter
+    # |A|, x0 and a letter under a non-neutral exponent
+    for context, longest in [(plain_context(), 4), (plain_z2_context, 3), (swap_context, 3)]:
+        order, letters = context.group.order, len(context.alphabet)
+        member = gr_fragment(context, longest + 1).member
+        off_range = [(PARAM, 1, order), (LETTER, letters, 0), (PARAM, 0, 0), (LETTER, 0, 1)]
+        for m in range(longest + 1):
+            tokens = word_tokens(context, m + 1) + off_range
+            for k in range(m + 2):
+                words = set(enumerate_words(k, m, context))
+                for seq in product(tokens, repeat=m):
+                    word = DecoratedWord(seq, k)
+                    try:
+                        got = validate_word(seq, k, context)
+                    except ValidationError:
+                        got = None
+                    assert (got is not None) == (word in words), (context.alphabet, order, seq, k)
+                    assert got is None or (type(got) is DecoratedWord and got == word)
+                    assert member(word, k, m) == (word in words), (context.alphabet, order, seq, k)
 
 
 def test_golden_substitution(z3_context):

@@ -31,7 +31,9 @@ these reports with ``--output``:
 * ``ramcat tukey companion`` and ``tukey monotonize`` on README's examples;
 * ``ramcat words validate``, ``compose`` and ``enumerate`` over README's
   context file ``z3.json`` (Z3 acting on a, b, c, d), on README's words and
-  one word that fails validation;
+  on one refused word for each refusal code the CLI can reach
+  (``first_occurrence_exponent``, ``letter_exponent``,
+  ``first_occurrence_order`` and ``missing_parameter``);
 * ``ramcat rsurj validate``, ``compose`` and ``dual`` on README's maps, and
   ``rsurj enumerate -n 6 -m 3``;
 * ``ramcat category build`` on a ``gr`` builder spec over ``z3.json`` and
@@ -160,6 +162,11 @@ WORDS = [
     ["validate", "--context", "z3.json", "x1 x2 x1^g"],
     ["validate", "--context", "z3.json", WORD_FILES["u.txt"].strip()],
     ["validate", "--context", "z3.json", "x1^g x1"],  # first occurrence under g: exit 1
+    # one refusal for each other reason the CLI can reach, two of them with a later violation too
+    ["validate", "--context", "z3.json", "x1 a^g x2^g"],  # a letter under g, then x2 first under g
+    ["validate", "--context", "z3.json", "x1 x2^g a^g"],  # x2 first under g, then a letter under g
+    ["validate", "--context", "z3.json", "x2 x1 x2^g a"],  # x2 first occurs before x1
+    ["validate", "--context", "z3.json", "x3 x1 x3"],  # x2 never occurs, and x3 comes before x1
     ["compose", "--context", "z3.json", "u.txt", "v.txt"],
     ["enumerate", "--context", "z3.json", "-m", "2", "-n", "3"],
 ]
