@@ -94,17 +94,36 @@ def _copies(fragment: CategoryFragment, a, b, c) -> _Copies:
     return copies
 
 
-def _lane_tables(k: int, j: int) -> list[list[int]]:
-    """``tables[t][c]`` has bit x set when lane coloring x < k^j gives lane
-    position t the color c, reading x in base k with lane position 0 as its
-    most significant digit."""
-    width = k ** j
+def _lane_masks(k: int, j: int) -> tuple[list[list[int]], list[int], int]:
+    """``(tables, canon, full)`` for j lane positions over k colors, in
+    O(j·k) shifts, ORs and subtractions of k^j-bit integers.  ``full`` sets
+    all k^j lanes.  ``tables[t][c]`` sets lane x when x, read in base k with
+    lane position 0 as its most significant digit, gives position t the
+    color c: one run of k^(j-1-t) ones in every k runs, shifted by c runs.
+    ``canon[u]``, for u in 0..k, sets the lanes whose digits continue a
+    prefix that used u colors canonically, each digit a color used before it
+    or the next new one.  It is ``full`` for u >= k - 1; below that,
+    position t keeps a lane whose digit c < u leaves u colors used, or whose
+    c = u opens one more."""
+    full = (1 << k ** j) - 1
     tables = []
+    rep = 1  # one bit at the first lane of each block of k runs of position t
     for t in range(j):
         run = k ** (j - 1 - t)  # lanes in a row that share digit t
-        repeat = ((1 << width) - 1) // ((1 << run * k) - 1)  # one bit every k runs
-        tables.append([repeat * (((1 << run) - 1) << color * run) for color in range(k)])
-    return tables
+        ones = (rep << run) - rep
+        tables.append([ones << shift for shift in range(0, k * run, run)])
+        span = run  # double rep onto every run: its bits for position t + 1
+        while span < k * run:
+            rep |= rep << span
+            span <<= 1
+        rep &= full
+    canon = [full] * (k + 1)
+    for table in reversed(tables):
+        after, canon, below = canon, [full] * (k + 1), 0  # below: the lanes of the colors < u here
+        for u in range(k - 1):
+            canon[u] = below & after[u] | table[u] & after[u + 1]
+            below |= table[u]
+    return tables, canon, full
 
 
 def check_arrow_exhaustive(fragment: CategoryFragment, a, b, c, k: int,
@@ -128,8 +147,10 @@ def exhaustive_coloring(h: int, copies: list[tuple[int, ...]], k: int,
     copy for all lanes at once.  An odometer steps the other positions
     through their first-use canonical prefixes in lexicographic order; after
     a prefix using u colors, ``canon[u]`` marks the lanes that complete a
-    canonical coloring.  The coloring returned is the lexicographically
-    first bad coloring, which is canonical, as it is the least of its class.
+    canonical coloring.  ``_lane_masks`` builds the tables and ``canon`` on
+    each call, in O(j·k) big-integer operations; nothing outlives the call.
+    The coloring returned is the lexicographically first bad coloring, which
+    is canonical, as it is the least of its class.
     ``stats["colorings"]`` counts the canonical colorings up to and including
     it, or all of them when none is bad.  A budget overrun raises with
     ``hom_ac`` and ``copies`` as its stats."""
@@ -143,12 +164,7 @@ def exhaustive_coloring(h: int, copies: list[tuple[int, ...]], k: int,
     while j < h and k ** (j + 1) <= BLOCK:
         j += 1
     p = h - j  # positions stepped by the odometer
-    tables = _lane_tables(k, j)
-    full = (1 << k ** j) - 1
-    canon = [full] * (k + 1)  # canon[u]: canonical lanes after u colors are used
-    for table in reversed(tables):  # the colors' tables are disjoint, so sum is OR
-        canon = [sum(table[color] & canon[max(u, color + 1)] for color in range(min(u + 1, k)))
-                 for u in range(k + 1)]
+    tables, canon, full = _lane_masks(k, j)
     mono_lanes = 0  # lanes where a copy with no stepped position is monochromatic
     stepped = []  # (stepped positions, lane tables) of the other copies
     for copy in copies:

@@ -1,9 +1,10 @@
 """Finite fragments of locally small categories.
 
-A fragment lists its objects, knows the size of every hom-set, lists the
-morphisms of a hom-set the first time it is read, and composes morphisms
-through a rule on payloads: ``rule(g.payload, f.payload)`` is the payload of
-g after f, and the rule never sees a domain or codomain.
+A fragment lists its objects, knows the size of every hom-set, holds a
+hom-set it has not listed as nothing but that size, lists it through the
+fragment's one ``build(a, b)`` the first time it is read, and composes
+morphisms through a rule on payloads: ``rule(g.payload, f.payload)`` is the
+payload of g after f, and the rule never sees a domain or codomain.
 ``CategoryFragment.compose`` is the one place that checks ``f.cod == g.dom``
 and types the composite as ``f.dom -> g.cod``.  Morphisms, like the words
 and surjections they carry, are tuple-backed values: a morphism equals a plain
@@ -73,18 +74,6 @@ class Morphism(NamedTuple):
         return f"{self.dom}->{self.cod}:{self.payload}"
 
 
-@dataclass(frozen=True)
-class LazyHom:
-    """A hom-set not read yet: its size, known without listing it, and the
-    rule that lists its morphisms in canonical order."""
-
-    size: int
-    build: Callable[[], Iterable[Morphism]]
-
-    def __len__(self) -> int:
-        return self.size
-
-
 class CategoryFragment:
     """Objects, hom-sets and a composition rule.
 
@@ -94,11 +83,14 @@ class CategoryFragment:
     code that knows the pair is composable, such as ``columns``, may call
     ``rule`` on payloads directly.
 
-    ``hom`` maps each pair (a, b) with morphisms to its morphisms, or to a
-    ``LazyHom``.  A lazy hom-set is listed the first time ``hom(a, b)`` reads
-    it and kept from then on; its size is known before that, so
-    ``hom_size``, ``arrow``, ``total_morphisms`` and ``repr`` build
-    nothing.
+    ``hom`` maps each pair (a, b) with morphisms to its morphisms or, when
+    ``build`` is given, to their number.  A hom-set held as its size is
+    listed by ``build(a, b)``, which yields its morphisms in canonical order,
+    the first time ``hom(a, b)`` reads it, and kept from then on; its size is
+    known before that, so ``hom_size``, ``arrow``, ``total_morphisms``,
+    ``repr`` and the triple bound of the checks list nothing.  ``build`` is
+    never a bound method of the fragment itself, for the reason ``in_hom``
+    gives.
 
     ``spelling``, when a builder gives one, is a pair ``(spell,
     substitution)``: ``spell(payload)`` writes a payload as a string with
@@ -123,11 +115,14 @@ class CategoryFragment:
 
     def __init__(self, name: str, objects, hom: dict, identity: dict,
                  rule: Callable[[object, object], object], spelling: tuple | None = None,
-                 member: Callable[[object, object, object], bool] | None = None):
+                 member: Callable[[object, object, object], bool] | None = None,
+                 build: Callable[[object, object], Iterable[Morphism]] | None = None):
         self.name = name
         self.objects = tuple(objects)
         self._object_set = set(self.objects)
-        self._hom = {pair: ms if isinstance(ms, LazyHom) else tuple(ms) for pair, ms in hom.items()}
+        # (a, b) -> hom(a, b)'s morphisms, or its size until it is listed
+        self._hom = dict(hom) if build is not None else {pair: tuple(ms) for pair, ms in hom.items()}
+        self._build = build
         self._identity = dict(identity)
         self.rule = rule
         self.spelling = spelling
@@ -144,12 +139,18 @@ class CategoryFragment:
 
     def hom(self, a, b) -> tuple[Morphism, ...]:
         ms = self._hom.get((a, b), ())
-        if type(ms) is LazyHom:
-            ms = self._hom[a, b] = tuple(ms.build())
+        if type(ms) is int:
+            ms = self._hom[a, b] = tuple(self._build(a, b))
         return ms
 
     def hom_size(self, a, b) -> int:
-        return len(self._hom.get((a, b), ()))
+        ms = self._hom.get((a, b), 0)
+        return ms if type(ms) is int else len(ms)
+
+    def _sizes(self) -> dict:
+        """(a, b) -> |hom(a, b)| for each pair with morphisms, read without
+        listing anything."""
+        return {pair: ms if type(ms) is int else len(ms) for pair, ms in self._hom.items()}
 
     def identity(self, a) -> Morphism:
         return self._identity[a]
@@ -221,26 +222,27 @@ class CategoryFragment:
             yield from self.hom(*pair)
 
     def total_morphisms(self) -> int:
-        return sum(len(ms) for ms in self._hom.values())
+        return sum(self._sizes().values())
 
     def arrow(self, a, b) -> bool:
         return self.hom_size(a, b) > 0
 
 
-def _lazy_homs(sizes: Iterable[tuple[tuple, int]], build: Callable, name: str) -> dict:
-    """Lazy hom-sets for the pairs of ``sizes`` that have morphisms, listed
-    by ``build(a, b)``.  The running total is checked against
-    ``DEFAULT_HOM_CAP`` pair by pair, so an oversized fragment is refused
-    after sizing no more pairs than it takes to exceed the cap."""
+def _lazy_homs(sizes: Iterable[tuple[tuple, int]], name: str) -> dict:
+    """The pairs of ``sizes`` that have morphisms, each to its size, as a
+    builder passes them to ``CategoryFragment`` with its ``build``.  The
+    running total is checked against ``DEFAULT_HOM_CAP`` pair by pair, so an
+    oversized fragment is refused after sizing no more pairs than it takes
+    to exceed the cap."""
     hom: dict = {}
     total = 0
     cap = DEFAULT_HOM_CAP
-    for (a, b), size in sizes:
+    for pair, size in sizes:
         if size:
             total += size
             if total > cap:
                 raise ResourceBound(f"fragment {name} would hold more than its cap of {cap} morphisms", cap)
-            hom[a, b] = LazyHom(size, partial(build, a, b))
+            hom[pair] = size
     return hom
 
 
@@ -259,13 +261,13 @@ def ram_fragment(n: int) -> CategoryFragment:
         return (Morphism(a, b, c) for c in combinations(range(1, b + 1), a))
 
     sizes = (((a, b), comb(b, a)) for b in objects for a in range(1, b + 1))
-    hom = _lazy_homs(sizes, build, "ram")
+    hom = _lazy_homs(sizes, "ram")
     identity = {a: Morphism(a, a, tuple(range(1, a + 1))) for a in objects}
 
     def rule(g: tuple, f: tuple) -> tuple:
         return tuple(g[i - 1] for i in f)
 
-    return CategoryFragment(f"ram({n})", objects, hom, identity, rule)
+    return CategoryFragment(f"ram({n})", objects, hom, identity, rule, build=build)
 
 
 def dram_fragment(n: int) -> CategoryFragment:
@@ -276,9 +278,9 @@ def dram_fragment(n: int) -> CategoryFragment:
         return (Morphism(a, b, r) for r in enumerate_rsurj(a, b))
 
     sizes = (((a, b), stirling2(a, b)) for a in objects for b in range(1, a + 1))
-    hom = _lazy_homs(sizes, build, "dram")
+    hom = _lazy_homs(sizes, "dram")
     identity = {a: Morphism(a, a, identity_rigid(a)) for a in objects}
-    return CategoryFragment(f"dram({n})", objects, hom, identity, compose_rigid)
+    return CategoryFragment(f"dram({n})", objects, hom, identity, compose_rigid, build=build)
 
 
 def dram_op_fragment(n: int) -> CategoryFragment:
@@ -325,11 +327,11 @@ def gr_fragment(context: WordContext, n: int) -> CategoryFragment:
         except (TypeError, ValidationError):
             return False
 
-    hom = _lazy_homs(_word_counts(n, context), build, f"gr over {context.alphabet}")
+    hom = _lazy_homs(_word_counts(n, context), f"gr over {context.alphabet}")
     identity = {k: Morphism(k, k, identity_word(k)) for k in objects}
     alpha = "".join(context.alphabet) or "0"
     return CategoryFragment(f"gr({alpha},|G|={context.group.order},{n})", objects, hom, identity,
-                            partial(substitute, context), word_spelling(context, n), member)
+                            partial(substitute, context), word_spelling(context, n), member, build)
 
 
 @dataclass(frozen=True)
@@ -394,7 +396,7 @@ def vec_fragment(q: int | OrderedField, n: int) -> CategoryFragment:
         return (Morphism(m, d, rows) for rows in sorted(payloads))
 
     sizes = (((m, d), _gaussian_binomial(d, m, field.size)) for d in objects for m in range(1, d + 1))
-    hom = _lazy_homs(sizes, build, f"vec(F_{field.size})")
+    hom = _lazy_homs(sizes, f"vec(F_{field.size})")
 
     identity = {
         m: Morphism(m, m, tuple(tuple(1 if r == c else 0 for c in range(m)) for r in range(m)))
@@ -405,7 +407,7 @@ def vec_fragment(q: int | OrderedField, n: int) -> CategoryFragment:
         cols_f = tuple(zip(*rows_f))
         return tuple(tuple(_dot(field, row, col) for col in cols_f) for row in rows_g)
 
-    return CategoryFragment(f"vec(F_{field.size},{n})", objects, hom, identity, rule)
+    return CategoryFragment(f"vec(F_{field.size},{n})", objects, hom, identity, rule, build=build)
 
 
 def _gaussian_binomial(d: int, m: int, q: int) -> int:
@@ -447,18 +449,18 @@ def opposite(fragment: CategoryFragment) -> CategoryFragment:
     """Same objects, arrows reversed, composition flipped: g after f in the
     opposite has the payload of f after g in the base.  Payloads are
     preserved, so opposite(opposite(F)) is structurally equal to F.  A hom-set
-    of the opposite is listed from the base hom-set when first read.  The
-    base's spelling does not carry over, as the flipped rule breaks its
-    contract."""
+    of the opposite is held as the size of its base hom-set and listed from
+    that hom-set when first read.  The base's spelling does not carry over,
+    as the flipped rule breaks its contract."""
 
     def build(b, a):
         return (Morphism(b, a, m.payload) for m in fragment.hom(a, b))
 
-    hom = {(b, a): LazyHom(len(ms), partial(build, b, a)) for (a, b), ms in fragment._hom.items()}
+    hom = {(b, a): size for (a, b), size in fragment._sizes().items()}
     identity = {a: Morphism(a, a, fragment.identity(a).payload) for a in fragment.objects}
     rule = fragment.rule
     name = fragment.name[:-3] if fragment.name.endswith("^op") else fragment.name + "^op"
-    return CategoryFragment(name, fragment.objects, hom, identity, lambda g, f: rule(f, g))
+    return CategoryFragment(name, fragment.objects, hom, identity, lambda g, f: rule(f, g), build=build)
 
 
 def same_interface(f: CategoryFragment, g: CategoryFragment) -> bool:
@@ -543,10 +545,11 @@ def _bound_triples(fragment: CategoryFragment, check: str) -> None:
     check, the structural checks and the isomorphism check alike."""
     objs = fragment.objects
     fan_in, fan_out = dict.fromkeys(objs, 0), dict.fromkeys(objs, 0)
-    for (a, b), ms in fragment._hom.items():
-        fan_out[a] += len(ms)
-        fan_in[b] += len(ms)
-    triples = sum(fan_in[b] * len(ms) * fan_out[c] for (b, c), ms in fragment._hom.items())
+    sizes = fragment._sizes()
+    for (a, b), size in sizes.items():
+        fan_out[a] += size
+        fan_in[b] += size
+    triples = sum(fan_in[b] * size * fan_out[c] for (b, c), size in sizes.items())
     if triples > LAW_TRIPLE_CAP:
         raise ResourceBound(f"the {check} of {fragment.name} would walk {triples} composable triples, more than "
                             f"its cap of {LAW_TRIPLE_CAP}", LAW_TRIPLE_CAP)
@@ -789,7 +792,9 @@ class SkeletonResult:
 
 def skeleton(fragment: CategoryFragment) -> SkeletonResult:
     """Full subcategory on the first object of each isomorphism class, with a
-    chosen isomorphism from every object into its representative."""
+    chosen isomorphism from every object into its representative.  A
+    hom-set of the subcategory is held as its size and listed through the
+    base's ``hom`` when first read."""
     reps: dict = {}
     eta: dict = {}
     eta_inv: dict = {}
@@ -808,12 +813,10 @@ def skeleton(fragment: CategoryFragment) -> SkeletonResult:
             reps[obj] = obj
             eta[obj] = fragment.identity(obj)
             eta_inv[obj] = fragment.identity(obj)
-    hom = {
-        (a, b): LazyHom(fragment.hom_size(a, b), partial(fragment.hom, a, b))
-        for a in chosen for b in chosen if fragment.arrow(a, b)
-    }
+    hom = {(a, b): fragment.hom_size(a, b) for a in chosen for b in chosen if fragment.arrow(a, b)}
     identity = {a: fragment.identity(a) for a in chosen}
-    sub = CategoryFragment(fragment.name + ".skel", chosen, hom, identity, fragment.rule, fragment.spelling)
+    sub = CategoryFragment(fragment.name + ".skel", chosen, hom, identity, fragment.rule, fragment.spelling,
+                           build=fragment.hom)
     return SkeletonResult(sub, reps, eta, eta_inv)
 
 

@@ -31,9 +31,10 @@ from .arrows import find_bad_coloring
 from .category import (
     CategoryFragment,
     Morphism,
+    _injective,
+    _payloads_into,
     dram_op_fragment,
     gr_fragment,
-    is_mono,
     omega_truncation,
     ram_fragment,
     same_interface,
@@ -563,11 +564,16 @@ class CardinalityReport:
 
 def check_card_inequality(pa: PreAdjunction, source_objects: Sequence) -> CardinalityReport:
     """For mono sources, any genuine pre-adjunction forces
-    |hom(F(A), F(B))| >= |hom(A, B)|; evaluate that on every object pair."""
+    |hom(F(A), F(B))| >= |hom(A, B)|; evaluate that on every object pair.
+    Each source morphism out of A is tested as ``is_mono`` tests it, against
+    the payloads of the hom-sets into A, which are listed once per object A,
+    not once per morphism."""
+    source = pa.source
     for a in source_objects:
+        into = _payloads_into(source, a)
         for b in source_objects:
-            for m in pa.source.hom(a, b):
-                if not is_mono(pa.source, m):
+            for m in source.hom(a, b):
+                if not _injective(source.rule, m.payload, into):
                     raise ValidationError("source_not_mono",
                                           f"source morphism {m} is not left cancellable", morphism=str(m))
     pairs = []

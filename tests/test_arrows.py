@@ -28,7 +28,7 @@ from ramcat import (
     trivial_action,
     vec_fragment,
 )
-from ramcat.arrows import BLOCK, DEFAULT_NODE_BUDGET, Coloring, _prepare
+from ramcat.arrows import BLOCK, DEFAULT_NODE_BUDGET, Coloring, _lane_masks, _prepare
 
 from conftest import tabulate
 
@@ -151,18 +151,20 @@ def all_pairs_certify(fragment, a, b, c, coloring):
 
 @st.composite
 def copy_systems(draw):
-    """(h, copies): up to 12 distinct copies of 1 to 4 positions in 0..h-1.
+    """(k, h, copies): k of 1 to 5 colors, and up to 12 distinct copies of 1
+    to 4 positions in 0..h-1, with k^h <= 20,000 so the oracles stay quick.
     Half the systems have no copy of one position, which alone decides."""
-    h = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 5))
+    h = draw(st.integers(1, {4: 7, 5: 6}.get(k, 9)))
     smallest = min(draw(st.integers(1, 2)), h)
     copy = st.sets(st.integers(0, h - 1), min_size=smallest, max_size=4).map(lambda s: tuple(sorted(s)))
-    return h, draw(st.lists(copy, max_size=12, unique=True))
+    return k, h, draw(st.lists(copy, max_size=12, unique=True))
 
 
 @settings(max_examples=300, deadline=None)
-@given(copy_systems(), st.integers(1, 3))
-def test_cores_agree_with_the_oracles_on_drawn_copy_systems(system, k):
-    h, copies = system
+@given(copy_systems())
+def test_cores_agree_with_the_oracles_on_drawn_copy_systems(system):
+    k, h, copies = system
     expected = first_bad_coloring(h, copies, k)
     colors, stats = exhaustive_coloring(h, copies, k)
     assert colors == expected  # the lexicographically first bad coloring, which is canonical
@@ -172,6 +174,46 @@ def test_cores_agree_with_the_oracles_on_drawn_copy_systems(system, k):
     if found is not None:
         assert len(found) == h and set(found) <= set(range(k))
         assert not any(len({found[i] for i in copy}) == 1 for copy in copies)
+
+
+def brute_force_lane_masks(k, j):
+    """Oracle: (tables, canon, full) set bit by bit from the base-k digits
+    of each lane coloring x < k^j, the most significant digit first."""
+    tables, canon = [[0] * k for _ in range(j)], [0] * (k + 1)
+    for x in range(k ** j):
+        digits = [x // k ** (j - 1 - t) % k for t in range(j)]
+        for t, c in enumerate(digits):
+            tables[t][c] |= 1 << x
+        for u in range(k + 1):
+            used = u
+            for c in digits:
+                if c > used:
+                    break
+                used = max(used, c + 1)
+            else:
+                canon[u] |= 1 << x
+    return tables, canon, (1 << k ** j) - 1
+
+
+def test_lane_masks_match_the_brute_force_oracle():
+    # every (k, j) with k <= 6 and k^j <= 4,096, j = 0 included; with one
+    # color k^j is always 1, so j stops at 12 there
+    for k in range(1, 7):
+        j = 0
+        while k ** j <= BLOCK and j <= 12:
+            assert _lane_masks(k, j) == brute_force_lane_masks(k, j), (k, j)
+            j += 1
+
+
+def test_lane_masks_at_one_position_of_4096_colors():
+    # lane coloring x gives its one position color x, and after u < k - 1
+    # colors it is canonical when it is one of them or the next new one
+    k = 4096
+    tables, canon, full = _lane_masks(k, 1)
+    assert full == (1 << k) - 1 and len(tables) == 1 and len(canon) == k + 1
+    assert tables[0] == [1 << c for c in range(k)]
+    assert canon[:k - 1] == [(1 << (u + 1)) - 1 for u in range(k - 1)]
+    assert canon[k - 1:] == [full, full]
 
 
 # the Fano plane: its points are the nonzero vectors of F2^3, read as the

@@ -299,6 +299,19 @@ def test_ramsey_check_holds_and_fails(runner):
     assert report["search"]["certified"]
 
 
+def test_ramsey_check_with_many_colors_builds_its_lane_masks_quickly(runner):
+    # one position and 4,096 colors: the oracle's one lane position has
+    # 4,096 colors, whose canonical masks once took seconds to build
+    started = time.perf_counter()
+    result = runner.invoke(main, ["ramsey", "check", "--family", "ram",
+                                  "-A", "1", "-B", "1", "-C", "1", "-k", "4096"])
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["ok"] and report["search"]["holds"] and report["exhaustive"]["holds"]
+    assert report["exhaustive"]["stats"] == {"colorings": 1, "copies": 1, "hom_ac": 1}
+
+
 def test_ramsey_check_skips_the_oracle_beyond_its_colouring_budget(runner):
     # 2^21 colourings exceed the default budget; the search decides alone
     result = runner.invoke(main, ["ramsey", "check", "--family", "ram",
@@ -361,12 +374,12 @@ def test_ramsey_check_both_engines_compose_each_pair_once(runner, monkeypatch, c
         calls["compose"] += 1
         return compose(self, g, f)
 
-    def counting_rule(self, name, objects, hom, identity, rule):
+    def counting_rule(self, name, objects, hom, identity, rule, build=None):
         def counted_rule(g, f):
             calls["rule"] += 1
             return rule(g, f)
 
-        init(self, name, objects, hom, identity, counted_rule)
+        init(self, name, objects, hom, identity, counted_rule, build=build)
 
     monkeypatch.setattr(CategoryFragment, "compose", counted)
     monkeypatch.setattr(CategoryFragment, "__init__", counting_rule)

@@ -1,6 +1,7 @@
-"""Hom-sets are sized in closed form at construction and listed on first
-read.  The oracle is an eager copy of the builders as they were when every
-hom-set was listed up front."""
+"""Hom-sets are sized in closed form at construction, held as their sizes
+and listed on first read, by the builders and by the opposite and skeleton
+constructions.  The oracle is an eager copy of the builders as they were
+when every hom-set was listed up front."""
 
 from itertools import combinations, product
 
@@ -24,7 +25,7 @@ from ramcat import (
     trivial_action,
     vec_fragment,
 )
-from ramcat.category import Morphism, gf
+from ramcat.category import Morphism, gf, validate_fragment
 from test_words import recursive_words
 
 
@@ -45,8 +46,12 @@ def eager_dram(n):
     return hom
 
 
+def eager_opposite(hom):
+    return {(b, a): tuple(Morphism(b, a, m.payload) for m in ms) for (a, b), ms in hom.items()}
+
+
 def eager_dram_op(n):
-    return {(b, a): tuple(Morphism(b, a, m.payload) for m in ms) for (a, b), ms in eager_dram(n).items()}
+    return eager_opposite(eager_dram(n))
 
 
 def eager_gr(context, n):
@@ -111,13 +116,20 @@ def plain(order):
 
 def cases(swap_context):
     """(fragment builder, eager hom table) for every builder and size the
-    laziness tests cover."""
+    laziness tests cover, and for opposites and skeletons of builders (no
+    two objects of a builder are isomorphic, so a skeleton keeps them
+    all)."""
     out = [
         (lambda: ram_fragment(7), eager_ram(7)),
         (lambda: dram_fragment(6), eager_dram(6)),
         (lambda: dram_op_fragment(6), eager_dram_op(6)),
         (lambda: vec_fragment(2, 4), eager_vec(2, 4)),
         (lambda: vec_fragment(3, 3), eager_vec(3, 3)),
+        (lambda: opposite(ram_fragment(6)), eager_opposite(eager_ram(6))),
+        (lambda: opposite(gr_fragment(swap_context, 4)), eager_opposite(eager_gr(swap_context, 4))),
+        (lambda: opposite(dram_op_fragment(5)), eager_dram(5)),
+        (lambda: skeleton(dram_op_fragment(5)).fragment, eager_dram_op(5)),
+        (lambda: skeleton(opposite(vec_fragment(2, 3))).fragment, eager_opposite(eager_vec(2, 3))),
     ]
     for ctx in (plain_context(), plain(2), plain(3), swap_context):
         for n in range(1, 7):
@@ -158,6 +170,29 @@ def test_cap_is_checked_at_construction_from_the_sizes(lazy_cases, monkeypatch):
         monkeypatch.setattr(ramcat.category, "DEFAULT_HOM_CAP", total - 1)
         with pytest.raises(ResourceBound):
             build()
+
+
+def test_unlisted_fragments_answer_from_sizes_without_building(lazy_cases, monkeypatch):
+    # sizes, arrows, the total, repr and the checks' triple bound read the
+    # sizes alone; the first hom(a, b) read calls build once, for (a, b)
+    monkeypatch.setattr(ramcat.category, "LAW_TRIPLE_CAP", 0)
+    for build, eager in lazy_cases:
+        frag = build()
+        calls, listing = [], frag._build
+        frag._build = lambda a, b: calls.append((a, b)) or listing(a, b)
+        sizes = {pair: len(ms) for pair, ms in eager.items() if ms}
+        pairs = list(product(frag.objects, repeat=2))
+        assert [frag.hom_size(*pair) for pair in pairs] == [sizes.get(pair, 0) for pair in pairs], frag.name
+        assert [frag.arrow(*pair) for pair in pairs] == [pair in sizes for pair in pairs], frag.name
+        total = sum(sizes.values())
+        assert frag.total_morphisms() == total
+        assert repr(frag) == f"<fragment {frag.name}: {len(frag.objects)} objects, {total} morphisms>"
+        with pytest.raises(ResourceBound, match="composable triples"):
+            validate_fragment(frag)
+        assert calls == [], frag.name
+        pair = max(sizes)
+        assert frag.hom(*pair) == eager[pair] and frag.hom(*pair) is frag.hom(*pair)
+        assert calls == [pair], frag.name
 
 
 def counting(monkeypatch, name):

@@ -43,6 +43,7 @@ from ramcat import (
     validate_word,
     verify_pa,
 )
+import ramcat.preadjunction
 from ramcat.category import explicit_fragment
 from ramcat.words import LETTER, PARAM, DecoratedWord
 from conftest import first_occurrences_swapped
@@ -813,6 +814,28 @@ def test_cardinality_violation_flagged_and_pa_fails():
     report = verify_pa(bad, [1, 2], [0, 1])
     assert not report.ok
     assert recheck_failures(bad, report)
+
+
+def test_cardinality_reads_each_hom_set_once(monkeypatch):
+    # the mono test of each source morphism out of A reads the payloads of
+    # the hom-sets into A, listed once per source object A, not once per
+    # morphism; the report and the first non-mono morphism are unchanged
+    listed = Counter()
+    payloads_into = ramcat.preadjunction._payloads_into
+    monkeypatch.setattr(ramcat.preadjunction, "_payloads_into",
+                        lambda fragment, b: listed.update([b]) or payloads_into(fragment, b))
+    card = check_card_inequality(pa_ram_to_dramop(4), [1, 2, 3, 4])
+    assert card.ok and listed == Counter([1, 2, 3, 4])
+    assert [(e["A"], e["B"], e["target_count"], e["source_count"]) for e in card.pairs][:6] == [
+        (1, 1, 1, 1), (1, 2, 3, 2), (1, 3, 7, 3), (1, 4, 15, 4), (2, 1, 0, 0), (2, 2, 1, 1)]
+    listed.clear()
+    # in dram(4), 2 -> 1 merges the three rigid surjections 3 -> 2; objects
+    # 1 and 2 are read before it is reached
+    with pytest.raises(ValidationError) as err:
+        check_card_inequality(identity_pa(dram_fragment(4)), [1, 2, 3, 4])
+    assert err.value.code == "source_not_mono" and err.value.data == {"morphism": "2->1:(1,1)"}
+    assert str(err.value) == "source morphism 2->1:(1,1) is not left cancellable"
+    assert listed == Counter([1, 2])
 
 
 def test_cardinality_requires_mono_source():

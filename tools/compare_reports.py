@@ -14,6 +14,10 @@ these reports with ``--output``:
   character substitution: ``--family gr`` over the group-only files
   ``z2plain.json`` and ``z3plain.json`` (Z2 and Z3 on the empty alphabet),
   and ``--family dram-op``;
+* ``ramcat ramsey check`` with more than two colors, where the exhaustive
+  engine's canonical masks hold more than one entry short of all lanes:
+  ``--family ram -A 1 -B 2 -C 5 -k 3`` (holds), ``--family dram-op -A 2 -B 3
+  -C 4 -k 4`` (fails) and ``--family ram -A 1 -B 1 -C 1 -k 4096``;
 * ``ramcat ramsey search -k 2``, which certifies each counterexample on the
   way up to the witness: ``--family ram -A 2 -B 3 --max-n 8``, ``--family gr``
   over ``z2plain.json`` with ``-A 1 -B 3 --max-n 6``, and ``--family dram-op
@@ -98,6 +102,8 @@ SPELLED_CHECKS = [("gr", "z2plain.json", 1, 2, 3), ("gr", "z2plain.json", 1, 3, 
                   ("gr", "z2plain.json", 1, 3, 6), ("gr", "z3plain.json", 1, 2, 5), ("gr", "z3plain.json", 1, 3, 6),
                   ("gr", "z3plain.json", 2, 3, 4), ("dram-op", None, 2, 3, 5), ("dram-op", None, 2, 3, 7),
                   ("dram-op", None, 2, 4, 7), ("dram-op", None, 3, 4, 6)]
+# (family, A, B, C, k) of the ramsey checks with more than two colors
+MANY_COLOR_CHECKS = [("ram", 1, 2, 5, 3), ("dram-op", 2, 3, 4, 4), ("ram", 1, 1, 1, 4096)]
 # (family, context file, A, B, max n) of the ramsey searches
 SEARCHES = [("ram", None, 2, 3, 8), ("gr", "z2plain.json", 1, 3, 6), ("dram-op", None, 2, 3, 8)]
 GROUPS = {"z2plain.json": {"order": 2, "table": [0, 1, 1, 0], "element_names": ["e", "g"]},
@@ -205,6 +211,9 @@ def commands() -> dict[str, list[str]]:
         out[f"ramsey-{name}-{a}-{b}-{c}.json"] = ["ramsey", "check", "--family", family,
                                                   *(["--context", context] if context else []),
                                                   "-A", str(a), "-B", str(b), "-C", str(c), "-k", "2"]
+    for family, a, b, c, k in MANY_COLOR_CHECKS:
+        out[f"ramsey-{family}-{a}-{b}-{c}-k{k}.json"] = ["ramsey", "check", "--family", family, "-A", str(a),
+                                                         "-B", str(b), "-C", str(c), "-k", str(k)]
     for family, context, a, b, n in SEARCHES:
         name = family if context is None else family + "-" + context.removesuffix(".json")
         out[f"search-{name}-{a}-{b}.json"] = ["ramsey", "search", "--family", family,
@@ -273,7 +282,7 @@ def main() -> int:
     for name in missing:
         print(f"no report: {name} (exit {parent[name][0]} on the parent side)")
     print(f"{len(runs) - len(differ)} of {len(runs)} reports byte-identical "
-          f"(golden, {len(criterion_4_grid()) + len(SPELLED_CHECKS)} ramsey check, {len(SEARCHES)} ramsey search, "
+          f"(golden, {len(criterion_4_grid()) + len(SPELLED_CHECKS) + len(MANY_COLOR_CHECKS)} ramsey check, {len(SEARCHES)} ramsey search, "
           f"{len(PREADJ)} preadj verify, "
           f"{2 * len(TUKEY)} tukey check, {len(GENERATED)} tukey companion/monotonize, {len(WORDS)} words, "
           f"{len(RSURJ)} rsurj, {len(BUILDER_SPECS)} category build, {len(CATEGORY_SPECS)} category check, "
