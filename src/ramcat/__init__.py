@@ -76,6 +76,7 @@ from .preadjunction import (
     build_nonthin_sequence,
     check_card_inequality,
     compose_pa,
+    expand_witnesses,
     identity_pa,
     named_pa,
     pa_from_monotone_tukey,

@@ -250,6 +250,9 @@ def search_coloring(h: int, copies: list[tuple[int, ...]], k: int, node_budget: 
         if stats_out is not None:
             stats_out.update(nodes=0, forced=0)
         return None if copies else (0,) * h
+    # h positions open at most h colors, and with h + 1 every uncolored
+    # position keeps two colors at least, as it does under any larger k
+    k = min(k, h + 1)
     through: list[list[int]] = [[] for _ in range(h)]  # the masks of the copies through each position
     for copy in copies:
         mask = 0

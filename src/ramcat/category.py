@@ -110,8 +110,10 @@ class CategoryFragment:
 
     ``member(payload, a, b)``, when a builder gives one, tells whether a
     payload is that of a morphism of the non-empty hom(a, b) without
-    listing it, and answers as the listing would; ``in_hom`` calls it.
-    Where it is None, membership is looked up in ``hom_index``."""
+    listing it, and answers as the listing would; ``in_hom`` calls it.  It
+    must answer alike for equal payloads of one class, since ``verify_pa``
+    checks each distinct phi value once.  Where it is None, membership is
+    looked up in ``hom_index``."""
 
     def __init__(self, name: str, objects, hom: dict, identity: dict,
                  rule: Callable[[object, object], object], spelling: tuple | None = None,
@@ -315,6 +317,8 @@ def gr_fragment(context: WordContext, n: int) -> CategoryFragment:
     word.  Any other value, tokens as lists included, is refused without
     raising."""
     objects = range(1, n + 1)
+    # sized first: the token set and the spelling grow with n
+    hom = _lazy_homs(_word_counts(n, context), f"gr over {context.alphabet}")
     tokens = frozenset(word_tokens(context, n))
 
     def build(k, m):
@@ -327,7 +331,6 @@ def gr_fragment(context: WordContext, n: int) -> CategoryFragment:
         except (TypeError, ValidationError):
             return False
 
-    hom = _lazy_homs(_word_counts(n, context), f"gr over {context.alphabet}")
     identity = {k: Morphism(k, k, identity_word(k)) for k in objects}
     alpha = "".join(context.alphabet) or "0"
     return CategoryFragment(f"gr({alpha},|G|={context.group.order},{n})", objects, hom, identity,

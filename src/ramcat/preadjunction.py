@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from itertools import repeat
+from operator import eq
+from typing import Callable, Iterator, Sequence
 
 from .arrows import find_bad_coloring
 from .category import (
@@ -93,6 +95,20 @@ _UNSEEN = object()  # a phi value not evaluated yet
 
 @dataclass
 class PAReport:
+    """What ``verify_pa`` found.  ``witnesses`` holds the witnesses by
+    position, one tuple ``(A, B, C, us, suggested, vs)`` per (A, B, C)
+    block with instances:
+
+    * ``us``: the positions in hom(F(B), C) of the u whose phi landed, the
+      list the check keeps for (B, C) and shares among its blocks;
+    * ``suggested``: for each f of hom(A, B) in turn, the position in
+      hom(F(A), F(B)) of its suggested v, or None where there is none there;
+    * ``vs``: for each f in turn, None when its suggested v is the witness
+      of every u, else the position in hom(F(A), F(B)) of each u's witness,
+      None where the instance failed.
+
+    ``expand_witnesses`` reads them back one instance at a time."""
+
     name: str
     source_objects: list
     target_objects: list
@@ -120,19 +136,24 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
     kept in one list per (X, C), indexed by position in hom(F(X), C), so
     ``pa.phi`` is evaluated once per distinct ``(X, Y, u)`` within a call
     and must be a function of its arguments; ``recheck_failures`` evaluates
-    it afresh.  Whether phi(B, C, u) lands in hom(B, H(C)) is checked once
-    per (B, C, u) by ``in_hom``, and this landing check is where a phi value
-    is validated: a value that is not a morphism of hom(B, H(C)) is recorded
-    as a landing failure.  A ``gr`` source decides it from the word, without
-    listing hom(B, H(C)).  The suggested v is drawn and checked against
-    hom(F(A), F(B)) once per (A, B, f).  The composites u . v of each
-    suggested v come from one column over the landed u of hom(F(B), C),
-    passed by their positions (``CategoryFragment.columns``: character
-    substitution on the spellings the target keeps for each hom-set, where
-    it has a spelling, else its rule), and phi(B, C, u) . f is formed once
-    per distinct phi value and f, so an instance whose suggested v is a
-    witness costs a list index and one ``==``.  Where it is not, the
-    candidates are scanned in order through ``compose``.
+    it afresh.  Whether a value of phi(B, C, u) lands in hom(B, H(C)) is
+    checked by ``in_hom`` once per distinct value and (B, H(C)), the value
+    told apart by its class and its payload's class as ``in_hom`` tells
+    them apart; a value that is not a ``Morphism``, or cannot be hashed, is
+    checked each time.  This landing check is where a phi value is
+    validated: a value that is not a morphism of hom(B, H(C)) is recorded
+    as a landing failure for each u that gives it.  A ``gr`` source decides
+    it from the word, without listing hom(B, H(C)).  The suggested v is
+    drawn and checked against hom(F(A), F(B)) once per (A, B, f).  The
+    composites u . v of each suggested v come from one column over the
+    landed u of hom(F(B), C), passed by their positions
+    (``CategoryFragment.columns``: character substitution on the spellings
+    the target keeps for each hom-set, where it has a spelling, else its
+    rule), and phi(B, C, u) . f is formed once per distinct phi value and f.
+    phi is evaluated at the column's unseen positions, and the column's
+    values are compared with phi(B, C, u) . f for every landed u in one
+    ``map``.  The instances it misses are scanned in (u, f) order, the
+    candidates in turn, through ``compose``.
 
     A block whose instances would take the count past ``max_instances``
     raises ``BudgetExceeded`` before it is checked; its ``stats`` hold the
@@ -142,6 +163,10 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
     src, tgt = pa.source, pa.target
     rule = src.rule
     values: dict = {}  # (X, C) -> phi(X, C, w) for each w of hom(F(X), C), or _UNSEEN
+    # (B, H(C)) -> {(class, payload class, phi value): the value's number in
+    # ``distinct``, or -1 where it does not land in hom(B, H(C))}
+    verdicts: dict = {}
+    distinct: list = []  # each distinct phi value that landed, numbered by position
 
     def phis(x_obj, fx, c_obj) -> list:
         row = values.get((x_obj, c_obj))
@@ -151,30 +176,52 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
 
     for b_obj in source_objects:
         fb = pa.F(b_obj)
-        # C -> positions in hom(F(B), C) of the u whose phi(B, C, u) lands in
-        # hom(B, H(C)); filled on the first A
+        # C -> the positions in hom(F(B), C) of the u whose phi(B, C, u) lands
+        # in hom(B, H(C)), and the numbers of their phi values; filled on the
+        # first A
         landed: dict = {}
         for a_obj in source_objects:
             fa = pa.F(a_obj)
             candidates = tgt.hom(fa, fb)
             fs = src.hom(a_obj, b_obj)
-            # the suggested v of each f in turn, or None where it is not in
-            # hom(F(A), F(B)); drawn on the first C with a landed u
+            # the position in hom(F(A), F(B)) of the suggested v of each f in
+            # turn, or None where it is not there; drawn on the first C with
+            # a landed u
             suggested = None
-            lhs: dict = {}  # phi(B, C, u) -> phi(B, C, u) . f for each f in turn
+            lhs: dict = {}  # number of phi(B, C, u) -> phi(B, C, u) . f for each f in turn
             for c_obj in target_objects:
                 hc = pa.H(c_obj)
                 hom_bc = tgt.hom(fb, c_obj)
                 row_b = phis(b_obj, fb, c_obj)
-                us = landed.get(c_obj)
-                if us is None:
-                    us = landed[c_obj] = []
+                if c_obj in landed:
+                    us, numbers = landed[c_obj]
+                else:
+                    us, numbers = landed[c_obj] = [], []
+                    seen = verdicts.get((b_obj, hc))
+                    if seen is None:
+                        seen = verdicts[b_obj, hc] = {}
                     for ui, u in enumerate(hom_bc):
                         phi_u = row_b[ui]
                         if phi_u is _UNSEEN:
                             phi_u = row_b[ui] = pa.phi(b_obj, c_obj, u)
-                        if src.in_hom(phi_u, b_obj, hc):
+                        key = None
+                        number = len(distinct)
+                        if isinstance(phi_u, Morphism):
+                            try:
+                                key = type(phi_u), type(phi_u.payload), phi_u
+                                number = seen.setdefault(key, number)
+                            except TypeError:  # an unhashable value, checked each time
+                                key = None
+                        if number == len(distinct):  # not seen before
+                            if src.in_hom(phi_u, b_obj, hc):
+                                distinct.append(phi_u)
+                            else:
+                                number = -1
+                                if key is not None:
+                                    seen[key] = -1
+                        if number >= 0:
                             us.append(ui)
+                            numbers.append(number)
                         else:
                             report.phi_landing_failures.append({"X": b_obj, "Y": c_obj, "u": u, "phi": phi_u})
                 if not us or not fs:
@@ -185,50 +232,74 @@ def verify_pa(pa: PreAdjunction, source_objects: Sequence, target_objects: Seque
                         "phi_landing_failures": len(report.phi_landing_failures),
                         "block": {"A": a_obj, "B": b_obj, "C": c_obj}})
                 report.instances += len(us) * len(fs)
-                columns = [None] * len(fs)
-                if pa.suggested_v is not None:
-                    report.suggested_tried += len(us) * len(fs)
-                    if suggested is None:
-                        suggested = [v if tgt.in_hom(v, fa, fb) else None
-                                     for v in (pa.suggested_v(a_obj, b_obj, f) for f in fs)]
-                    given = [fi for fi, v in enumerate(suggested) if v is not None]
-                    found = tgt.columns(fa, fb, c_obj, us, [suggested[fi] for fi in given])
-                    for fi, column in zip(given, found):
-                        columns[fi] = column
                 hom_ac = tgt.hom(fa, c_obj)
                 row_a = phis(a_obj, fa, c_obj)
-                for j, ui in enumerate(us):
-                    u = hom_bc[ui]
-                    phi_u = row_b[ui]
-                    wanted = lhs.get(phi_u)
-                    if wanted is None:
-                        # phi_u is in hom(B, H(C)), so the rule composes it after each f
-                        wanted = lhs[phi_u] = [Morphism(f.dom, phi_u.cod, rule(phi_u.payload, f.payload))
-                                               for f in fs]
-                    for fi, f in enumerate(fs):
-                        column = columns[fi]
-                        if column is not None:
-                            w = column[j]
-                            value = row_a[w]
-                            if value is _UNSEEN:
-                                value = row_a[w] = pa.phi(a_obj, c_obj, hom_ac[w])
-                            if value == wanted[fi]:
-                                report.suggested_hits += 1
-                                report.witnesses.append({"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f,
-                                                         "v": suggested[fi], "suggested": True})
+                wanted = list(map(lhs.get, numbers))  # phi(B, C, u) . f for each f, one row per landed u
+                if None in wanted:
+                    for j, number in enumerate(numbers):
+                        if wanted[j] is None:
+                            row = lhs.get(number)
+                            if row is None:
+                                # the value is in hom(B, H(C)), so the rule composes it after each f
+                                phi_u = distinct[number]
+                                row = lhs[number] = [Morphism(f.dom, phi_u.cod, rule(phi_u.payload, f.payload))
+                                                     for f in fs]
+                            wanted[j] = row
+                by_f = list(zip(*wanted))
+                if suggested is None:
+                    # the f with a suggested v, and those v as listed
+                    suggested, given, shown = [None] * len(fs), [], []
+                    if pa.suggested_v is not None:
+                        for fi, f in enumerate(fs):
+                            v = pa.suggested_v(a_obj, b_obj, f)
+                            if tgt.in_hom(v, fa, fb):
+                                suggested[fi] = tgt.hom_index(fa, fb)[v.payload]
+                                given.append(fi)
+                                shown.append(candidates[suggested[fi]])
+                # per f: None where the suggested v is every u's witness, else
+                # the position of each u's witness in hom(F(A), F(B)), or None
+                vs = [None] * len(fs)
+                if len(given) < len(fs):
+                    for fi, vi in enumerate(suggested):
+                        if vi is None:
+                            vs[fi] = [None] * len(us)
+                if pa.suggested_v is not None:
+                    report.suggested_tried += len(us) * len(fs)
+                for fi, column in zip(given, tgt.columns(fa, fb, c_obj, us, shown) if shown else ()):
+                    # an unseen value equals no composite, so a column with
+                    # one is evaluated there and compared again
+                    if all(map(eq, map(row_a.__getitem__, column), by_f[fi])):
+                        report.suggested_hits += len(us)
+                        continue
+                    for w in column:
+                        if row_a[w] is _UNSEEN:
+                            row_a[w] = pa.phi(a_obj, c_obj, hom_ac[w])
+                    hits = list(map(eq, map(row_a.__getitem__, column), by_f[fi]))
+                    if all(hits):
+                        report.suggested_hits += len(us)
+                    else:
+                        vs[fi] = [at if hit else None for hit, at in zip(hits, repeat(suggested[fi]))]
+                        report.suggested_hits += len(us) - vs[fi].count(None)
+                if any(vs):
+                    index = tgt.hom_index(fa, c_obj)
+                    for j, ui in enumerate(us):
+                        u = hom_bc[ui]
+                        for fi, column in enumerate(vs):
+                            if column is None or column[j] is not None:
                                 continue
-                        index = tgt.hom_index(fa, c_obj)
-                        for v in candidates:
-                            w = index[tgt.compose(u, v).payload]
-                            value = row_a[w]
-                            if value is _UNSEEN:
-                                value = row_a[w] = pa.phi(a_obj, c_obj, hom_ac[w])
-                            if value == wanted[fi]:
-                                report.witnesses.append({"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f,
-                                                         "v": v, "suggested": False})
-                                break
-                        else:
-                            report.failures.append({"A": a_obj, "B": b_obj, "C": c_obj, "u": u, "f": f})
+                            want = by_f[fi][j]
+                            for vi, v in enumerate(candidates):
+                                w = index[tgt.compose(u, v).payload]
+                                value = row_a[w]
+                                if value is _UNSEEN:
+                                    value = row_a[w] = pa.phi(a_obj, c_obj, hom_ac[w])
+                                if value == want:
+                                    column[j] = vi
+                                    break
+                            else:
+                                report.failures.append({"A": a_obj, "B": b_obj, "C": c_obj, "u": u,
+                                                        "f": fs[fi]})
+                report.witnesses.append((a_obj, b_obj, c_obj, us, suggested, vs))
     return report
 
 
@@ -244,6 +315,25 @@ def recheck_failures(pa: PreAdjunction, report: PAReport) -> bool:
             if pa.phi(a_obj, c_obj, tgt.compose(u, v)) == lhs:
                 return False
     return True
+
+
+def expand_witnesses(pa: PreAdjunction, report: PAReport) -> Iterator[dict]:
+    """The witnesses of ``report`` one instance at a time, in the order
+    ``verify_pa`` checked them: for each (A, B, C) block, each landed u and
+    each f in turn, the morphisms u, f and the witness v with whether v is
+    the suggested one.  The morphisms are read from ``pa``'s hom-sets at
+    the recorded positions; a witness at its f's suggested position is the
+    suggested v."""
+    src, tgt = pa.source, pa.target
+    for a_obj, b_obj, c_obj, us, suggested, vs in report.witnesses:
+        fb = pa.F(b_obj)
+        hom_bc, fs, candidates = tgt.hom(fb, c_obj), src.hom(a_obj, b_obj), tgt.hom(pa.F(a_obj), fb)
+        for j, ui in enumerate(us):
+            for fi, f in enumerate(fs):
+                vi = suggested[fi] if vs[fi] is None else vs[fi][j]
+                if vi is not None:
+                    yield {"A": a_obj, "B": b_obj, "C": c_obj, "u": hom_bc[ui], "f": f, "v": candidates[vi],
+                           "suggested": vi == suggested[fi]}
 
 
 def identity_pa(fragment: CategoryFragment) -> PreAdjunction:

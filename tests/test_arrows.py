@@ -176,6 +176,36 @@ def test_cores_agree_with_the_oracles_on_drawn_copy_systems(system):
         assert not any(len({found[i] for i in copy}) == 1 for copy in copies)
 
 
+@settings(max_examples=200, deadline=None)
+@given(copy_systems())
+def test_search_answers_alike_for_every_color_count_above_h(system):
+    # h positions open h colors at most, so any k >= h + 1 leaves every
+    # uncolored position two colors at least: the coloring and the stats
+    # are those of k = h + 1
+    _, h, copies = system
+
+    def search(k):
+        stats = {}
+        return search_coloring(h, copies, k, stats_out=stats), stats
+
+    first = search(h + 1)
+    for k in (h + 1, h + 7, 10 ** 9):
+        assert search(k) == first, k
+
+
+def test_search_with_more_colors_than_positions_forces_nothing():
+    # with k = h = 3 the search forces position 2 (nodes 2, forced 1); with
+    # any k above h no position is forced
+    copies = [(0, 1), (0, 1, 2), (0, 2), (1, 2)]
+    for k in (4, 10, 10 ** 9):
+        stats = {}
+        assert search_coloring(3, copies, k, stats_out=stats) == (0, 1, 2)
+        assert stats == {"nodes": 3, "forced": 0}
+    stats = {}
+    assert search_coloring(3, copies, 3, stats_out=stats) == (0, 1, 2)
+    assert stats == {"nodes": 2, "forced": 1}
+
+
 def brute_force_lane_masks(k, j):
     """Oracle: (tables, canon, full) set bit by bit from the base-k digits
     of each lane coloring x < k^j, the most significant digit first."""

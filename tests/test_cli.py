@@ -312,6 +312,20 @@ def test_ramsey_check_with_many_colors_builds_its_lane_masks_quickly(runner):
     assert report["exhaustive"]["stats"] == {"colorings": 1, "copies": 1, "hom_ac": 1}
 
 
+def test_ramsey_check_with_a_billion_colors_answers_quickly(runner):
+    # three positions open three colors at most, so the search sizes its
+    # masks for four, whatever -k asks for
+    started = time.perf_counter()
+    result = runner.invoke(main, ["ramsey", "check", "--family", "ram",
+                                  "-A", "1", "-B", "2", "-C", "3", "-k", "1000000000"])
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.output)
+    assert report["search"]["certified"] and report["search"]["counterexample"] == [0, 1, 2]
+    assert report["search"]["stats"] == {"forced": 0, "nodes": 3}
+    assert report["exhaustive"]["skipped"] == "1000000000^3 colorings exceed the budget of 1000000"
+
+
 def test_ramsey_check_skips_the_oracle_beyond_its_colouring_budget(runner):
     # 2^21 colourings exceed the default budget; the search decides alone
     result = runner.invoke(main, ["ramsey", "check", "--family", "ram",

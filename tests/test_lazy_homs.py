@@ -253,3 +253,16 @@ def test_opposite_and_skeleton_list_through_their_base(monkeypatch):
 def test_oversized_fragments_are_refused_after_sizing_a_few_pairs(build):
     with pytest.raises(ResourceBound):
         build()
+
+
+def test_gr_fragment_is_refused_before_its_tokens_are_built(monkeypatch):
+    # the token set and the spelling grow with n, so an n far past the cap
+    # (a spec may give n = 1e300) is refused before either is built
+    def built(*args):
+        raise AssertionError("built before the cap was checked")
+
+    monkeypatch.setattr(ramcat.category, "word_tokens", built)
+    monkeypatch.setattr(ramcat.category, "word_spelling", built)
+    context = WordContext(trivial_action(cyclic_group(2), "a"))
+    with pytest.raises(ResourceBound):
+        gr_fragment(context, 10**300)

@@ -23,6 +23,7 @@ from ramcat import (
     dram_fragment,
     dram_op_fragment,
     dual,
+    expand_witnesses,
     format_word,
     fragment_equal,
     gr_fragment,
@@ -119,15 +120,18 @@ RULED = [
 
 
 def test_witnesses_satisfy_transport_equation():
-    """Each witness, read from a column over the target's spelling, is
-    recomposed through ``compose`` and phi is evaluated afresh."""
+    """Each witness, read from a column over the target's spelling and kept
+    by position, is the oracle's, in its order; it is recomposed through
+    ``compose`` and phi is evaluated afresh."""
     for name, build, source_objects, target_objects in SPELLED:
         pa = build()
         assert pa.target.spelling is not None, name
         report = verify_pa(pa, source_objects, target_objects)
         assert report.ok and report.witnesses, name
+        witnesses = list(expand_witnesses(pa, report))
+        assert witnesses == verify_pa_per_instance(pa, source_objects, target_objects).witnesses, name
         src, tgt = pa.source, pa.target
-        for w in report.witnesses:
+        for w in witnesses:
             lhs = src.compose(pa.phi(w["B"], w["C"], w["u"]), w["f"])
             rhs = pa.phi(w["A"], w["C"], tgt.compose(w["u"], w["v"]))
             assert lhs == rhs, (name, w)
@@ -219,11 +223,14 @@ def outcome(verify, pa, source_objects, target_objects, **kwargs):
 
 def assert_matches_oracle(pa, source_objects, target_objects, **kwargs):
     """``verify_pa`` agrees with the oracle, classes of the recorded values
-    included (``repr`` tells a morphism from an equal tuple).  When both
+    included (``repr`` tells a morphism from an equal tuple), its witnesses
+    read one instance at a time by ``expand_witnesses``.  When both
     finish, it evaluates phi and the suggested v once per argument the
     oracle evaluates; before an error the two may have evaluated different
     arguments."""
     got = outcome(verify_pa, pa, source_objects, target_objects, **kwargs)
+    if isinstance(got[0], PAReport):
+        got = (replace(got[0], witnesses=list(expand_witnesses(pa, got[0]))),) + got[1:]
     want = outcome(verify_pa_per_instance, pa, source_objects, target_objects, **kwargs)
     assert got[0] == want[0] and repr(got[0]) == repr(want[0])
     if isinstance(got[0], PAReport):
@@ -432,7 +439,7 @@ def test_suggested_witness_off_its_hom_set_is_not_accepted(wrong_v):
     report = verify_pa(pa, range(1, 4), range(4))
     assert report.ok and report.instances > 0
     assert report.suggested_tried == report.instances and report.suggested_hits == 0
-    for w in report.witnesses:
+    for w in expand_witnesses(pa, report):
         assert not w["suggested"] and w["v"] == Morphism(w["A"], w["B"], None)
 
 
@@ -455,6 +462,57 @@ def test_phi_evaluated_once_per_argument(make_pa, swap_context):
     assert calls and max(calls.values()) == 1
     assert (report.instances, report.failures, report.witnesses) == (
         plain.instances, plain.failures, plain.witnesses)
+
+
+def test_landing_checked_once_per_distinct_value(swap_context):
+    # stripping letters and exponents sends many u of hom(F(B), C) to one
+    # word, and the landing check reads each word once per (B, H(C))
+    pa = pa_gr_plain_to_decorated(swap_context, 5)
+    objects = [1, 2, 3, 4, 5]
+    plain = verify_pa(pa, objects, objects)
+    calls = Counter()
+    in_hom = pa.source.in_hom
+
+    def counting_in_hom(m, a, b):
+        calls[(a, b, m)] += 1
+        return in_hom(m, a, b)
+
+    pa.source.in_hom = counting_in_hom
+    report = verify_pa(pa, objects, objects)
+    assert calls and max(calls.values()) == 1
+    landed = [(b, pa.H(c), pa.phi(b, c, u)) for b in objects for c in objects for u in pa.target.hom(pa.F(b), c)]
+    assert calls.keys() == set(landed) and len(calls) < len(landed)
+    assert report == plain
+
+
+def unhashable(m):
+    return Morphism(m.dom, m.cod, DecoratedWord(list(m.payload.tokens), m.payload.m))
+
+
+@pytest.mark.parametrize("foreign", [
+    tuple,  # a bare (dom, cod, payload) tuple equal to the value
+    lambda m: Morphism(m.dom, m.cod, tuple(m.payload)),  # a morphism whose payload is a bare tuple equal to the word
+    unhashable,  # a morphism whose payload holds its tokens in a list
+], ids=["tuple", "tuple-payload", "unhashable-payload"])
+def test_landing_check_tells_values_apart_by_class(swap_context, foreign):
+    # phi gives a valid value for the first u of each hom(F(X), Y) and a
+    # foreign one for every other u; most of those equal a value that
+    # landed before, and each must still fail to land
+    pa = pa_gr_plain_to_decorated(swap_context, 3)
+    phi, hom = pa.phi, pa.target.hom
+
+    def mixed(x, y, u):
+        value = phi(x, y, u)
+        return value if u == hom(pa.F(x), y)[0] else foreign(value)
+
+    report = assert_matches_oracle(replace(pa, phi=mixed), [1, 2, 3], [1, 2, 3])
+    assert not report.ok and report.instances > 0
+    pairs = [(x, y) for x in [1, 2, 3] for y in [1, 2, 3] if pa.target.hom_size(pa.F(x), y)]
+    assert len(report.phi_landing_failures) == sum(pa.target.hom_size(pa.F(x), y) - 1 for x, y in pairs)
+    firsts = {(x, y): phi(x, y, hom(pa.F(x), y)[0]) for x, y in pairs}
+    assert all(e["u"] != hom(pa.F(e["X"]), e["Y"])[0] for e in report.phi_landing_failures)
+    repeats = sum(e["phi"] == firsts[e["X"], e["Y"]] for e in report.phi_landing_failures)
+    assert repeats == 0 if foreign is unhashable else repeats > 0
 
 
 @pytest.mark.parametrize("make_pa", [

@@ -11,11 +11,15 @@ host speed falls on both sides alike.  It then runs one traced pass per
 side (``--trace 1``, seed TRACE_SEED, TRACE_SECONDS long) for the
 per-layer counters.
 
-Every run starts with ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX``
-set to a fresh, empty temporary directory, so neither side reads bytecode
-cached by an earlier run, whatever ``__pycache__`` directories its checkout
-holds, and each side compiles its sources alike.  Nothing in the checkouts
-is deleted.  The output's ``host`` section records the setting.
+Every run starts with ``PYTHONDONTWRITEBYTECODE=1``, so no run writes
+bytecode for the next one to read: each side compiles its own sources on
+every run, as a fresh checkout of the benchmark does, and reads the standard
+library's bytecode from the interpreter's cache, as any run does.  The
+script refuses to start, listing them, when either checkout holds a
+``__pycache__`` directory under ``src/`` or ``perfbench/``, since a side
+that read cached bytecode of its own sources would set up faster.  Nothing
+in the checkouts is deleted.  The output's ``host`` section records the
+setting.
 
 The output holds, per workload and end-to-end metric, each side's median
 and quartiles, the pairs the change won and lost (ties count for neither),
@@ -32,7 +36,6 @@ import os
 import platform
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -40,16 +43,16 @@ PAIRS = 10
 FIRST_SEED = 101
 TRACE_SEED = 7
 TRACE_SECONDS = 10
-NO_BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": "a fresh, empty directory per run"}
+NO_BYTECODE_WRITES = {"PYTHONDONTWRITEBYTECODE": "1"}
+SOURCES = ("src", "perfbench")  # the directories whose bytecode no run may read
 
 
 def run(checkout: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run; its last output line is the metrics object."""
     args = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
                       "--trace", str(trace)]
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as prefix:
-        env = {**os.environ, **NO_BYTECODE_CACHE, "PYTHONPYCACHEPREFIX": prefix}
-        done = subprocess.run(args, cwd=checkout, capture_output=True, text=True, env=env)
+    done = subprocess.run(args, cwd=checkout, capture_output=True, text=True,
+                          env={**os.environ, **NO_BYTECODE_WRITES})
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(args)} in {checkout} exited {done.returncode}:\n{done.stderr[-2000:]}")
     last = [line for line in done.stdout.splitlines() if line.strip()][-1]
@@ -80,9 +83,15 @@ def summarize(runs: list[dict], metric: str, better: str) -> dict:
     }
 
 
+def cached_bytecode(checkouts) -> list[Path]:
+    """The ``__pycache__`` directories under the sources of ``checkouts``."""
+    return sorted(cache for checkout in checkouts for top in SOURCES
+                  for cache in (checkout / top).rglob("__pycache__"))
+
+
 def host() -> dict:
     """The interpreter, platform and processor model the runs used, and
-    the environment that keeps every run from reading cached bytecode."""
+    the environment that keeps every run from writing bytecode."""
     model = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -90,7 +99,9 @@ def host() -> dict:
     except OSError:
         pass
     return {"platform": platform.platform(), "python": platform.python_version(),
-            "processor": model, "cpus": os.cpu_count(), "bytecode_cache": NO_BYTECODE_CACHE}
+            "processor": model, "cpus": os.cpu_count(), "bytecode": {
+                **NO_BYTECODE_WRITES, "sources": f"no __pycache__ under {' or '.join(SOURCES)}",
+                "standard_library": "read from the interpreter's cache"}}
 
 
 def main() -> None:
@@ -99,6 +110,10 @@ def main() -> None:
     parser.add_argument("change", type=Path)
     parser.add_argument("--output", type=Path, required=True)
     opts = parser.parse_args()
+    cached = cached_bytecode([opts.parent, opts.change])
+    if cached:
+        raise SystemExit("remove the cached bytecode of the checkouts first:\n"
+                         + "\n".join(str(path) for path in cached))
 
     spec = json.loads((opts.change / "BENCHMARK.json").read_text())
     command = spec["command"]
